@@ -71,10 +71,6 @@ class InsideWell(ZSWKBError):
     """A boundary cut has no positive decay margin (|A| not above |lambda|)."""
 
 
-class StepUnderflow(ZSWKBError):
-    """Adaptive integration step shrank below the hard floor."""
-
-
 class PhaseTrackingLost(ZSWKBError):
     """Wronskian phase drifted too fast between grid samples to track a sign."""
 

@@ -240,3 +240,60 @@ def test_wronskian_batch_matches_scalar(well_problem):
         single = z.wronskian(well_problem, lam)
         total_b = w_b * np.exp(ls_b - single.log_scale)
         assert abs(total_b - single.w_value) < 1e-7 * max(1.0, abs(single.w_value))
+
+
+def _total_w(sample: z.WronskianSample, log_ref: float) -> complex:
+    return sample.w_value * math.exp(sample.log_scale - log_ref)
+
+
+def test_propagator_fourth_order_self_convergence(well_problem):
+    # the cell width scales like ode_rtol^(1/4): dividing rtol by 16 halves dx
+    p = well_problem.with_(h=0.05, eps=0.05)
+    lam = 1.52 + 0.02j
+    samples = [z.wronskian(p.with_(tolerances=z.Tolerances(ode_rtol=rtol)), lam)
+               for rtol in (1e-6, 1e-6 / 16, 1e-6 / 256)]
+    ws = [_total_w(s, samples[-1].log_scale) for s in samples]
+    ratio = abs(ws[0] - ws[1]) / abs(ws[1] - ws[2])
+    assert 14.0 < ratio < 18.0
+
+
+def test_wronskian_row_independent_of_batch(well_problem):
+    p = well_problem.with_(eps=0.05)
+    lams = np.linspace(1.3, 1.7, 256) + 0.1j * np.linspace(-1.0, 1.0, 256) ** 2
+    ws, ls = _wronskian_batch(p, lams)
+    for j in (0, 97, 255):
+        single = z.wronskian(p, lams[j])
+        in_batch = ws[j] * math.exp(ls[j] - single.log_scale)
+        assert abs(in_batch - single.w_value) < 1e-12 * abs(single.w_value)
+
+
+@pytest.mark.parametrize("spec", [
+    z.well_even(),
+    # |A| near 40 at the cuts: thousands of e-folds inside one propagation chunk
+    z.custom([("const", 40.0), ("gauss", -39.0)], [("xgauss", 1.0)]),
+], ids=["well", "steep"])
+def test_single_row_full_span_finite_and_split_consistent(spec):
+    p = z.Problem(spec, 1.5, 0.2, 0.0125, eps=0.05, x_cut_left=-8.0, x_cut_right=8.0)
+    lam = 1.53 + 0.01j
+    seed = z.boundary_seed(p, lam, Direction.FROM_LEFT)
+    full, ls_full = z.integrate(p, lam, seed, 8.0)
+    assert np.all(np.isfinite(full)) and math.isfinite(ls_full)
+    x_m = z.problem.matching_point(p)
+    for x_split in (x_m, x_m + 0.123456789):
+        vec, ls = z.integrate(p, lam, seed, x_split)
+        vec, ls = z.integrate(p, lam, z.BoundaryData(x_split, Direction.FROM_LEFT, vec, ls), 8.0)
+        assert abs(np.vdot(full, vec)) == pytest.approx(1.0, abs=1e-10)
+        assert ls == pytest.approx(ls_full, rel=1e-10)
+
+
+@pytest.mark.parametrize("spec,lambda0,delta", [
+    (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
+def test_wronskian_abel_identity_across_matching_points(spec, lambda0, delta):
+    # the system is trace-free, so W of two fixed solutions does not depend on x
+    p = z.Problem(spec, lambda0, delta, 0.05, eps=0.05)
+    x_m = z.problem.matching_point(p)
+    for lam in (lambda0 + 0.37 * delta + 0.05j, lambda0 - 0.61 * delta - 0.02j):
+        ref = z.wronskian(p, lam)
+        for shift in (0.2, -0.2):
+            moved = z.wronskian(p.with_(matching_point=x_m + shift), lam)
+            assert abs(_total_w(moved, ref.log_scale) - ref.w_value) < 1e-9 * abs(ref.w_value)
