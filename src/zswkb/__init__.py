@@ -6,7 +6,7 @@ turning points, and a direct Wronskian shooting solver, then cross-validates
 and probes the reality of spectra under PT-like symmetric perturbations.
 """
 
-from .action import ActionValue, action_derivative, action_integral, check_schwarz_symmetry
+from .action import ActionValue, action_integral, check_schwarz_symmetry
 from .direct import (BoundaryData, Direction, WronskianSample, ZeroCount,
                      boundary_seed, count_zeros, direct_spectrum_complex,
                      direct_spectrum_real, integrate, wronskian)
@@ -30,7 +30,7 @@ __all__ = [
     "EigenvalueRecord", "Method", "PotentialSpec", "Problem", "StokesCurve",
     "StokesGraph", "SymmetryClass", "Termination", "Tolerances",
     "TurningPointPair", "WellType", "WronskianSample", "ZSWKBError", "ZeroCount",
-    "a1_report", "action_derivative", "action_integral", "boundary_seed",
+    "a1_report", "action_integral", "boundary_seed",
     "build_graph", "check_schwarz_symmetry", "classify_symmetry",
     "continue_in_window", "count_zeros", "custom", "direct_spectrum_complex",
     "direct_spectrum_real", "domain_cuts", "enumerate_indices", "eval_potential",

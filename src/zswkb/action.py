@@ -17,9 +17,6 @@ from .potential import SymmetryClass, eval_potential
 from .problem import Problem, symmetry_class
 from .turning import TurningPointPair, find_turning_points
 
-_FD_STEP = 1e-6
-_FD_REL = 1e-6
-
 
 @dataclass(frozen=True)
 class ActionValue:
@@ -143,20 +140,6 @@ def action_integral(problem: Problem, lam: complex,
     # need ~1e-6, so its plateau budget is looser than the value's
     dvalue, _, _ = _doubling(problem, _quad_derivative, pair, lam, 1e-7)
     return ActionValue(complex(value), complex(dvalue), float(err), n)
-
-
-def action_derivative(problem: Problem, lam: complex) -> complex:
-    """d/dlambda of the action, cross-checked against a central difference."""
-    lam = complex(lam)
-    val = action_integral(problem, lam)
-    plus = action_integral(problem, lam + _FD_STEP).value
-    minus = action_integral(problem, lam - _FD_STEP).value
-    fd = (plus - minus) / (2.0 * _FD_STEP)
-    if abs(fd - val.dvalue_dlambda) > _FD_REL * max(1.0, abs(val.dvalue_dlambda)):
-        raise QuadratureNoConvergence(
-            f"derivative rule disagrees with central difference at lambda={lam}: "
-            f"{val.dvalue_dlambda} vs {fd}")
-    return val.dvalue_dlambda
 
 
 def check_schwarz_symmetry(problem: Problem, lam: complex,

@@ -1,8 +1,9 @@
 """Analytic potential families A(x), B(x) and the blended profile A(x) + i*eps*B(x).
 
-All built-in profiles are entire or strip-analytic closed forms, so values and
-derivatives at complex points come from formulas, never from numerical
-differentiation.
+Every family is a list of (target, kind, coeff, scale) terms; the built-in
+families are presets over that list.  All terms are entire or strip-analytic
+closed forms, so values and derivatives at complex points come from formulas,
+never from numerical differentiation.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import A1Violated, OutOfStrip
+from .errors import A1Violated, NoConvergence, OutOfStrip
 
 WELL_EVEN = "well-even"
 MONOTONE_ODD = "monotone-odd"
@@ -22,6 +23,14 @@ TARGET_A, TARGET_B = 0, 1
 TERM_CONST, TERM_TANH, TERM_GAUSS, TERM_XGAUSS = 0, 1, 2, 3
 _TERM_NAMES = {"const": TERM_CONST, "tanh": TERM_TANH,
                "gauss": TERM_GAUSS, "xgauss": TERM_XGAUSS}
+
+# Newton on a real crossing stops once its step is below this share of
+# max(1, |x|); the step it then takes leaves an error of order its square.
+# Simple crossings settle in two or three passes; the cap leaves room for
+# levels just above a well floor, where a poor secant seed halves its
+# distance to the root per pass.
+_CROSSING_XTOL = 1e-10
+_CROSSING_NEWTON_CAP = 64
 
 
 class SymmetryClass(Enum):
@@ -53,23 +62,32 @@ class PotentialSpec:
             a, b = self.params
             if not (a > b > 0):
                 raise ValueError("well-even requires params (a, b) with a > b > 0")
+            terms = ((TARGET_A, TERM_CONST, a, 1.0), (TARGET_A, TERM_GAUSS, -b, 1.0),
+                     (TARGET_B, TERM_XGAUSS, 1.0, 1.0))
         elif self.family == MONOTONE_ODD:
             (a,) = self.params
             if not a > 0:
                 raise ValueError("monotone-odd requires a positive slope parameter")
+            terms = ((TARGET_A, TERM_TANH, a, 1.0), (TARGET_B, TERM_GAUSS, 1.0, 1.0))
         else:
             if len(self.params) % 4 != 0:
                 raise ValueError("custom params must be flat (target, kind, coeff, scale) quadruples")
-            for t, k, _, s in zip(*[iter(self.params)] * 4):
-                if int(t) not in (TARGET_A, TARGET_B) or int(k) not in (0, 1, 2, 3):
-                    raise ValueError("bad custom term codes")
-                if int(k) != TERM_CONST and not s > 0:
+            terms = []
+            for t, k, c, s in zip(*[iter(self.params)] * 4):
+                if t not in (TARGET_A, TARGET_B) or k not in _TERM_NAMES.values():
+                    raise ValueError(f"bad custom term codes ({t:g}, {k:g}): target must be "
+                                     f"0 or 1 and kind 0, 1, 2 or 3")
+                if k != TERM_CONST and not s > 0:
                     raise ValueError("custom term scale must be positive")
                 # tanh(s*z) has poles at Im z = pi/(2s); the strip must stop short
-                if int(k) == TERM_TANH and self.strip_half_width >= np.pi / (2 * s):
+                if k == TERM_TANH and self.strip_half_width >= np.pi / (2 * s):
                     raise ValueError(
                         f"strip_half_width {self.strip_half_width} reaches the "
                         f"tanh pole at {np.pi / (2 * s):.4f}")
+                terms.append((int(t), int(k), c, s))
+        # the one representation every evaluator reads; not a dataclass field,
+        # so equality, hashing and JSON see only (family, params, strip)
+        object.__setattr__(self, "terms", tuple(terms))
 
 
 def well_even(a: float = 2.0, b: float = 1.0, strip_half_width: float = 10.0) -> PotentialSpec:
@@ -114,58 +132,45 @@ def spec_from_json(obj: dict) -> PotentialSpec:
     return PotentialSpec(obj["family"], tuple(obj["params"]), float(obj["strip_half_width"]))
 
 
-def _term_eval(kind: int, coeff: float, scale: float, z):
-    if kind == TERM_CONST:
-        return coeff * np.ones_like(z), np.zeros_like(z)
-    if kind == TERM_TANH:
-        t = np.tanh(scale * z)
-        return coeff * t, coeff * scale * (1.0 - t * t)
-    if kind == TERM_GAUSS:
-        e = np.exp(-scale * z * z)
-        return coeff * e, -2.0 * coeff * scale * z * e
-    # TERM_XGAUSS
-    e = np.exp(-scale * z * z)
-    return coeff * z * e, coeff * (1.0 - 2.0 * scale * z * z) * e
+def _sum_terms(spec: PotentialSpec, z, target: int):
+    """(value, z-derivative) of the terms of ``spec`` that belong to ``target``.
+
+    On arrays the sums accumulate in place: fresh temporaries for every term
+    of a large grid make the allocator map and unmap pages on each call.
+    """
+    z = np.asarray(z, dtype=complex)
+    if z.ndim:
+        val, dval = np.zeros_like(z), np.zeros_like(z)
+    else:  # numpy scalar arithmetic costs a fraction of that on 0-d arrays
+        z, val, dval = z[()], np.complex128(0.0), np.complex128(0.0)
+    for t, k, c, s in spec.terms:
+        if t != target:
+            continue
+        if k == TERM_CONST:
+            val += c
+        elif k == TERM_TANH:
+            th = np.tanh(s * z)
+            val += c * th
+            dval += c * s * (1.0 - th * th)
+        else:
+            e = np.exp(-s * z * z)
+            if k == TERM_GAUSS:
+                val += c * e
+                dval -= 2.0 * c * s * z * e
+            else:
+                val += c * z * e
+                dval += c * (1.0 - 2.0 * s * z * z) * e
+    return val, dval
 
 
 def eval_A(spec: PotentialSpec, z):
     """Return (A(z), A'(z)); z may be a scalar or ndarray, real or complex."""
-    z = np.asarray(z, dtype=complex)
-    if spec.family == WELL_EVEN:
-        a, b = spec.params
-        e = np.exp(-z * z)
-        return a - b * e, 2.0 * b * z * e
-    if spec.family == MONOTONE_ODD:
-        (a,) = spec.params
-        t = np.tanh(z)
-        return a * t, a * (1.0 - t * t)
-    val = np.zeros_like(z)
-    dval = np.zeros_like(z)
-    for t, k, c, s in zip(*[iter(spec.params)] * 4):
-        if int(t) == TARGET_A:
-            v, d = _term_eval(int(k), c, s, z)
-            val = val + v
-            dval = dval + d
-    return val, dval
+    return _sum_terms(spec, z, TARGET_A)
 
 
 def eval_B(spec: PotentialSpec, z):
     """Return (B(z), B'(z))."""
-    z = np.asarray(z, dtype=complex)
-    if spec.family == WELL_EVEN:
-        e = np.exp(-z * z)
-        return z * e, (1.0 - 2.0 * z * z) * e
-    if spec.family == MONOTONE_ODD:
-        e = np.exp(-z * z)
-        return e, -2.0 * z * e
-    val = np.zeros_like(z)
-    dval = np.zeros_like(z)
-    for t, k, c, s in zip(*[iter(spec.params)] * 4):
-        if int(t) == TARGET_B:
-            v, d = _term_eval(int(k), c, s, z)
-            val = val + v
-            dval = dval + d
-    return val, dval
+    return _sum_terms(spec, z, TARGET_B)
 
 
 def eval_potential(spec: PotentialSpec, z, eps: float):
@@ -183,50 +188,12 @@ def eval_potential(spec: PotentialSpec, z, eps: float):
 
 
 def axis_blend_callable(spec: PotentialSpec, eps: float):
-    """Fast scalar A_eps(x) for real x, for use in integrator inner loops.
+    """Scalar A_eps(x) for real x.
 
-    Returns a plain-Python closure over math calls; equals eval_potential on
-    the real axis to roundoff.
+    Nothing in the package calls it; it remains only because bench/spans.py
+    patches ``zswkb.direct.axis_blend_callable`` to count blend calls.
     """
-    import math
-
-    if spec.family == WELL_EVEN:
-        a, b = spec.params
-
-        def blend(x: float) -> complex:
-            e = math.exp(-x * x)
-            return complex(a - b * e, eps * x * e)
-
-        return blend
-    if spec.family == MONOTONE_ODD:
-        (a,) = spec.params
-
-        def blend(x: float) -> complex:
-            return complex(a * math.tanh(x), eps * math.exp(-x * x))
-
-        return blend
-    terms = list(zip(*[iter(spec.params)] * 4))
-
-    def blend(x: float) -> complex:
-        re = 0.0
-        im = 0.0
-        for t, k, c, s in terms:
-            k = int(k)
-            if k == TERM_CONST:
-                v = c
-            elif k == TERM_TANH:
-                v = c * math.tanh(s * x)
-            elif k == TERM_GAUSS:
-                v = c * math.exp(-s * x * x)
-            else:
-                v = c * x * math.exp(-s * x * x)
-            if int(t) == TARGET_A:
-                re += v
-            else:
-                im += v
-        return complex(re, eps * im)
-
-    return blend
+    return lambda x: complex(eval_potential(spec, x, eps)[0])
 
 
 def classify_symmetry(spec: PotentialSpec, half_width: float = 8.0,
@@ -263,18 +230,49 @@ class A1Report:
     margin_at_infinity: float
 
 
-def _bisect_root(f, lo, hi, iters: int = 80):
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+def real_crossings(spec: PotentialSpec, level: float, cutoff: float,
+                   n_samples: int = 4001) -> tuple:
+    """Real roots of |A(x)| = level in [-cutoff, cutoff], and the samples of A.
+
+    Sign changes of |A| - level between neighbouring samples bracket the
+    roots.  Each bracket is seeded at its secant point, and all brackets are
+    polished together by Newton on A's analytic derivative; an iterate that
+    leaves its (shrinking) bracket is replaced by the bracket's midpoint.
+    Returns ``(roots, a)``: the roots in ascending order and A at the
+    ``n_samples`` equispaced points.  Raises NoConvergence when a bracket does
+    not settle.
+    """
+    x = np.linspace(-cutoff, cutoff, n_samples)
+    a, _ = eval_A(spec, x)
+    f = np.abs(a.real) - level
+    i = np.flatnonzero(f[:-1] * f[1:] < 0)
+    lo, hi, flo = x[i], x[i + 1], f[i]
+    t = lo - flo * (hi - lo) / (f[i + 1] - flo)
+    ftol = 4.0 * np.finfo(float).eps * max(1.0, level)
+    done = np.zeros(len(i), dtype=bool)
+    for _ in range(_CROSSING_NEWTON_CAP):
+        if done.all():
+            return t, a
+        v, dv = eval_A(spec, t)
+        v, dv = v.real, dv.real
+        g = np.abs(v) - level
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / (np.sign(v) * dv)
+        small_step = np.abs(step) <= _CROSSING_XTOL * np.maximum(1.0, np.abs(t))
+        settled = ~done & (small_step | (np.abs(g) <= ftol))
+        left = (g < 0) == (flo < 0)
+        lo, hi = np.where(left, t, lo), np.where(left, hi, t)
+        newton = t - step
+        inside = (newton > lo) & (newton < hi)
+        # a settled root takes its last Newton step only when that step is
+        # small; an unsettled iterate that leaves its bracket goes to the midpoint
+        t = np.select([done, small_step, settled, inside], [t, newton, t, newton],
+                      0.5 * (lo + hi))
+        done |= settled
+    if not done.all():
+        raise NoConvergence(f"real crossings of |A| = {level} did not settle near "
+                            f"x = {t[~done]}")
+    return t, a
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
@@ -288,8 +286,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("lambda0 must be positive")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    x = np.linspace(-cutoff, cutoff, n_samples)
-    a, _ = eval_A(spec, x)
+    roots, a = real_crossings(spec, lambda0, cutoff, n_samples)
     if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
         raise ValueError("A(x) is not real-valued on the real axis")
     a = a.real
@@ -297,24 +294,15 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
     if margin <= 0:
         raise A1Violated("no-margin-at-infinity",
                          f"|A| at +/-{cutoff} does not exceed lambda0={lambda0}")
-    f = np.abs(a) - lambda0
-    idx = np.where(f[:-1] * f[1:] < 0)[0]
-    if len(idx) == 0:
+    if len(roots) == 0:
         raise A1Violated("no-crossings", f"|A| never crosses lambda0={lambda0}")
-    if len(idx) != 2:
-        raise A1Violated("extra-crossings", f"found {len(idx)} crossings, need exactly 2")
-
-    def fx(t):
-        v, _ = eval_A(spec, t)
-        return abs(v.real.item()) - lambda0
-
-    alpha0 = _bisect_root(fx, x[idx[0]], x[idx[0] + 1])
-    beta0 = _bisect_root(fx, x[idx[1]], x[idx[1] + 1])
-    va, da = eval_A(spec, alpha0)
-    vb, db = eval_A(spec, beta0)
-    slopes = (da.real.item(), db.real.item())
+    if len(roots) != 2:
+        raise A1Violated("extra-crossings", f"found {len(roots)} crossings, need exactly 2")
+    alpha0, beta0 = roots
+    v, dv = eval_A(spec, roots)
+    slopes = (dv[0].real.item(), dv[1].real.item())
     if min(abs(slopes[0]), abs(slopes[1])) <= slope_tol:
         raise A1Violated("zero-slope", f"|A'| at a crossing is below {slope_tol}")
-    prod = va.real.item() * vb.real.item()
+    prod = v[0].real.item() * v[1].real.item()
     well = WellType.SIMPLE_WELL if prod > 0 else WellType.MONOTONIC
     return A1Report(float(alpha0), float(beta0), float(lambda0), slopes, well, float(margin))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Collision, LeftStrip, NoConvergence
-from .potential import eval_A, eval_potential
+from .potential import eval_potential, real_crossings
 from .problem import Problem, a1_report
 
 _HOMOTOPY_STEPS = 8
@@ -60,34 +60,12 @@ def _newton_root(problem: Problem, z0: complex, lam: complex, eps: float) -> com
 def _real_seeds(problem: Problem, lam_re: float) -> tuple:
     """Real roots of A(x)^2 = lam_re^2 near alpha0, beta0 (eps = 0 reference)."""
     rep = a1_report(problem)
-    x = np.linspace(-problem.cutoff, problem.cutoff, 4001)
-    a, _ = eval_A(problem.potential, x)
-    f = a.real ** 2 - lam_re ** 2
-    idx = np.where(f[:-1] * f[1:] < 0)[0]
-    if len(idx) < 2:
-        fmin = float(np.min(f))
-        if fmin < 1e-6 * max(1.0, lam_re ** 2):
+    roots, a = real_crossings(problem.potential, lam_re, problem.cutoff)
+    if len(roots) < 2:
+        if np.min(a.real ** 2 - lam_re ** 2) < 1e-6 * max(1.0, lam_re ** 2):
             # tangency: the real pair has already merged at this level
             raise Collision(f"turning points merge on the real axis at lambda={lam_re}")
         raise NoConvergence(f"no real turning-point seeds at lambda={lam_re}")
-
-    def froot(t):
-        v, _ = eval_A(problem.potential, t)
-        return v.real.item() ** 2 - lam_re ** 2
-
-    roots = []
-    for i in idx:
-        lo, hi = x[i], x[i + 1]
-        flo = froot(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = froot(mid)
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    roots = np.asarray(roots)
     seed_a = roots[np.argmin(np.abs(roots - rep.alpha0))]
     seed_b = roots[np.argmin(np.abs(roots - rep.beta0))]
     return complex(seed_a), complex(seed_b)
@@ -111,9 +89,9 @@ def find_turning_points(problem: Problem, lam: complex,
                         seed_pair: TurningPointPair | None = None) -> TurningPointPair:
     """Track the two simple roots of A_eps^2 - lambda^2 from real seeds.
 
-    Without a seed pair the roots are found at (Re lambda, eps=0) by bisection
-    and continued to the target in fixed homotopy stages, first in Im lambda,
-    then in eps.
+    Without a seed pair the roots are found at (Re lambda, eps=0) by
+    ``potential.real_crossings`` and continued to the target in fixed homotopy
+    stages, first in Im lambda, then in eps.
     """
     lam = complex(lam)
     if seed_pair is not None:

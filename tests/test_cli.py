@@ -54,6 +54,43 @@ def test_config_hash_ignores_output_dir(tmp_path):
     assert config_hash(a) != config_hash(c)
 
 
+@pytest.mark.parametrize("params", [
+    [0, 2.9, 2.0, 1.0],     # kind 2.9 must not be read as gauss
+    [1.2, 0, 2.0, 1.0],     # target 1.2 must not be read as B
+    [0, 4, 2.0, 1.0],
+    [-1, 0, 2.0, 1.0],
+    [0, float("nan"), 2.0, 1.0],
+])
+def test_config_rejects_bad_custom_term_codes(tmp_path, params):
+    pot = {"family": "custom-sum-of-terms", "params": params, "strip_half_width": 10.0}
+    with pytest.raises(ConfigError, match="term codes"):
+        config_from_json(base_config_dict(tmp_path, potential=pot))
+
+
+# SHA-256 of the benchmark's three problems, pinned from the commit before the
+# built-in families became presets of the term list: family names, params and
+# the config JSON must hash exactly as they did.
+BENCH_PROBLEM_HASHES = {
+    "well": ({"family": "well-even", "params": [2.0, 1.0], "strip_half_width": 10.0}, 1.5, 0.2,
+             "3bbb6abc614c0b1ea91c38eeaf3f01cdc7269f4f85fb8df3a1980bf9acaa981d"),
+    "tanh": ({"family": "monotone-odd", "params": [2.0], "strip_half_width": 0.5}, 1.0, 0.3,
+             "275a666f7dc7ca3f154a3b8ea62fe30bded5b02b792341a09706ba16f2b9251d"),
+    "ctrl": ({"family": "custom-sum-of-terms",
+              "params": [0, 0, 2.0, 1.0, 0, 2, -1.0, 1.0, 1, 2, 1.0, 1.0],
+              "strip_half_width": 10.0}, 1.5, 0.2,
+             "fa60d924c37e143d07a2adcfddca0ddeab4ff68ef78247c9528191f43acf34b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PROBLEM_HASHES))
+def test_config_hash_pinned_for_bench_problems(name):
+    pot, lam0, delta, digest = BENCH_PROBLEM_HASHES[name]
+    cfg = config_from_json({"potential": pot, "lambda0": lam0, "delta": delta,
+                            "h_list": [0.05, 0.025, 0.0125], "eps_list": [0.05, 0.0]})
+    assert config_hash(cfg) == digest
+    assert z.spec_to_json(cfg.potential) == {**pot, "params": [float(p) for p in pot["params"]]}
+
+
 def test_run_validate_reports_well_data(tmp_path):
     cfg = config_from_json(base_config_dict(tmp_path))
     doc = run_validate(cfg)

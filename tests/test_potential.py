@@ -5,7 +5,8 @@ import pytest
 
 import zswkb as z
 from zswkb.errors import A1Violated, OutOfStrip
-from zswkb.potential import axis_blend_callable
+from zswkb import potential
+from zswkb.potential import axis_blend_callable, real_crossings
 
 from conftest import rng
 
@@ -60,6 +61,56 @@ def test_derivative_matches_finite_differences(spec_fn):
         minus, _ = z.eval_potential(spec, zz - step, 0.03)
         fd = (plus - minus) / (2 * step)
         assert abs(dval - fd) < 1e-6 * max(1.0, abs(dval))
+
+
+@pytest.mark.parametrize("preset, spelled", [
+    (z.well_even(3.0, 1.5),
+     z.custom([("const", 3.0), ("gauss", -1.5)], [("xgauss", 1.0)], strip_half_width=10.0)),
+    (z.monotone_odd(2.0),
+     z.custom([("tanh", 2.0)], [("gauss", 1.0)], strip_half_width=0.5)),
+])
+def test_presets_equal_their_custom_spelling(preset, spelled):
+    r = rng(5)
+    w = 0.9 * min(preset.strip_half_width, 2.0)
+    pts = r.uniform(-4, 4, 200) + 1j * r.uniform(-w, w, 200)
+    for eps in (0.0, 0.05):
+        val, dval = z.eval_potential(preset, pts, eps)
+        val_c, dval_c = z.eval_potential(spelled, pts, eps)
+        assert np.array_equal(val, val_c)
+        assert np.array_equal(dval, dval_c)
+
+
+@pytest.mark.parametrize("spec, levels, exact", [
+    (z.well_even(2.0, 1.0), (1.3, 1.5, 1.7), lambda lam: math.sqrt(math.log(1.0 / (2.0 - lam)))),
+    (z.well_even(3.0, 1.5), (1.6, 2.0, 2.4), lambda lam: math.sqrt(math.log(1.5 / (3.0 - lam)))),
+    (z.monotone_odd(2.0), (0.5, 1.0, 1.5), lambda lam: math.atanh(lam / 2.0)),
+])
+def test_real_crossings_closed_forms(spec, levels, exact):
+    for lam in levels:
+        roots, a = real_crossings(spec, lam, 8.0)
+        assert a.shape == (4001,)
+        assert len(roots) == 2
+        assert abs(roots[0] + exact(lam)) < 1e-13
+        assert abs(roots[1] - exact(lam)) < 1e-13
+
+
+def test_real_crossings_evaluation_budget(monkeypatch):
+    # one sampling pass plus a few vectorized Newton passes; a scalar
+    # scan-and-bisect search costs over a hundred evaluations
+    calls = []
+    eval_a = potential.eval_A
+
+    def counted(spec, z_):
+        calls.append(z_)
+        return eval_a(spec, z_)
+
+    monkeypatch.setattr(potential, "eval_A", counted)
+    for spec, lam in ((z.well_even(), 1.5), (z.well_even(3.0, 1.5), 2.0),
+                      (z.monotone_odd(), 1.0)):
+        calls.clear()
+        roots, _ = real_crossings(spec, lam, 8.0)
+        assert len(roots) == 2
+        assert len(calls) <= 12
 
 
 def test_axis_blend_matches_eval_potential():
