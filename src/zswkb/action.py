@@ -25,89 +25,70 @@ class ActionValue:
     value: complex
     dvalue_dlambda: complex
     quad_error_estimate: float
-    nodes_used: int
+    nodes_used: int  # nodes of the last rule evaluated
 
 
 def _continued_sqrt(w: np.ndarray, anchor: int) -> np.ndarray:
     """Square roots of w continued by sign from the principal root at ``anchor``.
 
-    Raises BranchAmbiguity when consecutive continued values turn by close to
-    a right angle, i.e. when neither sign choice follows the branch smoothly.
+    Neighbouring principal roots whose product has a negative real part turn
+    by more than a right angle; each such pair flips the sign of the branch,
+    and the flips accumulate outward from the anchor. Raises BranchAmbiguity
+    when some neighbouring roots turn by close to a right angle, i.e. when
+    neither sign choice follows the branch smoothly.
     """
     s = np.sqrt(w)
-    out = s.copy()
-    n = len(s)
-
-    def propagate(indices):
-        prev = out[anchor]
-        for i in indices:
-            cur = s[i]
-            dot = (cur * prev.conjugate()).real
-            if dot < 0.0:
-                cur = -cur
-                dot = -dot
-            denom = abs(cur) * abs(prev)
-            if denom == 0.0 or dot < 1e-6 * denom:
-                raise BranchAmbiguity(
-                    "square-root phase jump exceeds pi/2 between contour nodes")
-            out[i] = cur
-            prev = cur
-
-    propagate(range(anchor + 1, n))
-    propagate(range(anchor - 1, -1, -1))
-    return out
+    dot = (s[1:] * s[:-1].conjugate()).real
+    denom = np.abs(s[1:]) * np.abs(s[:-1])
+    if np.any((denom == 0.0) | (np.abs(dot) < 1e-6 * denom)):
+        raise BranchAmbiguity(
+            "square-root phase jump exceeds pi/2 between contour nodes")
+    sign = np.cumprod(np.concatenate(([1.0], np.where(dot < 0.0, -1.0, 1.0))))
+    return np.where(sign == sign[anchor], s, -s)
 
 
-def _integrand_roots(problem: Problem, t: np.ndarray, lam: complex) -> np.ndarray:
-    """Branch-tracked sqrt(lambda^2 - A_eps(t)^2) along contour nodes t.
+def _rule(problem: Problem, pair: TurningPointPair, lam: complex, n: int) -> np.ndarray:
+    """Midpoint rule in theta (Chebyshev-Gauss, 1st kind) for (I, dI/dlambda).
 
-    Anchored at the node nearest the segment midpoint, where the principal
-    root is the positive one for eps = 0 and real lambda in the window.
+    Both integrands, sin(theta)*g and lambda*sin(theta)/g with
+    g = sqrt(lambda^2 - A_eps^2), are smooth and periodic in theta, so one node
+    set serves both. The branch is anchored at the node nearest the segment
+    midpoint, where the principal root is the positive one for eps = 0 and
+    real lambda in the window.
     """
-    a, _ = eval_potential(problem.potential, t, problem.eps)
-    w = lam * lam - a * a
-    anchor = len(t) // 2
-    return _continued_sqrt(w, anchor)
-
-
-def _quad_value(problem: Problem, pair: TurningPointPair, lam: complex, n: int) -> complex:
-    """Chebyshev-Gauss (2nd kind) rule for the action over the straight segment."""
-    m = 0.5 * (pair.alpha + pair.beta)
-    r = 0.5 * (pair.beta - pair.alpha)
-    theta = np.arange(1, n + 1) * np.pi / (n + 1)
-    t = m + r * np.cos(theta)
-    g = _integrand_roots(problem, t, lam)
-    return (np.pi * r / (n + 1)) * np.sum(np.sin(theta) * g)
-
-
-def _quad_derivative(problem: Problem, pair: TurningPointPair, lam: complex, n: int) -> complex:
-    """Chebyshev-Gauss (1st kind) rule for d/dlambda; endpoint terms vanish."""
     m = 0.5 * (pair.alpha + pair.beta)
     r = 0.5 * (pair.beta - pair.alpha)
     theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)
-    t = m + r * np.cos(theta)
-    g = _integrand_roots(problem, t, lam)
-    return (np.pi * r * lam / n) * np.sum(np.sin(theta) / g)
+    a, _ = eval_potential(problem.potential, m + r * np.cos(theta), problem.eps)
+    g = _continued_sqrt(lam * lam - a * a, n // 2)
+    sin = np.sin(theta)
+    return (np.pi * r / n) * np.array([np.sum(sin * g), lam * np.sum(sin / g)])
 
 
-def _doubling(problem: Problem, rule, pair, lam, budget: float):
+def _doubling(problem: Problem, pair: TurningPointPair, lam: complex):
+    """Double the nodes until the value and the derivative both settle."""
     tol = problem.tolerances
+    # near-degenerate segments floor out on roundoff before the doubling
+    # criterion; each of the pair accepts its best plateau inside its budget.
+    # The derivative integrand has a harsher roundoff floor near segment
+    # collapse and its Newton consumers only need ~1e-6, so its budget is
+    # looser than the value's
+    budget = np.array([tol.quad_err_budget, 1e-7])
     n = tol.quad_min_nodes
-    prev = rule(problem, pair, lam, n)
-    best = None
+    prev = best = _rule(problem, pair, lam, n)
+    best_err = np.full(2, np.inf)
     while n <= tol.quad_max_nodes // 2:
         n *= 2
-        cur = rule(problem, pair, lam, n)
-        err = abs(cur - prev)
-        if err < tol.quad_rel * max(1.0, abs(cur)):
-            return cur, err, n
-        if best is None or err < best[1]:
-            best = (cur, err, n)
+        cur = _rule(problem, pair, lam, n)
+        err = np.abs(cur - prev)
+        if np.all(err < tol.quad_rel * np.maximum(1.0, np.abs(cur))):
+            return cur, err[0], n
+        better = err < best_err
+        best = np.where(better, cur, best)
+        best_err = np.where(better, err, best_err)
         prev = cur
-    # near-degenerate segments floor out on roundoff before the doubling
-    # criterion; accept the plateau if it is inside the error budget
-    if best is not None and best[1] < budget * max(1.0, abs(best[0])):
-        return best
+    if np.all(best_err < budget * np.maximum(1.0, np.abs(best))):
+        return best, best_err[0], n
     raise QuadratureNoConvergence(
         f"no convergence at {tol.quad_max_nodes} nodes for lambda={lam}")
 
@@ -127,18 +108,15 @@ def action_integral(problem: Problem, lam: complex,
                     pair: TurningPointPair | None = None) -> ActionValue:
     """Integral of sqrt(lambda^2 - A_eps^2) over the straight segment alpha -> beta.
 
-    Positive on the real window at eps = 0. Nodes double from the configured
-    minimum until two successive values agree to the relative tolerance.
+    Positive on the real window at eps = 0. One midpoint rule in theta gives
+    the value and its lambda-derivative from the same nodes; the node count
+    doubles from the configured minimum until both agree with the previous
+    count to the relative tolerance.
     """
     lam = complex(lam)
     if pair is None:
         pair = turning_pair(problem, lam)
-    value, err, n = _doubling(problem, _quad_value, pair, lam,
-                              problem.tolerances.quad_err_budget)
-    # the derivative integrand has inverse square roots at the endpoints and a
-    # harsher roundoff floor near segment collapse; its Newton consumers only
-    # need ~1e-6, so its plateau budget is looser than the value's
-    dvalue, _, _ = _doubling(problem, _quad_derivative, pair, lam, 1e-7)
+    (value, dvalue), err, n = _doubling(problem, pair, lam)
     return ActionValue(complex(value), complex(dvalue), float(err), n)
 
 

@@ -96,27 +96,19 @@ def enumerate_indices(problem: Problem) -> list:
 
 
 def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
-    """Newton-solve I(lambda, eps) = c_k*pi*h, seeded by bisection on the eps = 0 action."""
+    """Newton-solve I(lambda, eps) = c_k*pi*h from the eps = 0 secant seed.
+
+    The seed is where the secant through the eps = 0 actions at the two
+    window edges meets the target.
+    """
     branch = select_branch(a1_report(problem))
     target = (k + branch_offset(branch)) * math.pi * problem.h
     i_lo, i_hi = _window_action_range(problem)
     fuzz = 1e-9 * max(1.0, i_hi)
     if not (i_lo - fuzz <= target <= i_hi + fuzz):
         raise LeftWindow(f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
-
-    # bisection seed on the monotone eps = 0 action
-    base = problem.with_(eps=0.0)
-    lo = problem.lambda0 - problem.delta
-    hi = problem.lambda0 + problem.delta
-    f_lo = action_integral(base, lo).value.real - target
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        f_m = action_integral(base, mid).value.real - target
-        if (f_m < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_m
-        else:
-            hi = mid
-    lam = complex(0.5 * (lo + hi))
+    frac = (target - i_lo) / (i_hi - i_lo)
+    lam = complex(problem.lambda0 + problem.delta * (2.0 * frac - 1.0))
 
     tol = problem.tolerances.quantize_residual
     for _ in range(_NEWTON_CAP):

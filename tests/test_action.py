@@ -5,7 +5,8 @@ import pytest
 
 import zswkb as z
 from zswkb.action import _continued_sqrt
-from zswkb.errors import BranchAmbiguity, DegenerateSegment, SymmetryRequired
+from zswkb.errors import (BranchAmbiguity, DegenerateSegment, QuadratureNoConvergence,
+                          SymmetryRequired)
 
 from conftest import rng
 
@@ -114,16 +115,27 @@ def test_branch_consistency_under_node_doubling(well_problem):
         assert abs(a.value - b.value) < 1e-11
 
 
-def test_continued_sqrt_flags_interior_zero():
+@pytest.mark.parametrize("anchor", [0, 4])
+def test_continued_sqrt_flags_interior_zero(anchor):
     # values cross zero: the root turns by a right angle, neither sign continues
     w = np.array([0.04, 0.01, 1e-18, -0.01, -0.04], dtype=complex)
     with pytest.raises(BranchAmbiguity):
-        _continued_sqrt(w, 0)
+        _continued_sqrt(w, anchor)
 
 
-def test_continued_sqrt_follows_smooth_branch():
+@pytest.mark.parametrize("anchor", [0, 30, 59])
+def test_continued_sqrt_follows_smooth_branch(anchor):
     theta = np.linspace(0.0, 1.5 * np.pi, 60)
     w = np.exp(1j * theta)  # crosses the principal cut near theta = pi
-    s = _continued_sqrt(w, 0)
+    s = _continued_sqrt(w, anchor)
     expected = np.exp(0.5j * theta)
+    # the principal root at the anchor fixes the sign of the whole branch
+    expected *= np.sign((np.sqrt(w[anchor]) / expected[anchor]).real)
     assert np.max(np.abs(s - expected)) < 1e-12
+
+
+def test_quadrature_raises_when_node_cap_is_too_low(well_problem):
+    capped = well_problem.with_(tolerances=z.Tolerances(
+        **{**well_problem.tolerances.as_dict(), "quad_min_nodes": 8, "quad_max_nodes": 16}))
+    with pytest.raises(QuadratureNoConvergence):
+        z.action_integral(capped, 1.5)

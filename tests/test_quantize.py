@@ -106,6 +106,23 @@ def test_requantize_with_doubled_nodes_is_stable(well_problem):
         assert abs(a.lam - b.lam) < 1e-9
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("spec, lambda0, delta", [
+    (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
+def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, eps):
+    # each root costs its share of the window-edge actions plus a few Newton steps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return z.action_integral(*args, **kwargs)
+
+    monkeypatch.setattr("zswkb.quantize.action_integral", counted)
+    recs = z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
+    assert recs
+    assert len(calls) <= 10 * len(recs)
+
+
 def test_branch_offset_values():
     assert branch_offset(Branch.HALF_INTEGER) == 0.5
     assert branch_offset(Branch.INTEGER) == 0.0
