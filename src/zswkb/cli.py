@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -77,23 +78,32 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             output_dir=str(obj.get("output_dir", ".")),
             seed_metadata=str(obj.get("seed_metadata", "")),
         )
+        # tolerances are checked, never coerced, so a valid config hashes as
+        # written; a non-number among them raises TypeError here
+        if not cfg.h_list or not all(_positive(h) for h in cfg.h_list):
+            raise ConfigError("h_list must be nonempty, finite and positive")
+        if list(cfg.h_list) != sorted(cfg.h_list, reverse=True):
+            raise ConfigError("h_list must be sorted descending")
+        if not cfg.eps_list or not all(math.isfinite(e) and e >= 0 for e in cfg.eps_list):
+            raise ConfigError("eps_list must be nonempty, finite and non-negative")
+        if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
+            raise ConfigError("eps_list must be sorted descending")
+        if not all(_positive(v) for v in (cfg.lambda0, cfg.delta, cfg.cutoff)):
+            raise ConfigError("lambda0, delta and cutoff must be finite and positive")
+        tols = cfg.tolerances.as_dict()
+        if not all(_positive(v) for v in tols.values()):
+            raise ConfigError("all tolerances must be finite and positive")
+        if not all(float(tols[k]).is_integer() for k in ("quad_min_nodes", "quad_max_nodes")):
+            raise ConfigError("quad_min_nodes and quad_max_nodes must be integers")
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
-    if not cfg.h_list or any(h <= 0 for h in cfg.h_list):
-        raise ConfigError("h_list must be nonempty and positive")
-    if list(cfg.h_list) != sorted(cfg.h_list, reverse=True):
-        raise ConfigError("h_list must be sorted descending")
-    if not cfg.eps_list or any(e < 0 for e in cfg.eps_list):
-        raise ConfigError("eps_list must be nonempty and non-negative")
-    if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
-        raise ConfigError("eps_list must be sorted descending")
-    if cfg.delta <= 0 or cfg.lambda0 <= 0:
-        raise ConfigError("lambda0 and delta must be positive")
-    if any(v <= 0 for v in cfg.tolerances.as_dict().values()):
-        raise ConfigError("all tolerances must be positive")
     return cfg
+
+
+def _positive(v) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,19 +1,20 @@
 """Direct reference solver: shoot decaying solutions from both cuts, find Wronskian zeros.
 
 The first-order system u' = (1/h) M(x) u with M = [[-i*lam, A_eps], [A_eps, i*lam]]
-is propagated by closed-form fourth-order Magnus transfer matrices on a fixed
-grid. Solutions vary like exp(+/- z/h), so the states are rescaled to unit norm
-after every chunk of cells and the extracted magnitude accumulates in a log
-scale; overflow cannot occur.
+is started at each cut from the eigenvector of M that decays away from the
+domain, and propagated to the matching point by closed-form fourth-order Magnus
+transfer matrices on a fixed grid. Solutions vary like exp(+/- z/h), so the
+states are rescaled to unit norm after every chunk of cells and the extracted
+magnitude accumulates in a log scale; overflow cannot occur.
 
-All Wronskian evaluations at distinct spectral parameters are independent; the
-heavy entry points batch them and propagate the whole batch on one grid.
+``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
+batch of spectral parameters on one grid, and ``wronskian`` is its public
+one-lambda probe. Every root-finding stage is array code over such batches.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -33,21 +34,6 @@ _CHUNK_ELEMENTS = 4096
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at mid -/+ _GAUSS * dx
 
 
-class Direction(Enum):
-    FROM_LEFT = "from-left"
-    FROM_RIGHT = "from-right"
-
-
-@dataclass
-class BoundaryData:
-    """Unit-norm decaying seed at a cut, with its extracted log magnitude."""
-
-    x_cut: float
-    direction: Direction
-    seed_vector: np.ndarray
-    log_scale: float = 0.0
-
-
 @dataclass(frozen=True)
 class WronskianSample:
     lam: complex
@@ -62,35 +48,22 @@ class ZeroCount:
     samples_on_boundary: int
 
 
-def _decay_rates(problem: Problem, lams: np.ndarray, x_cut: float) -> tuple:
-    """Principal decay rate sqrt(A_eps^2 - lam^2) at the cut, per batch row."""
+def _seed_batch(problem: Problem, lams: np.ndarray, x_cut: float, sign: int) -> np.ndarray:
+    """Unit eigenvectors of M(x_cut) for sign*sqrt(A_eps^2 - lam^2), Re sqrt > 0, per lambda.
+
+    sign = +1 at the left cut and -1 at the right cut select the solution that
+    decays away from the domain; InsideWell is raised when a row cannot decay.
+    """
     a_c, _ = eval_potential(problem.potential, x_cut, problem.eps)
     a_c = complex(a_c)
     mu = np.sqrt(a_c * a_c - lams * lams)
     mu = np.where(mu.real < 0, -mu, mu)
-    return a_c, mu
-
-
-def _seed_batch(problem: Problem, lams: np.ndarray, direction: Direction) -> np.ndarray:
-    x_l, x_r = domain_cuts(problem)
-    x_cut = x_l if direction is Direction.FROM_LEFT else x_r
-    a_c, mu = _decay_rates(problem, lams, x_cut)
     if np.any(mu.real <= 1e-12 * np.maximum(1.0, np.abs(lams))):
         raise InsideWell(f"no decay margin at x_cut={x_cut}")
-    signed = mu if direction is Direction.FROM_LEFT else -mu
-    # eigenvector of [[-i*lam, A], [A, i*lam]] for eigenvalue `signed`
+    signed = mu if sign > 0 else -mu
     v = np.stack([np.full(len(lams), a_c, dtype=complex), signed + 1j * lams], axis=1)
     v /= np.linalg.norm(v, axis=1)[:, None]
     return v
-
-
-def boundary_seed(problem: Problem, lam: complex, direction: Direction) -> BoundaryData:
-    """Decaying-branch seed at the cut with Re sqrt(A_eps^2 - lam^2) > 0."""
-    lams = np.asarray([complex(lam)])
-    v = _seed_batch(problem, lams, direction)
-    x_l, x_r = domain_cuts(problem)
-    x_cut = x_l if direction is Direction.FROM_LEFT else x_r
-    return BoundaryData(x_cut, direction, v[0], 0.0)
 
 
 def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
@@ -157,24 +130,13 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     return y, log_scales
 
 
-def integrate(problem: Problem, lam: complex, data: BoundaryData,
-              x_target: float) -> tuple:
-    """Propagate a boundary seed to ``x_target``; returns (unit vector, log_scale)."""
-    if abs(x_target) > problem.cutoff:
-        raise ValueError(f"x_target {x_target} outside [-{problem.cutoff}, {problem.cutoff}]")
-    lams = np.asarray([complex(lam)])
-    ys = data.seed_vector[None, :].astype(complex)
-    out, ls = _integrate_batch(problem, lams, ys, data.x_cut, x_target)
-    return out[0], data.log_scale + float(ls[0])
-
-
 def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
     """det(u_left, u_right) at the matching point for every lambda in the batch."""
     lams = np.asarray(lams, dtype=complex)
     x_l, x_r = domain_cuts(problem)
     x_m = matching_point(problem)
-    y_l = _seed_batch(problem, lams, Direction.FROM_LEFT)
-    y_r = _seed_batch(problem, lams, Direction.FROM_RIGHT)
+    y_l = _seed_batch(problem, lams, x_l, 1)
+    y_r = _seed_batch(problem, lams, x_r, -1)
     y_l, ls_l = _integrate_batch(problem, lams, y_l, x_l, x_m)
     y_r, ls_r = _integrate_batch(problem, lams, y_r, x_r, x_m)
     w = y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0]
@@ -226,39 +188,42 @@ def _refine_brackets(problem: Problem, lo, hi, f_lo, f_hi, phases) -> tuple:
     """Illinois-style bisection/secant refinement of sign-change brackets.
 
     All brackets advance together; each round is one batched Wronskian
-    evaluation over the still-active rows. Stops at |interval| < 1e-12.
+    evaluation over the still-active rows. A secant point within 1% of the
+    bracket width of either end, or not finite, is replaced by the midpoint.
+    Stops at |interval| < 1e-12.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     f_lo = np.array(f_lo, dtype=float)
     f_hi = np.array(f_hi, dtype=float)
-    phases = np.array(phases, dtype=float)
-    align = np.exp(-1j * phases)
+    align = np.exp(-1j * np.asarray(phases, dtype=float))
     for _ in range(90):
-        active = (hi - lo) > 1e-12
-        if not np.any(active):
+        idx = np.flatnonzero((hi - lo) > 1e-12)
+        if len(idx) == 0:
             break
-        idx = np.where(active)[0]
-        c = np.empty(len(idx))
-        for j, i in enumerate(idx):
-            denom = f_hi[i] - f_lo[i]
-            cand = hi[i] - f_hi[i] * (hi[i] - lo[i]) / denom if denom != 0 else np.nan
-            width = hi[i] - lo[i]
-            if not np.isfinite(cand) or not (lo[i] + 0.01 * width < cand < hi[i] - 0.01 * width):
-                cand = 0.5 * (lo[i] + hi[i])
-            c[j] = cand
+        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        width = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):  # fb == fa: not finite
+            c = b - fb * width / (fb - fa)
+        c = np.where((a + 0.01 * width < c) & (c < b - 0.01 * width), c, 0.5 * (a + b))
         w, _ = _wronskian_batch(problem, c.astype(complex))
         fc = (w * align[idx]).real
-        for j, i in enumerate(idx):
-            if (fc[j] < 0) == (f_lo[i] < 0):
-                lo[i], f_lo[i] = c[j], fc[j]
-                f_hi[i] *= 0.5  # Illinois damping keeps the stale end honest
-            else:
-                hi[i], f_hi[i] = c[j], fc[j]
-                f_lo[i] *= 0.5
+        up = (fc < 0) == (fa < 0)  # c replaces the low end
+        lo[idx] = np.where(up, c, a)
+        f_lo[idx] = np.where(up, fc, 0.5 * fa)  # Illinois damping keeps the stale end honest
+        hi[idx] = np.where(up, b, c)
+        f_hi[idx] = np.where(up, 0.5 * fb, fc)
     mid = 0.5 * (lo + hi)
     w, _ = _wronskian_batch(problem, mid.astype(complex))
     return mid, np.abs(w)
+
+
+def _branch(problem: Problem):
+    """The quantization branch of the problem, or None where its A1 report fails."""
+    try:
+        return select_branch(a1_report(problem))
+    except ZSWKBError:
+        return None
 
 
 def direct_spectrum_real(problem: Problem) -> list:
@@ -276,22 +241,15 @@ def direct_spectrum_real(problem: Problem) -> list:
     ws, _ = _wronskian_batch(problem, lams.astype(complex))
     signs, phases = _phase_track(ws)
 
-    keep = np.where(signs != 0)[0]
-    brackets = []
-    for a, b in zip(keep[:-1], keep[1:]):
-        if signs[a] * signs[b] < 0:
-            align = np.exp(-1j * phases[a])
-            brackets.append((lams[a], lams[b],
-                             (ws[a] * align).real, (ws[b] * align).real, phases[a]))
-    if not brackets:
+    keep = np.flatnonzero(signs)
+    flip = signs[keep[:-1]] * signs[keep[1:]] < 0
+    a, b = keep[:-1][flip], keep[1:][flip]
+    if len(a) == 0:
         return []
-    lo, hi, f_lo, f_hi, phs = map(np.array, zip(*brackets))
-    roots, resid = _refine_brackets(problem, lo, hi, f_lo, f_hi, phs)
-
-    try:
-        branch = select_branch(a1_report(problem))
-    except ZSWKBError:
-        branch = None
+    align = np.exp(-1j * phases[a])
+    roots, resid = _refine_brackets(problem, lams[a], lams[b], (ws[a] * align).real,
+                                    (ws[b] * align).real, phases[a])
+    branch = _branch(problem)
     order = np.argsort(roots)
     return [EigenvalueRecord(complex(roots[i]), int(k), branch, Method.DIRECT,
                              float(resid[i]), problem.h, problem.eps)
@@ -305,79 +263,49 @@ def _rectangle_corners(rectangle) -> tuple:
     return re0, re1, im0, im1
 
 
-def _boundary_point(re0, re1, im0, im1, t: float) -> complex:
-    """Counterclockwise perimeter parametrized by t in [0, 4)."""
-    seg, frac = int(t) % 4, t % 1.0
-    if seg == 0:
-        return complex(re0 + frac * (re1 - re0), im0)
-    if seg == 1:
-        return complex(re1, im0 + frac * (im1 - im0))
-    if seg == 2:
-        return complex(re1 - frac * (re1 - re0), im1)
-    return complex(re0, im1 - frac * (im1 - im0))
+def _perimeter(ts: np.ndarray, re0, re1, im0, im1) -> np.ndarray:
+    """Counterclockwise rectangle perimeter parametrized by t in [0, 4), one side per unit."""
+    side = [ts < 1, ts < 2, ts < 3]
+    frac = ts % 1.0
+    lams = np.empty(len(ts), dtype=complex)
+    lams.real = np.select(side, [re0 + frac * (re1 - re0), re1, re1 - frac * (re1 - re0)], re0)
+    lams.imag = np.select(side, [im0, im0 + frac * (im1 - im0), im1], im1 - frac * (im1 - im0))
+    return lams
 
 
 def count_zeros(problem: Problem, rectangle) -> ZeroCount:
-    """Argument-principle zero count of the Wronskian over a rectangle boundary."""
+    """Argument-principle zero count of the Wronskian over a rectangle boundary.
+
+    Starts from 256 equally spaced perimeter samples and bisects every gap
+    across which arg W turns by pi/2 or more. A sample with |W| at or below
+    ``boundary_min_w`` grows the rectangle by 1% per side and starts over;
+    after three such inflations BoundaryZero is raised.
+    """
     tol = problem.tolerances
     re0, re1, im0, im1 = _rectangle_corners(rectangle)
-    for attempt in range(4):
-        ts = list(np.arange(0.0, 4.0, 1.0 / 64))
-        cache = {}
-
-        def values(points):
-            missing = [t for t in points if t not in cache]
-            if missing:
-                lams = np.asarray([_boundary_point(re0, re1, im0, im1, t)
-                                   for t in missing])
-                w, _ = _wronskian_batch(problem, lams)
-                for t, wv in zip(missing, w):
-                    cache[t] = complex(wv)
-            return np.asarray([cache[t] for t in points])
-
-        ws = values(ts)
-        if np.min(np.abs(ws)) <= tol.boundary_min_w:
-            grow_re = 0.01 * (re1 - re0)
-            grow_im = 0.01 * (im1 - im0)
-            re0 -= grow_re
-            re1 += grow_re
-            im0 -= grow_im
-            im1 += grow_im
-            continue
-        while True:
-            ws = values(ts)
-            nxt = np.roll(ws, -1)
-            incs = np.angle(nxt / ws)
-            bad = np.where(np.abs(incs) >= np.pi / 2)[0]
-            if len(bad) == 0:
-                total = float(np.sum(incs))
-                winding = total / (2 * np.pi)
+    for _ in range(4):
+        ts = np.arange(0.0, 4.0, 1.0 / 64)
+        ws, _ = _wronskian_batch(problem, _perimeter(ts, re0, re1, im0, im1))
+        while np.min(np.abs(ws)) > tol.boundary_min_w:
+            if len(ts) > _MAX_BOUNDARY_SAMPLES:
+                raise PhaseResolution(
+                    f"boundary refinement exceeded {_MAX_BOUNDARY_SAMPLES} samples")
+            incs = np.angle(np.roll(ws, -1) / ws)
+            bad = np.abs(incs) >= np.pi / 2
+            if not np.any(bad):
+                winding = float(np.sum(incs)) / (2 * np.pi)
                 if abs(winding - round(winding)) >= tol.winding_guard or round(winding) < 0:
                     raise PhaseResolution(
                         f"winding {winding:.4f} is not close to a non-negative integer")
                 return ZeroCount((complex(re0, im0), complex(re1, im1)),
                                  int(round(winding)), len(ts))
-            inserts = []
-            for i in bad:
-                t_a = ts[i]
-                t_b = ts[(i + 1) % len(ts)]
-                if t_b <= t_a:
-                    t_b += 4.0
-                t_mid = 0.5 * (t_a + t_b) % 4.0
-                inserts.append(t_mid)
-            new_ws = values(inserts)  # warm the cache in one batch
-            if np.min(np.abs(new_ws)) <= tol.boundary_min_w:
-                break  # a zero is close to the contour: inflate
-            ts = sorted(set(ts) | set(inserts))
-            if len(ts) > _MAX_BOUNDARY_SAMPLES:
-                raise PhaseResolution(
-                    f"boundary refinement exceeded {_MAX_BOUNDARY_SAMPLES} samples")
-        grow_re = 0.01 * (re1 - re0)
-        grow_im = 0.01 * (im1 - im0)
-        re0 -= grow_re
-        re1 += grow_re
-        im0 -= grow_im
-        im1 += grow_im
+            mids = 0.5 * (ts + np.append(ts[1:], ts[0] + 4.0))[bad] % 4.0
+            new_ws, _ = _wronskian_batch(problem, _perimeter(mids, re0, re1, im0, im1))
+            ts, first = np.unique(np.concatenate([ts, mids]), return_index=True)
+            ws = np.concatenate([ws, new_ws])[first]
+        # a zero is close to the contour: inflate
+        grow_re, grow_im = 0.01 * (re1 - re0), 0.01 * (im1 - im0)
+        re0, re1, im0, im1 = re0 - grow_re, re1 + grow_re, im0 - grow_im, im1 + grow_im
     raise BoundaryZero("Wronskian zero on the counting contour after 3 inflations")
 
 
@@ -450,19 +378,13 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
     roots = _collect_roots(problem, lams, resid, failed)
     if np.any(failed):
         warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
-
-    rect = window_rectangle(problem)
-
     if certify:
-        zc = count_zeros(problem, rect)
+        zc = count_zeros(problem, window_rectangle(problem))
         if zc.winding != len(roots):
             warnings.warn(
                 f"winding {zc.winding} over the window differs from {len(roots)} located roots",
                 MissedZerosWarning, stacklevel=2)
 
-    try:
-        branch = select_branch(a1_report(problem))
-    except ZSWKBError:
-        branch = None
+    branch = _branch(problem)
     return [EigenvalueRecord(lam, k, branch, Method.DIRECT, r, problem.h, problem.eps)
             for k, (lam, r) in enumerate(roots)]

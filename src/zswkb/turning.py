@@ -85,20 +85,14 @@ def _finish(problem: Problem, za: complex, zb: complex, lam: complex, eps: float
     return TurningPointPair(za, zb, res(za), res(zb), complex(lam), eps)
 
 
-def find_turning_points(problem: Problem, lam: complex,
-                        seed_pair: TurningPointPair | None = None) -> TurningPointPair:
+def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
     """Track the two simple roots of A_eps^2 - lambda^2 from real seeds.
 
-    Without a seed pair the roots are found at (Re lambda, eps=0) by
-    ``potential.real_crossings`` and continued to the target in fixed homotopy
-    stages, first in Im lambda, then in eps.
+    The roots are found at (Re lambda, eps=0) by ``potential.real_crossings``
+    and continued to the target in fixed homotopy stages, first in Im lambda,
+    then in eps.
     """
     lam = complex(lam)
-    if seed_pair is not None:
-        za = _newton_root(problem, seed_pair.alpha, lam, problem.eps)
-        zb = _newton_root(problem, seed_pair.beta, lam, problem.eps)
-        return _finish(problem, za, zb, lam, problem.eps)
-
     za, zb = _real_seeds(problem, abs(lam.real))
     if lam.imag != 0.0:
         for j in range(1, _HOMOTOPY_STEPS + 1):
@@ -111,29 +105,3 @@ def find_turning_points(problem: Problem, lam: complex,
             za = _newton_root(problem, za, lam, eps_j)
             zb = _newton_root(problem, zb, lam, eps_j)
     return _finish(problem, za, zb, lam, problem.eps)
-
-
-def continue_in_window(problem: Problem, lambda_path) -> list:
-    """Solve along a lambda path, each point seeded from the previous pair.
-
-    Branch continuity is asserted: a new alpha must stay closer to the old
-    alpha than to the old beta (and symmetrically), otherwise the roots
-    swapped and the continuation is rejected.
-    """
-    lambda_path = [complex(l) for l in lambda_path]
-    if not lambda_path:
-        return []
-    rep = a1_report(problem)
-    max_step = 0.1 * abs(rep.beta0 - rep.alpha0)
-    for a, b in zip(lambda_path[:-1], lambda_path[1:]):
-        if abs(b - a) > max_step:
-            raise ValueError(f"path step |{b - a:.3e}| exceeds 0.1*|beta0-alpha0| = {max_step:.3e}")
-    out = [find_turning_points(problem, lambda_path[0])]
-    for lam in lambda_path[1:]:
-        prev = out[-1]
-        cur = find_turning_points(problem, lam, seed_pair=prev)
-        if (abs(cur.alpha - prev.alpha) >= abs(cur.alpha - prev.beta)
-                or abs(cur.beta - prev.beta) >= abs(cur.beta - prev.alpha)):
-            raise NoConvergence(f"turning-point branches swapped near lambda={lam}")
-        out.append(cur)
-    return out

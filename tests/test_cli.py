@@ -44,6 +44,12 @@ def test_config_validation_errors(tmp_path):
         config_from_json(base_config_dict(tmp_path, tolerances={"quad_rel": -1.0}))
     with pytest.raises(ConfigError):
         config_from_json({})
+    nan = float("nan")
+    for bad in ({"tolerances": {"quad_rel": "abc"}}, {"tolerances": {"quad_rel": nan}},
+                {"tolerances": {"quad_min_nodes": 32.5}}, {"cutoff": 0.0}, {"cutoff": -1.0},
+                {"h_list": [nan]}, {"eps_list": [nan]}, {"lambda0": nan}, {"delta": nan}):
+        with pytest.raises(ConfigError):
+            config_from_json(base_config_dict(tmp_path, **bad))
 
 
 def test_config_hash_ignores_output_dir(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import zswkb as z
-from zswkb.direct import Direction, _phase_track, _wronskian_batch
+from zswkb.direct import _integrate_batch, _phase_track, _seed_batch, _wronskian_batch
 from zswkb.errors import InsideWell, MissedZerosWarning, PhaseTrackingLost
 
 from oracles import matrix_window_eigenvalues
@@ -23,33 +23,38 @@ def system_matrix(a: complex, lam: complex, h: float) -> np.ndarray:
     return np.array([[-1j * lam / h, a / h], [a / h, 1j * lam / h]])
 
 
+def one(lam) -> np.ndarray:
+    return np.asarray([complex(lam)])
+
+
 def test_boundary_seed_matches_eigendecomposition(const_problem):
     lam = 1.0
-    for direction, sign in ((Direction.FROM_LEFT, 1.0), (Direction.FROM_RIGHT, -1.0)):
-        data = z.boundary_seed(const_problem, lam, direction)
+    for x_cut, sign in ((-5.0, 1), (5.0, -1)):
+        seed = _seed_batch(const_problem, one(lam), x_cut, sign)[0]
         m = system_matrix(2.0, lam, const_problem.h)
         evals, evecs = np.linalg.eig(m)
         mu = math.sqrt(4.0 - lam * lam) / const_problem.h
         pick = int(np.argmin(np.abs(evals - sign * mu)))
         v = evecs[:, pick]
-        overlap = abs(np.vdot(v, data.seed_vector))
+        overlap = abs(np.vdot(v, seed))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(data.seed_vector) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(seed) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_boundary_seed_inside_well_raises(const_problem):
     with pytest.raises(InsideWell):
-        z.boundary_seed(const_problem, 2.0, Direction.FROM_LEFT)  # |A| = lambda
+        _seed_batch(const_problem, one(2.0), -5.0, 1)  # |A| = lambda
     with pytest.raises(InsideWell):
-        z.boundary_seed(const_problem, 2.5, Direction.FROM_LEFT)  # |A| < lambda
+        _seed_batch(const_problem, np.asarray([1.0, 2.5 + 0j]), -5.0, 1)  # |A| < lambda in one row
 
 
 def test_seeds_related_by_conjugation_symmetry(well_problem):
     # for even A, eps = 0, real lambda: conjugating the left seed and flipping
     # the sign of its second component gives the right seed up to a phase,
     # and each seed is itself swap-conjugate invariant up to a phase
-    left = z.boundary_seed(well_problem, 1.5, Direction.FROM_LEFT).seed_vector
-    right = z.boundary_seed(well_problem, 1.5, Direction.FROM_RIGHT).seed_vector
+    x_l, x_r = z.domain_cuts(well_problem)
+    left = _seed_batch(well_problem, one(1.5), x_l, 1)[0]
+    right = _seed_batch(well_problem, one(1.5), x_r, -1)[0]
     mapped = np.conj(left) * np.array([1.0, -1.0])
     assert abs(np.vdot(right, mapped)) == pytest.approx(1.0, abs=1e-12)
     swapped = np.conj(left[::-1])
@@ -58,41 +63,34 @@ def test_seeds_related_by_conjugation_symmetry(well_problem):
 
 def test_integrate_matches_matrix_exponential(const_problem):
     lam = 1.0
-    data = z.boundary_seed(const_problem, lam, Direction.FROM_LEFT)
-    vec, ls = z.integrate(const_problem, lam, data, 0.0)
+    seed = _seed_batch(const_problem, one(lam), -5.0, 1)
+    vec, ls = _integrate_batch(const_problem, one(lam), seed, -5.0, 0.0)
     m = system_matrix(2.0, lam, const_problem.h)
-    exact = scipy.linalg.expm(m * 5.0) @ data.seed_vector
+    exact = scipy.linalg.expm(m * 5.0) @ seed[0]
     exact_ls = math.log(np.linalg.norm(exact))
     exact_dir = exact / np.linalg.norm(exact)
-    assert abs(np.vdot(exact_dir, vec)) == pytest.approx(1.0, abs=1e-8)
-    assert ls == pytest.approx(exact_ls, abs=1e-8)
+    assert abs(np.vdot(exact_dir, vec[0])) == pytest.approx(1.0, abs=1e-8)
+    assert ls[0] == pytest.approx(exact_ls, abs=1e-8)
 
 
 def test_integrate_zero_length_is_identity(const_problem):
-    data = z.boundary_seed(const_problem, 1.0, Direction.FROM_LEFT)
-    vec, ls = z.integrate(const_problem, 1.0, data, data.x_cut)
-    assert np.allclose(vec, data.seed_vector)
-    assert ls == data.log_scale == 0.0
+    seed = _seed_batch(const_problem, one(1.0), -5.0, 1)
+    vec, ls = _integrate_batch(const_problem, one(1.0), seed, -5.0, -5.0)
+    assert np.array_equal(vec, seed)
+    assert ls[0] == 0.0
 
 
 def test_integrate_reversibility(well_problem):
     # reverse across the oscillatory stretch, where both branches are neutral;
     # reversing through a growth region is exponentially ill-conditioned
-    lam = 1.5
-    seed = z.boundary_seed(well_problem, lam, Direction.FROM_LEFT)
-    start, _ = z.integrate(well_problem, lam, seed, -0.5)
-    fwd, ls_f = z.integrate(
-        well_problem, lam, z.BoundaryData(-0.5, Direction.FROM_LEFT, start), 0.5)
-    back, ls_b = z.integrate(
-        well_problem, lam, z.BoundaryData(0.5, Direction.FROM_LEFT, fwd, ls_f), -0.5)
-    assert abs(np.vdot(back, start)) == pytest.approx(1.0, abs=1e-8)
-    assert ls_b == pytest.approx(0.0, abs=1e-8)
-
-
-def test_integrate_rejects_target_outside_domain(well_problem):
-    data = z.boundary_seed(well_problem, 1.5, Direction.FROM_LEFT)
-    with pytest.raises(ValueError):
-        z.integrate(well_problem, 1.5, data, 50.0)
+    lams = one(1.5)
+    x_l, _ = z.domain_cuts(well_problem)
+    start, _ = _integrate_batch(well_problem, lams, _seed_batch(well_problem, lams, x_l, 1),
+                                x_l, -0.5)
+    fwd, ls_f = _integrate_batch(well_problem, lams, start, -0.5, 0.5)
+    back, ls_b = _integrate_batch(well_problem, lams, fwd, 0.5, -0.5)
+    assert abs(np.vdot(back[0], start[0])) == pytest.approx(1.0, abs=1e-8)
+    assert ls_f[0] + ls_b[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_wronskian_bounded_away_from_zero_in_gap():
@@ -178,6 +176,48 @@ def test_count_zeros_whole_window(well_problem, spectra_cache):
     zc = z.count_zeros(well_problem, z.window_rectangle(well_problem))
     assert zc.winding == len(recs)
     assert zc.samples_on_boundary >= 4
+
+
+def record_batches(monkeypatch) -> list:
+    """Sizes of the Wronskian batches the direct solver evaluates, in call order."""
+    sizes = []
+
+    def counted(problem, lams):
+        sizes.append(len(lams))
+        return _wronskian_batch(problem, lams)
+
+    monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
+    return sizes
+
+
+def test_direct_spectrum_real_wronskian_work(well_problem, monkeypatch):
+    sizes = record_batches(monkeypatch)
+    z.direct_spectrum_real(well_problem)
+    assert (len(sizes), sum(sizes)) == (37, 200)
+
+
+def test_count_zeros_wronskian_work(monkeypatch):
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.0125, eps=0.05)
+    sizes = record_batches(monkeypatch)
+    zc = z.count_zeros(p, z.window_rectangle(p))
+    assert zc.winding == 38
+    assert sizes == [256, 190]
+    assert zc.samples_on_boundary == 446
+
+
+def test_count_zeros_inflates_off_eigenvalue_on_contour(well_problem, spectra_cache, monkeypatch):
+    # the left edge sits on an eigenvalue: the t = 3.5 sample has |W| ~ 1e-12,
+    # so the rectangle grows by 1% per side and is counted again
+    recs = spectra_cache(("well", 0.1, 0.0, "direct"),
+                         lambda: z.direct_spectrum_real(well_problem))
+    lam = recs[2].lam.real
+    sizes = record_batches(monkeypatch)
+    zc = z.count_zeros(well_problem, (lam - 0.02j, lam + 0.03 + 0.02j))
+    assert zc.winding == 1
+    assert sizes == [256, 256]
+    lo, hi = zc.rectangle
+    assert lo == pytest.approx(complex(lam - 0.0003, -0.0204), abs=1e-15)
+    assert hi == pytest.approx(complex(lam + 0.0303, 0.0204), abs=1e-15)
 
 
 def test_complex_spectrum_at_eps_zero_reproduces_real(well_problem, spectra_cache):
@@ -274,16 +314,16 @@ def test_wronskian_row_independent_of_batch(well_problem):
 ], ids=["well", "steep"])
 def test_single_row_full_span_finite_and_split_consistent(spec):
     p = z.Problem(spec, 1.5, 0.2, 0.0125, eps=0.05, x_cut_left=-8.0, x_cut_right=8.0)
-    lam = 1.53 + 0.01j
-    seed = z.boundary_seed(p, lam, Direction.FROM_LEFT)
-    full, ls_full = z.integrate(p, lam, seed, 8.0)
-    assert np.all(np.isfinite(full)) and math.isfinite(ls_full)
+    lams = one(1.53 + 0.01j)
+    seed = _seed_batch(p, lams, -8.0, 1)
+    full, ls_full = _integrate_batch(p, lams, seed, -8.0, 8.0)
+    assert np.all(np.isfinite(full)) and math.isfinite(ls_full[0])
     x_m = z.problem.matching_point(p)
     for x_split in (x_m, x_m + 0.123456789):
-        vec, ls = z.integrate(p, lam, seed, x_split)
-        vec, ls = z.integrate(p, lam, z.BoundaryData(x_split, Direction.FROM_LEFT, vec, ls), 8.0)
-        assert abs(np.vdot(full, vec)) == pytest.approx(1.0, abs=1e-10)
-        assert ls == pytest.approx(ls_full, rel=1e-10)
+        vec, ls_a = _integrate_batch(p, lams, seed, -8.0, x_split)
+        vec, ls_b = _integrate_batch(p, lams, vec, x_split, 8.0)
+        assert abs(np.vdot(full[0], vec[0])) == pytest.approx(1.0, abs=1e-10)
+        assert ls_a[0] + ls_b[0] == pytest.approx(ls_full[0], rel=1e-10)
 
 
 @pytest.mark.parametrize("spec,lambda0,delta", [

@@ -41,7 +41,8 @@ def test_real_lambda_keeps_real_roots(tanh_problem):
 
 
 def test_continuation_idempotent(tanh_problem):
-    a, b = z.continue_in_window(tanh_problem, [1.0, 1.0])
+    a = z.find_turning_points(tanh_problem, 1.0)
+    b = z.find_turning_points(tanh_problem, 1.0)
     assert a.alpha == pytest.approx(b.alpha, abs=1e-12)
     assert a.beta == pytest.approx(b.beta, abs=1e-12)
 
@@ -49,7 +50,7 @@ def test_continuation_idempotent(tanh_problem):
 def test_continuation_monotone_path(tanh_problem):
     lams = np.linspace(1.2, 1.8, 25)
     prob = tanh_problem.with_(delta=0.9)  # widen the window admission
-    pairs = z.continue_in_window(prob, lams)
+    pairs = [z.find_turning_points(prob, lam) for lam in lams]
     alphas = np.array([p.alpha.real for p in pairs])
     betas = np.array([p.beta.real for p in pairs])
     assert np.all(np.diff(alphas) < 0)
@@ -62,15 +63,13 @@ def test_continuation_monotone_path(tanh_problem):
 def test_continuation_small_circle_returns(well_problem):
     lam0 = 1.5
     angles = np.linspace(0.0, 2 * np.pi, 41)
-    path = [lam0 + 0.05 * np.exp(1j * a) for a in angles]
-    pairs = z.continue_in_window(well_problem, path)
+    pairs = [z.find_turning_points(well_problem, lam0 + 0.05 * np.exp(1j * a)) for a in angles]
     assert abs(pairs[0].alpha - pairs[-1].alpha) < 1e-10
     assert abs(pairs[0].beta - pairs[-1].beta) < 1e-10
-
-
-def test_continuation_rejects_coarse_path(well_problem):
-    with pytest.raises(ValueError):
-        z.continue_in_window(well_problem, [1.4, 1.7])
+    # neighbouring points on the circle never swap the two branches
+    for prev, cur in zip(pairs[:-1], pairs[1:]):
+        assert abs(cur.alpha - prev.alpha) < abs(cur.alpha - prev.beta)
+        assert abs(cur.beta - prev.beta) < abs(cur.beta - prev.alpha)
 
 
 def test_schwarz_pair_property(well_problem):
