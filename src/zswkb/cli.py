@@ -63,6 +63,13 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         h_list = tuple(float(h) for h in obj["h_list"])
         eps_list = tuple(float(e) for e in obj["eps_list"])
         tol_overrides = obj.get("tolerances", {})
+        # float() and the tolerance checks would read a JSON true as 1
+        pot = obj["potential"]
+        numbers = (obj["lambda0"], obj["delta"], obj.get("cutoff", 8.0), *obj["h_list"],
+                   *obj["eps_list"], *tol_overrides.values(), *pot["params"],
+                   pot["strip_half_width"])
+        if any(isinstance(v, bool) for v in numbers):
+            raise ConfigError("a boolean is not a number in an experiment config")
         known = set(Tolerances.__dataclass_fields__)
         unknown = set(tol_overrides) - known
         if unknown:
@@ -95,6 +102,9 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             raise ConfigError("all tolerances must be finite and positive")
         if not all(float(tols[k]).is_integer() for k in ("quad_min_nodes", "quad_max_nodes")):
             raise ConfigError("quad_min_nodes and quad_max_nodes must be integers")
+        if tols["quad_max_nodes"] < 2 * tols["quad_min_nodes"]:
+            # the node doubling could never run, so every action quadrature would fail
+            raise ConfigError("quad_max_nodes must be at least 2 * quad_min_nodes")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -23,7 +23,7 @@ class Tolerances:
     quad_min_nodes: int = 32
     quad_max_nodes: int = 4096
     quantize_residual: float = 1e-12     # |I - c_k*pi*h| at convergence
-    ode_rtol: float = 1e-10              # sets the propagator's cell width
+    ode_rtol: float = 1e-10              # propagator cell width scales like ode_rtol^(1/6)
     ode_atol: float = 1e-13              # unused by the propagator; kept for config compatibility
     boundary_min_w: float = 1e-8         # min |W| allowed on a counting contour
     distinct_roots: float = 1e-9

@@ -47,8 +47,17 @@ def test_config_validation_errors(tmp_path):
     nan = float("nan")
     for bad in ({"tolerances": {"quad_rel": "abc"}}, {"tolerances": {"quad_rel": nan}},
                 {"tolerances": {"quad_min_nodes": 32.5}}, {"cutoff": 0.0}, {"cutoff": -1.0},
-                {"h_list": [nan]}, {"eps_list": [nan]}, {"lambda0": nan}, {"delta": nan}):
+                {"h_list": [nan]}, {"eps_list": [nan]}, {"lambda0": nan}, {"delta": nan},
+                {"tolerances": {"quad_max_nodes": 32}},
+                {"tolerances": {"quad_min_nodes": 64, "quad_max_nodes": 96}}):
         with pytest.raises(ConfigError):
+            config_from_json(base_config_dict(tmp_path, **bad))
+    pot = {"family": "monotone-odd", "params": [2.0], "strip_half_width": 0.5}
+    for bad in ({"lambda0": True}, {"delta": True}, {"cutoff": True}, {"h_list": [True]},
+                {"eps_list": [False]}, {"tolerances": {"quad_max_nodes": True}},
+                {"tolerances": {"ode_rtol": True}}, {"potential": {**pot, "params": [True]}},
+                {"potential": {**pot, "strip_half_width": True}}):
+        with pytest.raises(ConfigError, match="boolean"):
             config_from_json(base_config_dict(tmp_path, **bad))
 
 

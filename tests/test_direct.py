@@ -286,15 +286,30 @@ def _total_w(sample: z.WronskianSample, log_ref: float) -> complex:
     return sample.w_value * math.exp(sample.log_scale - log_ref)
 
 
-def test_propagator_fourth_order_self_convergence(well_problem):
-    # the cell width scales like ode_rtol^(1/4): dividing rtol by 16 halves dx
+def test_propagator_sixth_order_self_convergence(well_problem):
+    # the cell width scales like ode_rtol^(1/6): dividing rtol by 64 halves dx
     p = well_problem.with_(h=0.05, eps=0.05)
     lam = 1.52 + 0.02j
     samples = [z.wronskian(p.with_(tolerances=z.Tolerances(ode_rtol=rtol)), lam)
-               for rtol in (1e-6, 1e-6 / 16, 1e-6 / 256)]
+               for rtol in (1e-6, 1e-6 / 64, 1e-6 / 64 ** 2)]
     ws = [_total_w(s, samples[-1].log_scale) for s in samples]
     ratio = abs(ws[0] - ws[1]) / abs(ws[1] - ws[2])
-    assert 14.0 < ratio < 18.0
+    assert 56.0 < ratio < 72.0
+
+
+@pytest.mark.parametrize("spec,lambda0,delta", [
+    (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
+@pytest.mark.parametrize("h", [0.1, 0.0125])
+def test_default_cell_width_accuracy(spec, lambda0, delta, h):
+    # against cells a tenth as wide, W at the default width is within 1e-9 of
+    # max|W| over random rows of the window
+    p = z.Problem(spec, lambda0, delta, h, eps=0.05)
+    rng = np.random.default_rng(2024)
+    lams = lambda0 + delta * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64))
+    w, ls = _wronskian_batch(p, lams)
+    w_ref, ls_ref = _wronskian_batch(p.with_(tolerances=z.Tolerances(ode_rtol=1e-16)), lams)
+    err = np.max(np.abs(w - w_ref * np.exp(ls_ref - ls))) / np.max(np.abs(w_ref))
+    assert err < 1e-9
 
 
 def test_wronskian_row_independent_of_batch(well_problem):
