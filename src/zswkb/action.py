@@ -96,16 +96,12 @@ def _doubling(problem: Problem, pair: TurningPointPair, lam: complex):
 def turning_pair(problem: Problem, lam: complex) -> TurningPointPair:
     """Turning points for the action contour; a Collision means no segment exists."""
     try:
-        pair = find_turning_points(problem, lam)
+        return find_turning_points(problem, lam)
     except Collision as exc:
         raise DegenerateSegment(str(exc)) from exc
-    if abs(pair.beta - pair.alpha) < problem.tolerances.collision:
-        raise DegenerateSegment(f"|beta - alpha| < {problem.tolerances.collision}")
-    return pair
 
 
-def action_integral(problem: Problem, lam: complex,
-                    pair: TurningPointPair | None = None) -> ActionValue:
+def action_integral(problem: Problem, lam: complex) -> ActionValue:
     """Integral of sqrt(lambda^2 - A_eps^2) over the straight segment alpha -> beta.
 
     Positive on the real window at eps = 0. One midpoint rule in theta gives
@@ -114,9 +110,7 @@ def action_integral(problem: Problem, lam: complex,
     count to the relative tolerance.
     """
     lam = complex(lam)
-    if pair is None:
-        pair = turning_pair(problem, lam)
-    (value, dvalue), err, n = _doubling(problem, pair, lam)
+    (value, dvalue), err, n = _doubling(problem, turning_pair(problem, lam), lam)
     return ActionValue(complex(value), complex(dvalue), float(err), n)
 
 

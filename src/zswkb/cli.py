@@ -22,7 +22,7 @@ import numpy as np
 from . import direct, quantize, stokes
 from .errors import A1Violated, ConfigError, ZSWKBError
 from .potential import PotentialSpec, classify_symmetry, spec_from_json, spec_to_json, validate_A1
-from .problem import Problem, Tolerances, window_rectangle
+from .problem import Problem, Tolerances, symmetry_class, window_rectangle
 
 log = logging.getLogger("zswkb")
 
@@ -30,6 +30,13 @@ _RECORD_HEADER = ["re_lambda", "im_lambda", "k", "branch", "method", "residual",
 _COMPARE_HEADER = ["h", "eps", "k_proxy", "re_lambda_wkb", "im_lambda_wkb",
                    "re_lambda_direct", "im_lambda_direct", "abs_diff", "branch", "error"]
 _PT_HEADER = ["eps", "h", "max_im_lambda", "symmetry_class", "winding_ok", "n_roots", "error"]
+# CSV command -> (header, default file name, noun of the "wrote" line)
+_OUTPUTS = {
+    "wkb": (_RECORD_HEADER, "wkb.csv", "records"),
+    "direct": (_RECORD_HEADER, "direct.csv", "records"),
+    "compare": (_COMPARE_HEADER, "compare.csv", "rows"),
+    "pt-sweep": (_PT_HEADER, "pt_sweep.csv", "rows"),
+}
 
 
 @dataclass(frozen=True)
@@ -194,42 +201,78 @@ def _match_records(wkb_records, direct_records) -> list:
     return pairs, free_w, free_d
 
 
-def _compare_cell(config: ExperimentConfig, h: float, eps: float):
-    problem = make_problem(config, h, eps)
+def _compare_rows(problem: Problem) -> list:
+    h, eps = problem.h, problem.eps
+    wkb_records = quantize.wkb_spectrum(problem)
+    direct_records = _direct_records(problem)
+    pairs, free_w, free_d = _match_records(wkb_records, direct_records)
     rows = []
+    for i, j in pairs:
+        wr, dr = wkb_records[i], direct_records[j]
+        rows.append(ComparisonRow(h, eps, dr.k, wr.lam, dr.lam, abs(wr.lam - dr.lam),
+                                  wr.branch.value if wr.branch else ""))
+    for i in free_w:
+        wr = wkb_records[i]
+        rows.append(ComparisonRow(h, eps, None, wr.lam, None, None,
+                                  wr.branch.value if wr.branch else "", "unmatched-wkb"))
+    for j in free_d:
+        dr = direct_records[j]
+        rows.append(ComparisonRow(h, eps, dr.k, None, dr.lam, None,
+                                  dr.branch.value if dr.branch else "", "unmatched-direct"))
+    return rows
+
+
+def _pt_rows(problem: Problem) -> list:
+    # classified first, so the row of a failed cell reads the cached class
+    sym = symmetry_class(problem).value
+    records = direct.direct_spectrum_complex(problem, certify=False)
+    zc = direct.count_zeros(problem, window_rectangle(problem))
+    max_im = max((abs(r.lam.imag) for r in records), default=0.0)
+    return [[problem.eps, problem.h, max_im, sym, zc.winding == len(records), len(records), ""]]
+
+
+def _record_rows(records) -> list:
+    return [[r.lam.real, r.lam.imag, r.k, r.branch.value if r.branch else "",
+             r.method.value, r.residual, r.h, r.eps] for r in records]
+
+
+# command -> (rows of one cell, rows a failed cell writes with its error message)
+_CELLS = {
+    "wkb": (lambda p: _record_rows(quantize.wkb_spectrum(p)), lambda p, err: []),
+    "direct": (lambda p: _record_rows(_direct_records(p)), lambda p, err: []),
+    "compare": (_compare_rows,
+                lambda p, err: [ComparisonRow(p.h, p.eps, None, None, None, None, "", err)]),
+    "pt-sweep": (_pt_rows, lambda p, err: [[p.eps, p.h, None, symmetry_class(p).value,
+                                            None, None, err]]),
+}
+
+
+def _cell(args):
+    """One (h, eps) cell of a sweep: its rows, and its failure line or None."""
+    command, config, h, eps = args
+    problem = make_problem(config, h, eps)
+    rows, failed_rows = _CELLS[command]
     try:
-        wkb_records = quantize.wkb_spectrum(problem)
-        direct_records = _direct_records(problem)
-        pairs, free_w, free_d = _match_records(wkb_records, direct_records)
-        for i, j in pairs:
-            wr, dr = wkb_records[i], direct_records[j]
-            rows.append(ComparisonRow(h, eps, dr.k, wr.lam, dr.lam,
-                                      abs(wr.lam - dr.lam),
-                                      wr.branch.value if wr.branch else ""))
-        for i in free_w:
-            wr = wkb_records[i]
-            rows.append(ComparisonRow(h, eps, None, wr.lam, None, None,
-                                      wr.branch.value if wr.branch else "",
-                                      "unmatched-wkb"))
-        for j in free_d:
-            dr = direct_records[j]
-            rows.append(ComparisonRow(h, eps, dr.k, None, dr.lam, None,
-                                      dr.branch.value if dr.branch else "",
-                                      "unmatched-direct"))
-        return rows, None
+        return rows(problem), None
     except ZSWKBError as exc:
-        return rows, f"{type(exc).__name__}: {exc}"
+        err = f"{type(exc).__name__}: {exc}"
+        return failed_rows(problem, err), f"h={h} eps={eps}: {err}"
 
 
-def _compare_cell_star(args):
-    return _compare_cell(*args)
-
-
-def _cells_map(fn, cells, jobs: int):
+def _sweep(command: str, config: ExperimentConfig, eps_values, jobs: int):
+    """Every (h, eps) cell in h-major order, in ``jobs`` processes when jobs > 1."""
+    cells = [(command, config, h, eps) for h in config.h_list for eps in eps_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
+            results = list(pool.map(_cell, cells))
+    else:
+        results = [_cell(c) for c in cells]
+    rows = [row for cell_rows, _ in results for row in cell_rows]
+    return rows, [err for _, err in results if err is not None]
+
+
+def _with_zero(eps_list) -> list:
+    return sorted(set(eps_list) | {0.0}, reverse=True)
 
 
 def fit_convergence_slope(rows) -> float | None:
@@ -248,58 +291,23 @@ def fit_convergence_slope(rows) -> float | None:
 
 def run_compare(config: ExperimentConfig, jobs: int = 1):
     """Both spectra per (h, eps) cell, matched by nearest lambda; eps = 0 always included."""
-    eps_values = sorted(set(config.eps_list) | {0.0}, reverse=True)
-    cells = [(config, h, eps) for h in config.h_list for eps in eps_values]
-    results = _cells_map(_compare_cell_star, cells, jobs)
-    rows = []
-    errors = []
-    for (_, h, eps), (cell_rows, err) in zip(cells, results):
-        rows.extend(cell_rows)
-        if err is not None:
-            errors.append(f"h={h} eps={eps}: {err}")
-            rows.append(ComparisonRow(h, eps, None, None, None, None, "", err))
+    rows, errors = _sweep("compare", config, _with_zero(config.eps_list), jobs)
     rows.sort(key=lambda r: (-r.h, r.eps, r.k_proxy if r.k_proxy is not None else 1 << 30,
                              r.error))
-    slope = fit_convergence_slope(rows)
-    return rows, slope, errors
+    return rows, fit_convergence_slope(rows), errors
 
 
 def compare_rows_to_csv(rows) -> list:
-    out = []
-    for r in rows:
-        out.append([
-            r.h, r.eps, r.k_proxy,
-            None if r.lambda_wkb is None else r.lambda_wkb.real,
-            None if r.lambda_wkb is None else r.lambda_wkb.imag,
-            None if r.lambda_direct is None else r.lambda_direct.real,
-            None if r.lambda_direct is None else r.lambda_direct.imag,
-            r.abs_diff, r.branch, r.error,
-        ])
-    return out
+    def parts(lam):
+        return (None, None) if lam is None else (lam.real, lam.imag)
 
-
-def _pt_cell(args):
-    config, eps, h = args
-    problem = make_problem(config, h, eps)
-    sym = classify_symmetry(config.potential, half_width=config.cutoff)
-    try:
-        records = direct.direct_spectrum_complex(problem, certify=False)
-        zc = direct.count_zeros(problem, window_rectangle(problem))
-        max_im = max((abs(r.lam.imag) for r in records), default=0.0)
-        return [eps, h, max_im, sym.value, zc.winding == len(records),
-                len(records), ""], None
-    except ZSWKBError as exc:
-        msg = f"{type(exc).__name__}: {exc}"
-        return [eps, h, None, sym.value, None, None, msg], msg
+    return [[r.h, r.eps, r.k_proxy, *parts(r.lambda_wkb), *parts(r.lambda_direct),
+             r.abs_diff, r.branch, r.error] for r in rows]
 
 
 def run_pt_sweep(config: ExperimentConfig, jobs: int = 1):
     """Direct complex spectra per (eps, h) with reality and completeness summaries."""
-    eps_values = sorted(set(config.eps_list) | {0.0}, reverse=True)
-    cells = [(config, eps, h) for eps in eps_values for h in config.h_list]
-    results = _cells_map(_pt_cell, cells, jobs)
-    rows = [r for r, _ in results]
-    errors = [e for _, e in results if e is not None]
+    rows, errors = _sweep("pt-sweep", config, _with_zero(config.eps_list), jobs)
     rows.sort(key=lambda r: (-r[0], -r[1]))
     return rows, errors
 
@@ -328,30 +336,8 @@ def run_stokes(config: ExperimentConfig, lam: float | None = None,
     return doc
 
 
-def _spectrum_cell(args):
-    config, h, eps, which = args
-    problem = make_problem(config, h, eps)
-    try:
-        if which == "wkb":
-            records = quantize.wkb_spectrum(problem)
-        else:
-            records = _direct_records(problem)
-        rows = [[r.lam.real, r.lam.imag, r.k, r.branch.value if r.branch else "",
-                 r.method.value, r.residual, r.h, r.eps] for r in records]
-        return rows, None
-    except ZSWKBError as exc:
-        return [], f"h={h} eps={eps}: {type(exc).__name__}: {exc}"
-
-
 def run_spectra(config: ExperimentConfig, which: str, jobs: int = 1):
-    cells = [(config, h, eps, which) for h in config.h_list for eps in config.eps_list]
-    results = _cells_map(_spectrum_cell, cells, jobs)
-    rows = []
-    errors = []
-    for cell_rows, err in results:
-        rows.extend(cell_rows)
-        if err is not None:
-            errors.append(err)
+    rows, errors = _sweep(which, config, config.eps_list, jobs)
     rows.sort(key=lambda r: (-r[6], r[7], r[0]))
     return rows, errors
 
@@ -399,7 +385,6 @@ def main(argv=None) -> int:
         return 1
 
     out_dir = Path(config.output_dir)
-    meta = _meta(config)
     try:
         if args.command == "validate":
             try:
@@ -413,41 +398,31 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(text)
             print(text)
             return 0
-        if args.command in ("wkb", "direct"):
-            rows, errors = run_spectra(config, args.command, jobs=args.jobs)
-            out = Path(args.out) if args.out else out_dir / f"{args.command}.csv"
-            write_csv(out, _RECORD_HEADER, rows, meta)
-            print(f"wrote {out} ({len(rows)} records)")
-            for e in errors:
-                print(f"cell failed: {e}", file=sys.stderr)
-            return 2 if errors else 0
-        if args.command == "compare":
-            rows, slope, errors = run_compare(config, jobs=args.jobs)
-            out = Path(args.out) if args.out else out_dir / "compare.csv"
-            slope_meta = dict(meta)
-            slope_meta["convergence_slope"] = "" if slope is None else f"{slope:.17g}"
-            write_csv(out, _COMPARE_HEADER, compare_rows_to_csv(rows), slope_meta)
-            print(f"wrote {out} ({len(rows)} rows), convergence slope: {slope}")
-            for e in errors:
-                print(f"cell failed: {e}", file=sys.stderr)
-            return 2 if errors else 0
-        if args.command == "pt-sweep":
-            rows, errors = run_pt_sweep(config, jobs=args.jobs)
-            out = Path(args.out) if args.out else out_dir / "pt_sweep.csv"
-            write_csv(out, _PT_HEADER, rows, meta)
-            print(f"wrote {out} ({len(rows)} rows)")
-            for e in errors:
-                print(f"cell failed: {e}", file=sys.stderr)
-            return 2 if errors else 0
         if args.command == "stokes":
             out = args.out if args.out else out_dir / "stokes.json"
             doc = run_stokes(config, lam=args.lam, eps=args.eps, out=out)
             print(f"wrote {out} ({len(doc['curves'])} curves)")
             return 0
+        meta, note = _meta(config), ""
+        if args.command == "compare":
+            rows, slope, errors = run_compare(config, jobs=args.jobs)
+            rows = compare_rows_to_csv(rows)
+            meta["convergence_slope"] = "" if slope is None else f"{slope:.17g}"
+            note = f", convergence slope: {slope}"
+        elif args.command == "pt-sweep":
+            rows, errors = run_pt_sweep(config, jobs=args.jobs)
+        else:
+            rows, errors = run_spectra(config, args.command, jobs=args.jobs)
+        header, name, noun = _OUTPUTS[args.command]
+        out = Path(args.out) if args.out else out_dir / name
+        write_csv(out, header, rows, meta)
+        print(f"wrote {out} ({len(rows)} {noun}){note}")
+        for e in errors:
+            print(f"cell failed: {e}", file=sys.stderr)
+        return 2 if errors else 0
     except ZSWKBError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def main_entry() -> None:

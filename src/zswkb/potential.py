@@ -31,6 +31,9 @@ _TERM_NAMES = {"const": TERM_CONST, "tanh": TERM_TANH,
 # distance to the root per pass.
 _CROSSING_XTOL = 1e-10
 _CROSSING_NEWTON_CAP = 64
+_CROSSING_SAMPLES = 4001         # equispaced samples that bracket the crossings
+_SYMMETRY_SAMPLES = 101          # symmetric grid of the parity test
+_SYMMETRY_REL_TOL = 1e-12
 
 
 class SymmetryClass(Enum):
@@ -196,17 +199,16 @@ def axis_blend_callable(spec: PotentialSpec, eps: float):
     return lambda x: complex(eval_potential(spec, x, eps)[0])
 
 
-def classify_symmetry(spec: PotentialSpec, half_width: float = 8.0,
-                      rel_tol: float = 1e-12, n: int = 101) -> SymmetryClass:
+def classify_symmetry(spec: PotentialSpec, half_width: float = 8.0) -> SymmetryClass:
     """Detect the parity pairing of (A, B) on a fixed symmetric sample grid."""
-    x = np.linspace(-half_width, half_width, n)
+    x = np.linspace(-half_width, half_width, _SYMMETRY_SAMPLES)
     a_p, _ = eval_A(spec, x)
     a_m, _ = eval_A(spec, -x)
     b_p, _ = eval_B(spec, x)
     b_m, _ = eval_B(spec, -x)
     a_p, a_m, b_p, b_m = a_p.real, a_m.real, b_p.real, b_m.real
     scale = max(1.0, np.max(np.abs(a_p)), np.max(np.abs(b_p)))
-    tol = rel_tol * scale
+    tol = _SYMMETRY_REL_TOL * scale
     a_even = np.max(np.abs(a_p - a_m)) < tol
     a_odd = np.max(np.abs(a_p + a_m)) < tol
     b_even = np.max(np.abs(b_p - b_m)) < tol
@@ -230,8 +232,7 @@ class A1Report:
     margin_at_infinity: float
 
 
-def real_crossings(spec: PotentialSpec, level: float, cutoff: float,
-                   n_samples: int = 4001) -> tuple:
+def real_crossings(spec: PotentialSpec, level: float, cutoff: float) -> tuple:
     """Real roots of |A(x)| = level in [-cutoff, cutoff], and the samples of A.
 
     Sign changes of |A| - level between neighbouring samples bracket the
@@ -239,10 +240,10 @@ def real_crossings(spec: PotentialSpec, level: float, cutoff: float,
     polished together by Newton on A's analytic derivative; an iterate that
     leaves its (shrinking) bracket is replaced by the bracket's midpoint.
     Returns ``(roots, a)``: the roots in ascending order and A at the
-    ``n_samples`` equispaced points.  Raises NoConvergence when a bracket does
-    not settle.
+    ``_CROSSING_SAMPLES`` equispaced points.  Raises NoConvergence when a
+    bracket does not settle.
     """
-    x = np.linspace(-cutoff, cutoff, n_samples)
+    x = np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
     a, _ = eval_A(spec, x)
     f = np.abs(a.real) - level
     i = np.flatnonzero(f[:-1] * f[1:] < 0)
@@ -276,7 +277,7 @@ def real_crossings(spec: PotentialSpec, level: float, cutoff: float,
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
-                n_samples: int = 4001, slope_tol: float = 1e-8) -> A1Report:
+                slope_tol: float = 1e-8) -> A1Report:
     """Locate the two real crossings of |A(x)| = lambda0 in [-cutoff, cutoff].
 
     The decay condition at infinity is only checked through the margin at the
@@ -286,7 +287,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("lambda0 must be positive")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    roots, a = real_crossings(spec, lambda0, cutoff, n_samples)
+    roots, a = real_crossings(spec, lambda0, cutoff)
     if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
         raise ValueError("A(x) is not real-valued on the real axis")
     a = a.real

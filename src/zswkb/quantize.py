@@ -101,9 +101,12 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
     The seed is where the secant through the eps = 0 actions at the two
     window edges meets the target.
     """
-    branch = select_branch(a1_report(problem))
+    return _solve(problem, k, select_branch(a1_report(problem)), *_window_action_range(problem))
+
+
+def _solve(problem: Problem, k: int, branch: Branch, i_lo: float,
+           i_hi: float) -> EigenvalueRecord:
     target = (k + branch_offset(branch)) * math.pi * problem.h
-    i_lo, i_hi = _window_action_range(problem)
     fuzz = 1e-9 * max(1.0, i_hi)
     if not (i_lo - fuzz <= target <= i_hi + fuzz):
         raise LeftWindow(f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
@@ -126,12 +129,16 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
 def wkb_spectrum(problem: Problem) -> list:
     """solve_quantization over every admissible index, sorted by Re lambda.
 
-    Per-index failures are reported as warnings; the batch continues.
+    The branch and the window's action range are computed once for all
+    indices. Per-index failures are reported as warnings; the batch continues.
     """
+    ks = enumerate_indices(problem)
+    branch = select_branch(a1_report(problem))
+    i_lo, i_hi = _window_action_range(problem)
     records = []
-    for k in enumerate_indices(problem):
+    for k in ks:
         try:
-            records.append(solve_quantization(problem, k))
+            records.append(_solve(problem, k, branch, i_lo, i_hi))
         except ZSWKBError as exc:
             warnings.warn(f"quantization failed for k={k}: {exc}", stacklevel=2)
     return sorted(records, key=lambda r: r.lam.real)

@@ -6,7 +6,7 @@ import pytest
 import zswkb as z
 from zswkb.cli import (config_from_json, config_hash, load_config, main,
                        run_compare, run_pt_sweep, run_stokes, run_validate)
-from zswkb.errors import ConfigError
+from zswkb.errors import BoundaryZero, ConfigError
 
 
 def base_config_dict(tmp_path, **overrides):
@@ -219,14 +219,35 @@ def test_cli_wkb_csv_schema(tmp_path):
     assert len(lines) > 1
 
 
-def test_cli_parallel_jobs_match_serial(tmp_path):
+@pytest.mark.parametrize("command", ["wkb", "compare", "pt-sweep"])
+def test_cli_parallel_jobs_match_serial(tmp_path, command):
     config_path = write_config(tmp_path)
     out_serial = tmp_path / "serial.csv"
     out_par = tmp_path / "par.csv"
-    assert main(["wkb", "--config", str(config_path), "--out", str(out_serial)]) == 0
-    assert main(["wkb", "--config", str(config_path), "--out", str(out_par),
+    assert main([command, "--config", str(config_path), "--out", str(out_serial)]) == 0
+    assert main([command, "--config", str(config_path), "--out", str(out_par),
                  "--jobs", "2"]) == 0
     assert out_serial.read_bytes() == out_par.read_bytes()
+
+
+def test_pt_sweep_failed_cell_is_reported_with_its_cell(tmp_path, monkeypatch, capsys):
+    count_zeros = z.direct.count_zeros
+
+    def failing(problem, rect):
+        if problem.eps > 0:
+            raise BoundaryZero("zero on the contour")
+        return count_zeros(problem, rect)
+
+    monkeypatch.setattr(z.direct, "count_zeros", failing)
+    config_path = write_config(tmp_path, eps_list=[0.01])
+    out = tmp_path / "pt.csv"
+    assert main(["pt-sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    assert [r["error"] for r in rows] == ["BoundaryZero: zero on the contour", ""]
+    assert rows[0]["symmetry_class"] == "A-odd-B-even"
+    assert capsys.readouterr().err.splitlines() == [
+        "cell failed: h=0.1 eps=0.01: BoundaryZero: zero on the contour"]
 
 
 def test_load_config_roundtrip(tmp_path):
