@@ -314,11 +314,18 @@ def run_pt_sweep(config: ExperimentConfig, jobs: int = 1):
 
 def run_stokes(config: ExperimentConfig, lam: float | None = None,
                eps: float | None = None, out=None) -> dict:
-    """Trace the Stokes graph at one (lambda, eps) and write it as JSON."""
+    """Trace the Stokes graph at one (lambda, eps) and write it as JSON.
+
+    Raises ConfigError for a non-finite ``lam`` or a negative or non-finite ``eps``.
+    """
     if lam is None:
         lam = config.lambda0
     if eps is None:
         eps = config.eps_list[0]
+    if not math.isfinite(lam):
+        raise ConfigError(f"stokes lambda must be finite, got {lam}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ConfigError(f"stokes eps must be finite and non-negative, got {eps}")
     problem = make_problem(config, config.h_list[0], eps)
     graph = stokes.build_graph(problem, complex(lam))
     doc = {"meta": {**_meta(config), "lambda": lam, "eps": eps}}
@@ -400,7 +407,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "stokes":
             out = args.out if args.out else out_dir / "stokes.json"
-            doc = run_stokes(config, lam=args.lam, eps=args.eps, out=out)
+            try:
+                doc = run_stokes(config, lam=args.lam, eps=args.eps, out=out)
+            except ConfigError as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 1
             print(f"wrote {out} ({len(doc['curves'])} curves)")
             return 0
         meta, note = _meta(config), ""

@@ -143,7 +143,7 @@ def _sum_terms(spec: PotentialSpec, z, target: int):
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim:
-        val, dval = np.zeros_like(z), np.zeros_like(z)
+        val, dval = np.zeros(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
     else:  # numpy scalar arithmetic costs a fraction of that on 0-d arrays
         z, val, dval = z[()], np.complex128(0.0), np.complex128(0.0)
     for t, k, c, s in spec.terms:
@@ -181,7 +181,7 @@ def eval_potential(spec: PotentialSpec, z, eps: float):
     if eps < 0:
         raise ValueError("eps must be non-negative")
     zz = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zz.imag) >= spec.strip_half_width):
+    if (np.abs(zz.imag) >= spec.strip_half_width).any():
         raise OutOfStrip(f"|Im z| >= {spec.strip_half_width}")
     a, da = eval_A(spec, zz)
     if eps == 0.0:

@@ -4,6 +4,12 @@ Curves are traced in arc length with fixed-step RK4 on the unit tangent field
 i*sigma*|s|/s, s = sqrt(A_eps^2 - lambda^2). The running phase integral is
 accumulated with per-step Gauss panels and a transverse Newton projection every
 few steps pins the trace back onto the level set, so drift cannot build up.
+
+All curves of one call advance in lockstep: each RK4 stage is one array
+potential call over every curve, and so are the new vertices together with
+their panel nodes. A curve that terminates is masked out and frozen while the
+others go on, so a curve comes out the same whether it is traced alone or as
+one of the six of a graph.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateTurningPoint, OutOfStrip, StepFailure
+from .errors import DegenerateTurningPoint, StepFailure
 from .potential import eval_potential
 from .problem import Problem
 from .turning import find_turning_points
@@ -27,11 +33,14 @@ _PROJECT_EVERY = 10
 # this wall the level condition Re integral = 0 drowns in roundoff and panel
 # truncation, so the numerically valid strip ends here
 _SQRT_MAGNITUDE_WALL = 1e6
+_HISTORY_ROWS = 1024             # first size of the vertex buffer; it doubles when full
 
-# Gauss-Legendre panels for the running phase integral
-_GL3_NODES = (-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5))
-_GL3_WEIGHTS = (5 / 9, 8 / 9, 5 / 9)
-_GL16 = np.polynomial.legendre.leggauss(16)
+# Gauss-Legendre panels for the running phase integral, as chord fractions
+# and weights on [0, 1]
+_GL3_T = 0.5 * (np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)]) + 1.0)
+_GL3_W = 0.5 * np.array([5 / 9, 8 / 9, 5 / 9])
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_HOP_U, _HOP_W = 0.5 * (_GL16_X + 1.0), 0.5 * _GL16_W
 
 
 class Termination(Enum):
@@ -39,6 +48,7 @@ class Termination(Enum):
     MAX_LENGTH = "max-length"
     NEAR_TURNING_POINT = "near-turning-point"
     STEP_FAILURE = "step-failure"
+
 
 
 @dataclass
@@ -55,10 +65,21 @@ class StokesGraph:
     curves: list
 
 
-def _f_and_slope(problem: Problem, z: complex) -> tuple:
+def _slope(problem: Problem, z):
+    """d/dz (A_eps^2 - lambda^2) = 2 A_eps A_eps', elementwise."""
     a, da = eval_potential(problem.potential, z, problem.eps)
-    a, da = complex(a), complex(da)
-    return a * a, 2.0 * a * da
+    return 2.0 * a * da
+
+
+def _sqrt(problem: Problem, lam2: complex, z):
+    """Principal sqrt(A_eps(z)^2 - lambda^2), elementwise."""
+    a, _ = eval_potential(problem.potential, z, problem.eps)
+    return np.sqrt(a * a - lam2)
+
+
+def _align(s, ref):
+    """Flip each sign of ``s`` that points away from ``ref`` (branch continuation)."""
+    return np.where((s * ref.conjugate()).real < 0.0, -s, s)
 
 
 def stokes_directions(problem: Problem, lam: complex, tp: complex) -> tuple:
@@ -68,8 +89,7 @@ def stokes_directions(problem: Problem, lam: complex, tp: complex) -> tuple:
     sqrt(f'(tp)) (z - tp)^{3/2} purely imaginary, which fixes three directions
     2*pi/3 apart.
     """
-    lam = complex(lam)
-    _, fp = _f_and_slope(problem, tp)
+    fp = complex(_slope(problem, tp))
     if abs(fp) <= 1e-8:
         raise DegenerateTurningPoint(f"|d/dz (A_eps^2 - lam^2)| = {abs(fp):.2e} at {tp}")
     base = (np.pi - cmath.phase(fp)) / 3.0
@@ -77,158 +97,161 @@ def stokes_directions(problem: Problem, lam: complex, tp: complex) -> tuple:
     return tuple(angles)
 
 
-def _sqrt_near(problem: Problem, lam: complex, z: complex, ref: complex) -> complex:
-    """Branch of sqrt(A_eps(z)^2 - lambda^2) continued to stay near ``ref``."""
-    f, _ = _f_and_slope(problem, z)
-    s = cmath.sqrt(f - lam * lam)
-    if (s * ref.conjugate()).real < 0.0:
-        s = -s
-    return s
-
-
-def _hop_phase(problem: Problem, lam: complex, tp: complex, z1: complex,
-               fp: complex) -> tuple:
-    """Phase integral over the first hop tp -> z1 with the sqrt endpoint resolved.
+def _hop_phase(problem: Problem, lam2: complex, tp, z1, fp) -> tuple:
+    """Phase integrals over the first hops tp -> z1 with the sqrt endpoint resolved.
 
     Substituting z = tp + (z1 - tp)*u^2 makes the integrand smooth; the branch
-    at each node follows the local model sqrt(f'(tp)(z1 - tp))*u.
+    at each node follows the local model sqrt(f'(tp)(z1 - tp))*u.  All hops
+    share one potential call.  Returns the integrals and the square root at
+    each hop's last node.
     """
     dz = z1 - tp
-    c_model = cmath.sqrt(fp * dz)
-    nodes, weights = _GL16
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    total = 0.0 + 0.0j
-    s_last = c_model
-    for ui, wi in zip(u, w):
-        zi = tp + dz * ui * ui
-        si = _sqrt_near(problem, lam, zi, c_model * ui if ui > 0 else c_model)
-        total += wi * si * 2.0 * dz * ui
-        s_last = si
-    return total, s_last
+    s = _align(_sqrt(problem, lam2, tp[:, None] + dz[:, None] * _HOP_U ** 2),
+               np.sqrt(fp * dz)[:, None])
+    return 2.0 * dz * (s @ (_HOP_W * _HOP_U)), s[:, -1]
 
 
-def _panel_phase(problem: Problem, lam: complex, z0: complex, z1: complex,
-                 ref: complex) -> complex:
-    """Gauss panel of sqrt(f) dz along the chord z0 -> z1 (path independent)."""
-    dz = z1 - z0
-    total = 0.0 + 0.0j
-    for xi, wi in zip(_GL3_NODES, _GL3_WEIGHTS):
-        zi = z0 + 0.5 * (xi + 1.0) * dz
-        total += 0.5 * wi * _sqrt_near(problem, lam, zi, ref) * dz
-    return total
+def _trace(problem: Problem, lam: complex, tps, starts) -> list:
+    """Trace one Stokes line per (index into ``tps``, angle) of ``starts``, in lockstep.
+
+    A curve starts at its turning point and stops near any other entry of
+    ``tps``.  Every curve takes the same steps, so all of them project on the
+    same iterations; a curve that terminates keeps its last vertex and drops
+    out of the checks.  Returns one (points, Termination) pair per start.
+    """
+    lam2 = complex(lam) ** 2
+    strip = problem.potential.strip_half_width
+    tps = np.asarray(tps, dtype=complex)
+    own = np.array([i for i, _ in starts])
+    angle = np.array([a for _, a in starts], dtype=float)
+    tp = tps[own]
+    fp = _slope(problem, tp)
+    degenerate = np.abs(fp) <= 1e-8
+    if degenerate.any():
+        raise DegenerateTurningPoint(f"turning point at {tp[degenerate][0]} is not simple")
+
+    z = tp + _FIRST_HOP * np.exp(1j * angle)
+    if (np.abs(z.imag) >= strip).any():
+        raise StepFailure("first hop already leaves the strip")
+    phase, s = _hop_phase(problem, lam2, tp, z, fp)
+    s = _align(_sqrt(problem, lam2, z), s)
+
+    # the straight hop leaves the (curved) level set by O(hop^{5/2}); project
+    # transversally right away so the drift never enters the march
+    dz = -phase.real / s
+    z = z + dz
+    phase = phase + s * dz
+    s = _align(_sqrt(problem, lam2, z), s)
+
+    # orientation: unit tangent i*sigma*|s|/s must match the requested angle;
+    # turn holds i*sigma
+    tangent = 1j * np.abs(s) / s
+    turn = np.where((tangent * np.exp(-1j * angle)).real > 0.0, 1j, -1j)
+
+    mine = own[:, None] == np.arange(len(tps))
+    running = np.ones(len(own), dtype=bool)
+    ends = [Termination.MAX_LENGTH] * len(own)
+    n_points = np.zeros(len(own), dtype=int)
+    history = np.empty((_HISTORY_ROWS, len(own)), dtype=complex)
+    history[0], history[1] = tp, z
+    rows = 2
+
+    def stop(mask, end):
+        """End the running curves of ``mask`` with ``end`` and ``rows`` points."""
+        if mask.any():
+            for j in np.flatnonzero(mask & running):
+                ends[j], n_points[j] = end, rows
+            running[mask] = False
+
+    def field(zz):
+        # an ended curve is evaluated at its frozen vertex, which lies in the strip
+        stop(np.abs(zz.imag) >= strip, Termination.STRIP_BOUNDARY)
+        ss = _align(_sqrt(problem, lam2, np.where(running, zz, z)), s)
+        return turn * np.abs(ss) / ss
+
+    arc = _FIRST_HOP
+    steps_since_projection = 0
+    while arc < _MAX_ARC and running.any():
+        k1 = field(z)
+        k2 = field(z + 0.5 * _STEP * k1)
+        k3 = field(z + 0.5 * _STEP * k2)
+        k4 = field(z + _STEP * k3)
+        z_new = z + (_STEP / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        stop(~np.isfinite(z_new), Termination.STEP_FAILURE)
+        stop(np.abs(z_new.imag) >= strip, Termination.STRIP_BOUNDARY)
+        z_new = np.where(running, z_new, z)
+        chord = z_new - z
+        ss = _align(_sqrt(problem, lam2, np.concatenate(
+            [z_new[:, None], z[:, None] + _GL3_T * chord[:, None]], axis=1)), s[:, None])
+        s_new = ss[:, 0]
+        size = np.abs(s_new)
+        stop(size < 1e-12, Termination.STEP_FAILURE)
+        stop(size > _SQRT_MAGNITUDE_WALL, Termination.STRIP_BOUNDARY)
+        phase = phase + (ss[:, 1:] @ _GL3_W) * chord
+        z = np.where(running, z_new, z)
+        s = np.where(running, s_new, s)
+        arc += _STEP
+        steps_since_projection += 1
+        if steps_since_projection >= _PROJECT_EVERY:
+            steps_since_projection = 0
+            dz = -phase.real / s
+            stop(np.abs(dz) > _STEP, Termination.STEP_FAILURE)
+            dz = np.where(running, dz, 0.0)
+            z = z + dz
+            phase = phase + s * dz
+            s = _align(_sqrt(problem, lam2, z), s)
+        if rows == len(history):
+            history = np.concatenate([history, np.empty_like(history)])
+        history[rows] = z
+        rows += 1
+        near = np.abs(z[:, None] - tps) < _NEAR_TP
+        if near.any():
+            stop((near & ~mine).any(axis=1)
+                 | ((near & mine).any(axis=1) & (arc > 5 * _FIRST_HOP)),
+                 Termination.NEAR_TURNING_POINT)
+    n_points[running] = rows
+    return [(history[:n, j].copy(), end) for j, (n, end) in enumerate(zip(n_points, ends))]
 
 
 def trace_stokes_line(problem: Problem, lam: complex, tp: complex, angle: float,
                       origin_index: int = 0, other_tps=()) -> StokesCurve:
     """Trace one Stokes line from ``tp`` in the requested emanation direction."""
-    lam = complex(lam)
-    strip = problem.potential.strip_half_width
-    _, fp = _f_and_slope(problem, tp)
-    if abs(fp) <= 1e-8:
-        raise DegenerateTurningPoint(f"turning point at {tp} is not simple")
-
-    z = tp + _FIRST_HOP * cmath.exp(1j * angle)
-    if abs(z.imag) >= strip:
-        raise StepFailure("first hop already leaves the strip")
-    phase_acc, s = _hop_phase(problem, lam, tp, z, fp)
-    s = _sqrt_near(problem, lam, z, s)
-
-    # the straight hop leaves the (curved) level set by O(hop^{5/2}); project
-    # transversally right away so the drift never enters the march
-    dz = -phase_acc.real / s
-    z = z + dz
-    phase_acc += s * dz
-    s = _sqrt_near(problem, lam, z, s)
-
-    # orientation: unit tangent i*sigma*|s|/s must match the requested angle
-    tangent = 1j * abs(s) / s
-    sigma = 1.0 if (tangent * cmath.exp(-1j * angle)).real > 0.0 else -1.0
-
-    points = [tp, z]
-    arc = _FIRST_HOP
-    termination = Termination.MAX_LENGTH
-    steps_since_projection = 0
-
-    def field(zz: complex, ref: complex) -> complex:
-        ss = _sqrt_near(problem, lam, zz, ref)
-        return 1j * sigma * abs(ss) / ss
-
-    while arc < _MAX_ARC:
-        try:
-            k1 = field(z, s)
-            k2 = field(z + 0.5 * _STEP * k1, s)
-            k3 = field(z + 0.5 * _STEP * k2, s)
-            k4 = field(z + _STEP * k3, s)
-        except OutOfStrip:
-            termination = Termination.STRIP_BOUNDARY
-            break
-        z_new = z + (_STEP / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not (np.isfinite(z_new.real) and np.isfinite(z_new.imag)):
-            termination = Termination.STEP_FAILURE
-            break
-        if abs(z_new.imag) >= strip:
-            termination = Termination.STRIP_BOUNDARY
-            break
-        try:
-            s_new = _sqrt_near(problem, lam, z_new, s)
-            phase_acc += _panel_phase(problem, lam, z, z_new, s)
-        except OutOfStrip:
-            termination = Termination.STRIP_BOUNDARY
-            break
-        if abs(s_new) < 1e-12:
-            termination = Termination.STEP_FAILURE
-            break
-        if abs(s_new) > _SQRT_MAGNITUDE_WALL:
-            termination = Termination.STRIP_BOUNDARY
-            break
-        z, s = z_new, s_new
-        arc += _STEP
-        steps_since_projection += 1
-        if steps_since_projection >= _PROJECT_EVERY:
-            steps_since_projection = 0
-            drift = phase_acc.real
-            dz = -drift / s
-            if abs(dz) > _STEP:
-                termination = Termination.STEP_FAILURE
-                break
-            z = z + dz
-            phase_acc += s * dz
-            s = _sqrt_near(problem, lam, z, s)
-        points.append(z)
-        near = [t for t in other_tps if abs(z - t) < _NEAR_TP]
-        if near or (arc > 5 * _FIRST_HOP and abs(z - tp) < _NEAR_TP):
-            termination = Termination.NEAR_TURNING_POINT
-            break
-    return StokesCurve(origin_index, float(angle), np.asarray(points, dtype=complex),
-                       termination)
+    ((points, termination),) = _trace(problem, lam, [tp, *other_tps], [(0, angle)])
+    return StokesCurve(origin_index, float(angle), points, termination)
 
 
 def level_drift(problem: Problem, lam: complex, curve: StokesCurve) -> float:
-    """Max |Re phase| accumulated from the origin along the polyline vertices."""
-    lam = complex(lam)
-    pts = curve.points
-    tp = complex(pts[0])
-    _, fp = _f_and_slope(problem, tp)
-    acc, s = _hop_phase(problem, lam, tp, complex(pts[1]), fp)
-    worst = abs(acc.real)
-    for z0, z1 in zip(pts[1:-1], pts[2:]):
-        acc += _panel_phase(problem, lam, complex(z0), complex(z1), s)
-        s = _sqrt_near(problem, lam, complex(z1), s)
-        worst = max(worst, abs(acc.real))
-    return worst
+    """Max |Re phase| accumulated from the origin along the polyline vertices.
+
+    One potential call covers every vertex and panel node after the first
+    hop.  The square root at the vertices continues from the hop's end value
+    by sign flips between neighbours, and each panel follows the vertex it
+    starts from.
+    """
+    lam2 = complex(lam) ** 2
+    pts = np.asarray(curve.points, dtype=complex)
+    tp = pts[:1]
+    hop, s_hop = _hop_phase(problem, lam2, tp, pts[1:2], _slope(problem, tp))
+    a, b = pts[1:-1], pts[2:]
+    chord = b - a
+    sq = _sqrt(problem, lam2, np.concatenate([b, (a[:, None] + _GL3_T * chord[:, None]).ravel()]))
+    vertex, nodes = sq[:len(b)], sq[len(b):].reshape(-1, 3)
+    flips = np.cumsum((vertex * np.concatenate([s_hop, vertex[:-1]]).conjugate()).real < 0.0)
+    vertex = np.where(flips % 2 == 1, -vertex, vertex)
+    ref = np.concatenate([s_hop, vertex[:-1]])
+    acc = hop[0] + np.cumsum((_align(nodes, ref[:, None]) @ _GL3_W) * chord)
+    return float(max(abs(hop[0].real), np.abs(acc.real).max(initial=0.0)))
 
 
 def build_graph(problem: Problem, lam: complex) -> StokesGraph:
     """All six Stokes lines (three per turning point) for one spectral parameter."""
     pair = find_turning_points(problem, lam)
     tps = [pair.alpha, pair.beta]
-    curves = []
-    for idx, tp in enumerate(tps):
-        others = [t for j, t in enumerate(tps) if j != idx]
-        for angle in stokes_directions(problem, lam, tp):
-            curves.append(trace_stokes_line(problem, lam, tp, angle,
-                                            origin_index=idx, other_tps=others))
+    starts = [(idx, angle) for idx, tp in enumerate(tps)
+              for angle in stokes_directions(problem, lam, tp)]
+    traced = _trace(problem, lam, tps, starts)
+    curves = [StokesCurve(idx, float(angle), points, termination)
+              for (idx, angle), (points, termination) in zip(starts, traced)]
     return StokesGraph(tps, curves)
 
 

@@ -209,6 +209,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["wkb", "--config", str(broken)]) == 2
 
 
+def test_stokes_rejects_bad_lam_and_eps(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    out = tmp_path / "graph.json"
+    for bad in (["--lam", "nan"], ["--lam", "inf"], ["--eps", "-0.1"], ["--eps", "nan"],
+                ["--eps", "inf"]):
+        assert main(["stokes", "--config", str(config_path), "--out", str(out), *bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stokes "), (bad, err)
+    assert not out.exists()
+    # a negative finite lambda is a valid spectral parameter
+    assert main(["stokes", "--config", str(config_path), "--out", str(out),
+                 "--lam", "-1.0"]) == 0
+    assert len(json.loads(out.read_text())["curves"]) == 6
+
+
 def test_cli_wkb_csv_schema(tmp_path):
     config_path = write_config(tmp_path)
     out = tmp_path / "wkb.csv"

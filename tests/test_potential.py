@@ -38,6 +38,14 @@ def test_out_of_strip_raises(tanh_spec):
         z.eval_potential(tanh_spec, 0.4j + 0.2j, 0.0)
 
 
+def test_out_of_strip_raises_for_one_point_of_an_array(tanh_spec):
+    pts = np.array([0.1, -0.3 + 0.2j, 0.45j, 1.0 - 0.1j])
+    z.eval_potential(tanh_spec, pts, 0.05)
+    pts[2] = 0.55j
+    with pytest.raises(OutOfStrip):
+        z.eval_potential(tanh_spec, pts, 0.05)
+
+
 def test_eps_must_be_nonnegative(well_spec):
     with pytest.raises(ValueError):
         z.eval_potential(well_spec, 0.0, -0.1)

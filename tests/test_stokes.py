@@ -120,3 +120,37 @@ def test_graph_json_roundtrip(tanh_problem):
     for a, b in zip(back.curves, graph.curves):
         assert a.termination == b.termination
         assert np.allclose(a.points, b.points)
+
+
+@pytest.mark.parametrize("name, lam", [("well", 1.5), ("tanh", 1.0)])
+def test_graph_curves_equal_lone_traces(well_problem, tanh_problem, name, lam):
+    # on well 4 curves stop at the strip and 2 at a turning point, so the
+    # lockstep tracer masks curves out while others run on
+    problem = {"well": well_problem, "tanh": tanh_problem}[name].with_(eps=0.05)
+    graph = z.build_graph(problem, lam)
+    ends = sorted(c.termination.value for c in graph.curves)
+    assert ends == ["near-turning-point"] * 2 + ["strip-boundary"] * 4
+    for curve in graph.curves:
+        tp = graph.turning_points[curve.origin_index]
+        other = graph.turning_points[1 - curve.origin_index]
+        alone = z.trace_stokes_line(problem, lam, tp, curve.initial_angle,
+                                    origin_index=curve.origin_index, other_tps=[other])
+        assert alone.origin_index == curve.origin_index
+        assert alone.termination is curve.termination
+        assert len(alone.points) == len(curve.points)
+        assert np.max(np.abs(alone.points - curve.points)) <= 1e-12
+
+
+def test_graph_potential_calls_are_per_step(well_problem, monkeypatch):
+    # one array call per RK4 stage and one for the new vertices and their
+    # panel nodes; a scalar tracer makes about 8 calls per curve and step
+    calls = []
+    eval_potential = z.stokes.eval_potential
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eval_potential(*args, **kwargs)
+
+    monkeypatch.setattr(z.stokes, "eval_potential", counting)
+    graph = z.build_graph(well_problem.with_(eps=0.05), 1.5)
+    assert len(calls) <= 6 * max(len(c.points) for c in graph.curves)
