@@ -9,7 +9,10 @@ magnitude accumulates in a log scale; overflow cannot occur.
 
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
-one-lambda probe. Every root-finding stage is array code over such batches.
+one-lambda probe. Every root-finding stage is array code over such batches,
+and ``_newton_wronskian`` is the one root polisher: it starts from the
+sign-change brackets of a real scan in ``direct_spectrum_real`` and from the
+eps = 0 roots in ``direct_spectrum_complex``.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .action import action_integral
 from .errors import (BoundaryZero, InsideWell, MissedZerosWarning,
-                     PhaseResolution, PhaseTrackingLost, ZSWKBError)
+                     NoConvergence, PhaseResolution, PhaseTrackingLost, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
 from .potential import axis_blend_callable, eval_potential  # noqa: F401
 from .problem import (Problem, a1_report, domain_cuts, matching_point,
@@ -205,40 +208,6 @@ def _phase_track(ws: np.ndarray) -> tuple:
     return signs, phases
 
 
-def _refine_brackets(problem: Problem, lo, hi, f_lo, f_hi, phases) -> tuple:
-    """Illinois-style bisection/secant refinement of sign-change brackets.
-
-    All brackets advance together; each round is one batched Wronskian
-    evaluation over the still-active rows. A secant point within 1% of the
-    bracket width of either end, or not finite, is replaced by the midpoint.
-    Stops at |interval| < 1e-12.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    f_lo = np.array(f_lo, dtype=float)
-    f_hi = np.array(f_hi, dtype=float)
-    align = np.exp(-1j * np.asarray(phases, dtype=float))
-    for _ in range(90):
-        idx = np.flatnonzero((hi - lo) > 1e-12)
-        if len(idx) == 0:
-            break
-        a, b, fa, fb = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
-        width = b - a
-        with np.errstate(divide="ignore", invalid="ignore"):  # fb == fa: not finite
-            c = b - fb * width / (fb - fa)
-        c = np.where((a + 0.01 * width < c) & (c < b - 0.01 * width), c, 0.5 * (a + b))
-        w, _ = _wronskian_batch(problem, c.astype(complex))
-        fc = (w * align[idx]).real
-        up = (fc < 0) == (fa < 0)  # c replaces the low end
-        lo[idx] = np.where(up, c, a)
-        f_lo[idx] = np.where(up, fc, 0.5 * fa)  # Illinois damping keeps the stale end honest
-        hi[idx] = np.where(up, b, c)
-        f_hi[idx] = np.where(up, 0.5 * fb, fc)
-    mid = 0.5 * (lo + hi)
-    w, _ = _wronskian_batch(problem, mid.astype(complex))
-    return mid, np.abs(w)
-
-
 def _branch(problem: Problem):
     """The quantization branch of the problem, or None where its A1 report fails."""
     try:
@@ -248,7 +217,13 @@ def _branch(problem: Problem):
 
 
 def direct_spectrum_real(problem: Problem) -> list:
-    """Scan the real window for sign changes of the phase-aligned Wronskian."""
+    """Scan the real window for sign changes of the phase-aligned Wronskian, then polish.
+
+    Each sign-change bracket seeds one Newton row at its secant point; all rows
+    are polished together by ``_newton_wronskian`` and the real parts kept. A
+    row that Newton flags failed, or whose root leaves its own bracket, raises
+    NoConvergence naming the bracket.
+    """
     try:
         base = problem.with_(eps=0.0)
         ip = action_integral(base, problem.lambda0).dvalue_dlambda.real
@@ -264,17 +239,24 @@ def direct_spectrum_real(problem: Problem) -> list:
 
     keep = np.flatnonzero(signs)
     flip = signs[keep[:-1]] * signs[keep[1:]] < 0
-    a, b = keep[:-1][flip], keep[1:][flip]
-    if len(a) == 0:
+    i_a, i_b = keep[:-1][flip], keep[1:][flip]
+    if len(i_a) == 0:
         return []
-    align = np.exp(-1j * phases[a])
-    roots, resid = _refine_brackets(problem, lams[a], lams[b], (ws[a] * align).real,
-                                    (ws[b] * align).real, phases[a])
+    a, b = lams[i_a], lams[i_b]
+    align = np.exp(-1j * phases[i_a])
+    f_a, f_b = (ws[i_a] * align).real, (ws[i_b] * align).real
+    seeds = b - f_b * (b - a) / (f_b - f_a)  # secant point of each bracket
+    roots, resid, failed = _newton_wronskian(problem, seeds)
+    roots = roots.real
+    bad = failed | (roots < a - 1e-12) | (roots > b + 1e-12)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        why = "failed" if failed[i] else f"left it for {roots[i]:.17g}"
+        raise NoConvergence(f"Newton from the bracket [{a[i]:.17g}, {b[i]:.17g}] {why}")
     branch = _branch(problem)
-    order = np.argsort(roots)
-    return [EigenvalueRecord(complex(roots[i]), int(k), branch, Method.DIRECT,
-                             float(resid[i]), problem.h, problem.eps)
-            for k, i in enumerate(order)]
+    return [EigenvalueRecord(complex(lam), k, branch, Method.DIRECT, float(r), problem.h,
+                             problem.eps)
+            for k, (lam, r) in enumerate(zip(roots, resid))]
 
 
 def _rectangle_corners(rectangle) -> tuple:
@@ -331,7 +313,14 @@ def count_zeros(problem: Problem, rectangle) -> ZeroCount:
 
 
 def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
-    """Batched complex Newton on W with a central-difference derivative."""
+    """Batched complex Newton on W with a central-difference derivative.
+
+    Returns (lams, resid, failed). A row stops when its step falls below
+    1e-12; ``resid`` is |W| at its last evaluated iterate. A row is failed
+    when it leaves the window (real part beyond 2*delta of lambda0, or |Im|
+    above delta), when its step is not finite, or when it is still stepping
+    after 40 rounds.
+    """
     lams = np.array(seeds, dtype=complex)
     n = len(lams)
     resid = np.full(n, np.inf)
@@ -351,14 +340,16 @@ def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
         wm = w[2 * m:] * np.exp(ls[2 * m:] - ref)
         dw = (wp - wm) / (2 * s)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.where(dw != 0, w0 / dw, 0.0)
-        lams[idx] = lams[idx] - delta
+            delta = w0 / dw
+        stuck = ~np.isfinite(delta)  # W flat or not finite: no Newton step exists
+        lams[idx] = lams[idx] - np.where(stuck, 0.0, delta)
         resid[idx] = np.abs(w[:m])
-        out = (np.abs(lams[idx].real - problem.lambda0) > 2 * problem.delta) | \
-              (np.abs(lams[idx].imag) > problem.delta)
+        out = stuck | (np.abs(lams[idx].real - problem.lambda0) > 2 * problem.delta) | \
+            (np.abs(lams[idx].imag) > problem.delta)
         failed[idx[out]] = True
         done = (np.abs(delta) < 1e-12) | out
         active[idx[done]] = False
+    failed |= active  # still stepping after the last round
     return lams, resid, failed
 
 

@@ -178,7 +178,7 @@ def eval_B(spec: PotentialSpec, z):
 
 def eval_potential(spec: PotentialSpec, z, eps: float):
     """Evaluate A_eps(z) = A(z) + i*eps*B(z) and its z-derivative from closed forms."""
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise ValueError("eps must be non-negative")
     zz = np.asarray(z, dtype=complex)
     if (np.abs(zz.imag) >= spec.strip_half_width).any():

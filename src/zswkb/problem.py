@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,8 @@ class Problem:
     tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lambda0, self.delta, self.h, self.eps))):
+            raise ValueError("lambda0, delta, h and eps must be finite")
         if not (self.lambda0 > 0 and self.delta > 0 and self.h > 0):
             raise ValueError("lambda0, delta and h must be positive")
         if self.eps < 0:

@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import zswkb as z
-from zswkb.direct import _integrate_batch, _phase_track, _seed_batch, _wronskian_batch
-from zswkb.errors import InsideWell, MissedZerosWarning, PhaseTrackingLost
+from zswkb.direct import (_integrate_batch, _newton_wronskian, _phase_track, _seed_batch,
+                          _wronskian_batch)
+from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, PhaseTrackingLost
 
 from oracles import matrix_window_eigenvalues
 
@@ -193,7 +194,45 @@ def record_batches(monkeypatch) -> list:
 def test_direct_spectrum_real_wronskian_work(well_problem, monkeypatch):
     sizes = record_batches(monkeypatch)
     z.direct_spectrum_real(well_problem)
-    assert (len(sizes), sum(sizes)) == (37, 200)
+    # one scan batch, then Newton rounds of 3 rows per unconverged bracket
+    assert (len(sizes), sum(sizes)) == (5, 92)
+
+
+@pytest.mark.parametrize("fault", ["outside", "failed"])
+def test_direct_spectrum_real_rejects_unpolished_root(well_problem, monkeypatch, fault):
+    # a Newton row that fails, or lands outside its own bracket, is an error,
+    # never a reported eigenvalue
+    def faulty(problem, seeds):
+        lams, resid, failed = _newton_wronskian(problem, seeds)
+        if fault == "outside":
+            lams[1] = lams[2]  # a true root, but the next bracket's
+        else:
+            failed[1] = True
+        return lams, resid, failed
+
+    monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
+    with pytest.raises(NoConvergence, match="bracket"):
+        z.direct_spectrum_real(well_problem)
+
+
+def patch_wronskian(monkeypatch, w_of_lam):
+    """Replace the propagator by a closed-form W with unit log scales."""
+    monkeypatch.setattr(z.direct, "_wronskian_batch",
+                        lambda problem, lams: (w_of_lam(np.asarray(lams)), np.zeros(len(lams))))
+
+
+def test_newton_wronskian_flags_a_two_cycle(well_problem, monkeypatch):
+    # Newton on u^3 - 2u + 2 from u = 0 cycles 0 -> 1 -> 0 and never converges
+    patch_wronskian(monkeypatch, lambda lam: ((lam - 1.5) / 0.1) ** 3 - 2 * (lam - 1.5) / 0.1 + 2)
+    lams, resid, failed = _newton_wronskian(well_problem, one(1.5))
+    assert failed[0]
+
+
+def test_newton_wronskian_flags_a_flat_wronskian(well_problem, monkeypatch):
+    # W' = 0 gives no finite Newton step
+    patch_wronskian(monkeypatch, lambda lam: np.full(len(lam), 1.0 + 0j))
+    lams, resid, failed = _newton_wronskian(well_problem, one(1.5))
+    assert failed[0]
 
 
 def test_count_zeros_wronskian_work(monkeypatch):

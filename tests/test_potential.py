@@ -49,6 +49,17 @@ def test_out_of_strip_raises_for_one_point_of_an_array(tanh_spec):
 def test_eps_must_be_nonnegative(well_spec):
     with pytest.raises(ValueError):
         z.eval_potential(well_spec, 0.0, -0.1)
+    with pytest.raises(ValueError):
+        z.eval_potential(well_spec, 0.0, math.nan)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lambda0", math.inf), ("lambda0", math.nan), ("delta", math.inf), ("h", math.inf),
+    ("h", -0.1), ("eps", math.nan), ("eps", math.inf), ("eps", -0.1)])
+def test_problem_rejects_non_finite_or_out_of_range(well_spec, field, value):
+    args = {"lambda0": 1.5, "delta": 0.2, "h": 0.1, "eps": 0.0, field: value}
+    with pytest.raises(ValueError):
+        z.Problem(well_spec, **args)
 
 
 @pytest.mark.parametrize("spec_fn", [
