@@ -236,24 +236,44 @@ def real_crossings(spec: PotentialSpec, level: float, cutoff: float) -> tuple:
     """Real roots of |A(x)| = level in [-cutoff, cutoff], and the samples of A.
 
     Sign changes of |A| - level between neighbouring samples bracket the
-    roots.  Each bracket is seeded at its secant point, and all brackets are
-    polished together by Newton on A's analytic derivative; an iterate that
-    leaves its (shrinking) bracket is replaced by the bracket's midpoint.
-    Returns ``(roots, a)``: the roots in ascending order and A at the
+    roots, and ``polish_crossings`` polishes all brackets together.  Returns
+    ``(roots, a)``: the roots in ascending order and A at the
     ``_CROSSING_SAMPLES`` equispaced points.  Raises NoConvergence when a
     bracket does not settle.
     """
-    x = np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
+    x = crossing_grid(cutoff)
     a, _ = eval_A(spec, x)
     f = np.abs(a.real) - level
     i = np.flatnonzero(f[:-1] * f[1:] < 0)
-    lo, hi, flo = x[i], x[i + 1], f[i]
-    t = lo - flo * (hi - lo) / (f[i + 1] - flo)
-    ftol = 4.0 * np.finfo(float).eps * max(1.0, level)
-    done = np.zeros(len(i), dtype=bool)
+    t, done = polish_crossings(spec, x[i], x[i + 1], f[i], f[i + 1], level)
+    if not done.all():
+        raise NoConvergence(f"real crossings of |A| = {level} did not settle near "
+                            f"x = {t[~done]}")
+    return t, a
+
+
+def crossing_grid(cutoff: float) -> np.ndarray:
+    """The ``_CROSSING_SAMPLES`` equispaced points on which crossings are bracketed."""
+    return np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
+
+
+def polish_crossings(spec: PotentialSpec, lo, hi, flo, fhi, level) -> tuple:
+    """Roots of |A(x)| = level inside the brackets [lo, hi], polished together.
+
+    ``flo`` and ``fhi`` are |A| - level at the bracket ends, of opposite signs;
+    ``level`` is a scalar or one level per bracket.  Each bracket is seeded at
+    its secant point and polished by Newton on A's analytic derivative; an
+    iterate that leaves its (shrinking) bracket is replaced by the bracket's
+    midpoint.  Brackets are independent of each other.  Returns ``(t, done)``:
+    the iterates and which of them settled within ``_CROSSING_NEWTON_CAP``
+    passes.
+    """
+    t = lo - flo * (hi - lo) / (fhi - flo)
+    ftol = 4.0 * np.finfo(float).eps * np.maximum(1.0, level)
+    done = np.zeros(len(t), dtype=bool)
     for _ in range(_CROSSING_NEWTON_CAP):
         if done.all():
-            return t, a
+            break
         v, dv = eval_A(spec, t)
         v, dv = v.real, dv.real
         g = np.abs(v) - level
@@ -270,10 +290,7 @@ def real_crossings(spec: PotentialSpec, level: float, cutoff: float) -> tuple:
         t = np.select([done, small_step, settled, inside], [t, newton, t, newton],
                       0.5 * (lo + hi))
         done |= settled
-    if not done.all():
-        raise NoConvergence(f"real crossings of |A| = {level} did not settle near "
-                            f"x = {t[~done]}")
-    return t, a
+    return t, done
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,

@@ -6,7 +6,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .action import action_integral
+from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
 from .potential import A1Report, WellType
 from .problem import Problem, a1_report
@@ -76,9 +76,12 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
 
 def _window_action_range(problem: Problem) -> tuple:
     """Action at the real window edges for the eps = 0 reference problem."""
-    base = problem.with_(eps=0.0)
-    i_lo = action_integral(base, problem.lambda0 - problem.delta).value.real
-    i_hi = action_integral(base, problem.lambda0 + problem.delta).value.real
+    edges = _action_rows(problem.with_(eps=0.0),
+                         [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
+    for act in edges:
+        if isinstance(act, Exception):
+            raise act
+    i_lo, i_hi = edges[0].value.real, edges[1].value.real
     if i_lo > i_hi:
         i_lo, i_hi = i_hi, i_lo
     return i_lo, i_hi
@@ -99,46 +102,80 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
     """Newton-solve I(lambda, eps) = c_k*pi*h from the eps = 0 secant seed.
 
     The seed is where the secant through the eps = 0 actions at the two
-    window edges meets the target.
+    window edges meets the target.  A one-row call of the lockstep solver
+    that ``wkb_spectrum`` runs on all indices; its failure is raised.
     """
-    return _solve(problem, k, select_branch(a1_report(problem)), *_window_action_range(problem))
+    (rec,) = _solve_rows(problem, [k], select_branch(a1_report(problem)),
+                         *_window_action_range(problem))
+    if isinstance(rec, Exception):
+        raise rec
+    return rec
 
 
-def _solve(problem: Problem, k: int, branch: Branch, i_lo: float,
-           i_hi: float) -> EigenvalueRecord:
-    target = (k + branch_offset(branch)) * math.pi * problem.h
+def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
+                i_hi: float) -> list:
+    """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
+
+    Each row starts from its secant seed and takes Newton steps in lockstep:
+    a round is one call of the array action over the rows still iterating.
+    A row stops on its own at the residual test, on its action's failure, on
+    leaving the window, or after ``_NEWTON_CAP`` rounds.
+    """
+    results = [None] * len(ks)
+    targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
+    lams = []
     fuzz = 1e-9 * max(1.0, i_hi)
-    if not (i_lo - fuzz <= target <= i_hi + fuzz):
-        raise LeftWindow(f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
-    frac = (target - i_lo) / (i_hi - i_lo)
-    lam = complex(problem.lambda0 + problem.delta * (2.0 * frac - 1.0))
+    for j, target in enumerate(targets):
+        if not (i_lo - fuzz <= target <= i_hi + fuzz):
+            results[j] = LeftWindow(
+                f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
+        frac = (target - i_lo) / (i_hi - i_lo)
+        lams.append(complex(problem.lambda0 + problem.delta * (2.0 * frac - 1.0)))
 
     tol = problem.tolerances.quantize_residual
+    live = [j for j, res in enumerate(results) if res is None]
     for _ in range(_NEWTON_CAP):
-        act = action_integral(problem, lam)
-        resid = act.value - target
-        if abs(resid) < tol:
-            return EigenvalueRecord(lam, k, branch, Method.WKB, abs(resid),
-                                    problem.h, problem.eps)
-        lam = lam - resid / act.dvalue_dlambda
-        if abs(lam - problem.lambda0) > 1.5 * problem.delta:
-            raise LeftWindow(f"Newton iterate {lam} left the spectral window")
-    raise NoConvergence(f"quantization Newton did not converge for k={k}")
+        if not live:
+            break
+        acts = _action_rows(problem, [lams[j] for j in live])
+        still = []
+        for j, act in zip(live, acts):
+            if isinstance(act, Exception):
+                results[j] = act
+                continue
+            resid = act.value - targets[j]
+            if abs(resid) < tol:
+                results[j] = EigenvalueRecord(lams[j], ks[j], branch, Method.WKB,
+                                              abs(resid), problem.h, problem.eps)
+                continue
+            lams[j] = lams[j] - resid / act.dvalue_dlambda
+            if abs(lams[j] - problem.lambda0) > 1.5 * problem.delta:
+                results[j] = LeftWindow(f"Newton iterate {lams[j]} left the spectral window")
+                continue
+            still.append(j)
+        live = still
+    for j in live:
+        results[j] = NoConvergence(f"quantization Newton did not converge for k={ks[j]}")
+    return results
 
 
 def wkb_spectrum(problem: Problem) -> list:
-    """solve_quantization over every admissible index, sorted by Re lambda.
+    """Roots of I(lambda, eps) = c_k*pi*h for every admissible index, sorted by Re lambda.
 
-    The branch and the window's action range are computed once for all
-    indices. Per-index failures are reported as warnings; the batch continues.
+    The branch and the window's action range are computed once, and all
+    indices are solved in lockstep: each Newton round finds the turning
+    points and the action of every unsettled index with one array call.
+    Each index gives the root ``solve_quantization`` gives for it alone.
+    Per-index failures are reported as warnings, in index order; the other
+    indices are unaffected.
     """
     ks = enumerate_indices(problem)
     branch = select_branch(a1_report(problem))
     i_lo, i_hi = _window_action_range(problem)
     records = []
-    for k in ks:
-        try:
-            records.append(_solve(problem, k, branch, i_lo, i_hi))
-        except ZSWKBError as exc:
-            warnings.warn(f"quantization failed for k={k}: {exc}", stacklevel=2)
+    for k, rec in zip(ks, _solve_rows(problem, ks, branch, i_lo, i_hi)):
+        if isinstance(rec, ZSWKBError):
+            warnings.warn(f"quantization failed for k={k}: {rec}", stacklevel=2)
+        else:
+            records.append(rec)
     return sorted(records, key=lambda r: r.lam.real)

@@ -1,4 +1,11 @@
-"""Complex turning points: the roots of A_eps(z)^2 - lambda^2 tracked from the real pair."""
+"""Complex turning points: the roots of A_eps(z)^2 - lambda^2 tracked from the real pair.
+
+``_turning_rows`` solves a whole array of lambda at once: one sample of A
+brackets the real seeds of every row, and each Newton iteration of the
+homotopy is one array potential call over both roots of every row still
+iterating.  A row's result does not depend on the other rows, and a failure
+removes only its own row.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Collision, LeftStrip, NoConvergence
-from .potential import eval_potential, real_crossings
+from .potential import crossing_grid, eval_A, eval_potential, polish_crossings
 from .problem import Problem, a1_report
 
 _HOMOTOPY_STEPS = 8
@@ -25,83 +32,143 @@ class TurningPointPair:
     eps: float
 
 
-def _newton_root(problem: Problem, z0: complex, lam: complex, eps: float) -> complex:
-    """Newton on f(z) = A_eps(z)^2 - lambda^2 with the analytic derivative."""
+def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarray:
+    """Real roots of A(x)^2 = level^2 near alpha0, beta0, one row per level.
+
+    All levels share one sample of A; every bracket of every level is polished
+    together, and each row keeps the roots nearest alpha0 and beta0.  Returns
+    the (K, 2) seeds; a row without them gets its error in ``errors``.
+    """
+    rep = a1_report(problem)
+    x = crossing_grid(problem.cutoff)
+    a = eval_A(problem.potential, x)[0].real
+    f = np.abs(a) - levels[:, None]
+    row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
+    t, done = polish_crossings(problem.potential, x[i], x[i + 1], f[row, i],
+                               f[row, i + 1], levels[row])
+    count = np.bincount(row, minlength=len(levels))
+    unsettled = np.bincount(row, weights=~done, minlength=len(levels)) > 0
+    seeds = np.zeros((len(levels), 2), dtype=complex)
+    first = np.searchsorted(row, np.arange(len(levels)))
+    for j, target in enumerate((rep.alpha0, rep.beta0)):
+        # row is ascending, so the stable sort by (row, distance) puts each
+        # row's nearest root at that row's first bracket position
+        order = np.lexsort((np.abs(t - target), row))
+        seeds[count > 0, j] = t[order[first[count > 0]]]
+    floor = np.min(a * a)
+    for k in np.flatnonzero(unsettled | (count < 2)):
+        level = levels[k]
+        if unsettled[k]:
+            errors[k] = NoConvergence(f"real crossings of |A| = {level} did not settle "
+                                      f"near x = {t[(row == k) & ~done]}")
+        elif floor - level ** 2 < 1e-6 * max(1.0, level ** 2):
+            # tangency: the real pair has already merged at this level
+            errors[k] = Collision(f"turning points merge on the real axis at lambda={level}")
+        else:
+            errors[k] = NoConvergence(f"no real turning-point seeds at lambda={level}")
+    return seeds
+
+
+def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
+                  rows: np.ndarray, errors: list) -> None:
+    """One homotopy stage: Newton on A_eps^2 - lam^2 for both roots of ``rows``.
+
+    ``z`` (K, 2) is updated in place.  Each root stops on its own: at the
+    residual test, after a step below ``turning_min_step`` (converged or
+    stalled), at a vanishing derivative, on leaving the strip, or after
+    ``_NEWTON_CAP`` steps.  A row whose alpha fails takes alpha's error,
+    otherwise beta's.
+    """
     tol = problem.tolerances
     strip = problem.potential.strip_half_width
-    f_tol = tol.turning_residual * max(1.0, abs(lam) ** 2)
-    z = complex(z0)
-    lam2 = lam * lam
-    for _ in range(_NEWTON_CAP):
-        a, da = eval_potential(problem.potential, z, eps)
-        a = complex(a)
-        da = complex(da)
-        f = a * a - lam2
-        if abs(f) < f_tol:
-            return z
-        fp = 2.0 * a * da
-        if fp == 0:
-            raise NoConvergence(f"vanishing derivative at z={z}")
-        step = f / fp
-        z = z - step
-        if abs(z.imag) >= strip:
-            raise LeftStrip(f"iterate at z={z} left |Im z| < {strip}")
-        if abs(step) < tol.turning_min_step:
-            a, _ = eval_potential(problem.potential, z, eps)
-            if abs(complex(a) ** 2 - lam2) < f_tol:
-                return z
+    zf = z.reshape(-1)
+    lam_f = np.repeat(lam, 2)
+    lam2 = lam_f * lam_f
+    f_tol = tol.turning_residual * np.maximum(1.0, np.abs(lam_f) ** 2)
+    live = np.repeat(rows, 2)
+    small = np.zeros(len(zf), dtype=bool)
+    failed = {}
+    for it in range(_NEWTON_CAP + 1):
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
             break
-    a, _ = eval_potential(problem.potential, z, eps)
-    if abs(complex(a) ** 2 - lam2) < f_tol:
-        return z
-    raise NoConvergence(f"turning-point Newton stalled at z={z} for lambda={lam}")
+        a, da = eval_potential(problem.potential, zf[idx], eps)
+        f = a * a - lam2[idx]
+        fp = 2.0 * a * da
+        unsolved = np.abs(f) >= f_tol[idx]
+        stalled = unsolved & (small[idx] | (it == _NEWTON_CAP))
+        flat = unsolved & ~stalled & (fp == 0)
+        go = unsolved & ~stalled & ~flat
+        for r in idx[stalled]:
+            failed[r] = NoConvergence(f"turning-point Newton stalled at z={complex(zf[r])} "
+                                      f"for lambda={complex(lam_f[r])}")
+        for r in idx[flat]:
+            failed[r] = NoConvergence(f"vanishing derivative at z={complex(zf[r])}")
+        step = f[go] / fp[go]
+        moved = idx[go]
+        zf[moved] -= step
+        small[moved] = np.abs(step) < tol.turning_min_step
+        out = np.abs(zf[moved].imag) >= strip
+        for r in moved[out]:
+            failed[r] = LeftStrip(f"iterate at z={complex(zf[r])} left |Im z| < {strip}")
+        live[idx[~go]] = False
+        live[moved[out]] = False
+    for r in sorted(failed):
+        if errors[r // 2] is None:
+            errors[r // 2] = failed[r]
 
 
-def _real_seeds(problem: Problem, lam_re: float) -> tuple:
-    """Real roots of A(x)^2 = lam_re^2 near alpha0, beta0 (eps = 0 reference)."""
-    rep = a1_report(problem)
-    roots, a = real_crossings(problem.potential, lam_re, problem.cutoff)
-    if len(roots) < 2:
-        if np.min(a.real ** 2 - lam_re ** 2) < 1e-6 * max(1.0, lam_re ** 2):
-            # tangency: the real pair has already merged at this level
-            raise Collision(f"turning points merge on the real axis at lambda={lam_re}")
-        raise NoConvergence(f"no real turning-point seeds at lambda={lam_re}")
-    seed_a = roots[np.argmin(np.abs(roots - rep.alpha0))]
-    seed_b = roots[np.argmin(np.abs(roots - rep.beta0))]
-    return complex(seed_a), complex(seed_b)
+def _turning_rows(problem: Problem, lams) -> list:
+    """TurningPointPair, or the ZSWKBError that stopped it, for each lambda.
 
+    The roots are found at (|Re lambda|, eps=0) by polishing real crossings
+    of |A| and continued to the target in fixed homotopy stages, first in
+    Im lambda, then in eps.
+    """
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    errors = [None] * len(lams)
+    z = _real_seeds(problem, np.abs(lams.real), errors)
 
-def _finish(problem: Problem, za: complex, zb: complex, lam: complex, eps: float) -> TurningPointPair:
-    if abs(za - zb) < problem.tolerances.collision:
-        raise Collision(f"|alpha - beta| = {abs(za - zb):.3e} at lambda={lam}")
-    if za.real > zb.real:
-        za, zb = zb, za
-    lam2 = lam * lam
+    def alive():
+        return np.array([e is None for e in errors], dtype=bool)
 
-    def res(z):
-        a, _ = eval_potential(problem.potential, z, eps)
-        return abs(complex(a) ** 2 - lam2)
+    tilted = lams.imag != 0.0
+    if tilted.any():
+        for j in range(1, _HOMOTOPY_STEPS + 1):
+            lam_j = lams.copy()
+            lam_j.imag = lams.imag * j / _HOMOTOPY_STEPS
+            _newton_stage(problem, z, lam_j, 0.0, alive() & tilted, errors)
+    if problem.eps != 0.0:
+        for j in range(1, _HOMOTOPY_STEPS + 1):
+            eps_j = problem.eps * j / _HOMOTOPY_STEPS
+            _newton_stage(problem, z, lams, eps_j, alive(), errors)
 
-    return TurningPointPair(za, zb, res(za), res(zb), complex(lam), eps)
+    for k in np.flatnonzero(alive()):
+        gap = abs(z[k, 0] - z[k, 1])
+        if gap < problem.tolerances.collision:
+            errors[k] = Collision(f"|alpha - beta| = {gap:.3e} at lambda={complex(lams[k])}")
+    ok = alive()
+    swap = ok & (z[:, 0].real > z[:, 1].real)
+    z[swap] = z[swap][:, ::-1]
+    a, _ = eval_potential(problem.potential, z[ok], problem.eps)
+    res = np.zeros(z.shape)
+    res[ok] = np.abs(a * a - (lams[ok] * lams[ok])[:, None])
+    return [errors[k] if errors[k] is not None else
+            TurningPointPair(complex(z[k, 0]), complex(z[k, 1]), float(res[k, 0]),
+                             float(res[k, 1]), complex(lams[k]), problem.eps)
+            for k in range(len(lams))]
 
 
 def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
     """Track the two simple roots of A_eps^2 - lambda^2 from real seeds.
 
-    The roots are found at (Re lambda, eps=0) by ``potential.real_crossings``
-    and continued to the target in fixed homotopy stages, first in Im lambda,
-    then in eps.
+    The roots are found at (Re lambda, eps=0) by polishing the real crossings
+    of |A| and continued to the target in fixed homotopy stages, first in
+    Im lambda, then in eps.  A one-row call of the array solver that
+    ``action_integral`` and ``wkb_spectrum`` run on many lambda at once; its
+    failure is raised.
     """
-    lam = complex(lam)
-    za, zb = _real_seeds(problem, abs(lam.real))
-    if lam.imag != 0.0:
-        for j in range(1, _HOMOTOPY_STEPS + 1):
-            lam_j = complex(lam.real, lam.imag * j / _HOMOTOPY_STEPS)
-            za = _newton_root(problem, za, lam_j, 0.0)
-            zb = _newton_root(problem, zb, lam_j, 0.0)
-    if problem.eps != 0.0:
-        for j in range(1, _HOMOTOPY_STEPS + 1):
-            eps_j = problem.eps * j / _HOMOTOPY_STEPS
-            za = _newton_root(problem, za, lam, eps_j)
-            zb = _newton_root(problem, zb, lam, eps_j)
-    return _finish(problem, za, zb, lam, problem.eps)
+    (pair,) = _turning_rows(problem, [lam])
+    if isinstance(pair, Exception):
+        raise pair
+    return pair

@@ -3,7 +3,8 @@ import math
 import pytest
 
 import zswkb as z
-from zswkb.errors import EmptyWindow, LeftWindow
+from zswkb import quantize
+from zswkb.errors import EmptyWindow, LeftWindow, NoConvergence
 from zswkb.quantize import Branch, Method, branch_offset, indices_in_range
 
 
@@ -110,17 +111,83 @@ def test_requantize_with_doubled_nodes_is_stable(well_problem):
 @pytest.mark.parametrize("spec, lambda0, delta", [
     (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
 def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, eps):
-    # each root costs its share of the window-edge actions plus a few Newton steps
-    calls = []
+    # each root costs its share of the window-edge actions plus a few Newton
+    # steps; the lockstep solver hands those rows to the array action
+    rows = []
+    action_rows = quantize._action_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return z.action_integral(*args, **kwargs)
+    def counted(problem, lams):
+        rows.append(len(lams))
+        return action_rows(problem, lams)
 
-    monkeypatch.setattr("zswkb.quantize.action_integral", counted)
+    monkeypatch.setattr(quantize, "_action_rows", counted)
     recs = z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
     assert recs
-    assert len(calls) <= 10 * len(recs)
+    assert sum(rows) <= 10 * len(recs)
+
+
+def test_wkb_spectrum_potential_calls_do_not_scale_with_roots(monkeypatch):
+    # a Newton round is one array potential call per turning-point iteration
+    # and per node count for all indices, so four times the roots cost about
+    # as many calls
+    calls = []
+    eval_potential = z.eval_potential
+
+    def counted(*args):
+        calls.append(1)
+        return eval_potential(*args)
+
+    monkeypatch.setattr("zswkb.turning.eval_potential", counted)
+    monkeypatch.setattr("zswkb.action.eval_potential", counted)
+    counts = {}
+    for h in (0.05, 0.0125):
+        calls.clear()
+        recs = z.wkb_spectrum(z.Problem(z.well_even(), 1.5, 0.2, h, eps=0.05))
+        counts[h] = (len(recs), len(calls))
+    assert counts[0.0125][0] >= 3 * counts[0.05][0]
+    assert counts[0.0125][1] <= 1.5 * counts[0.05][1]
+
+
+LOCKSTEP_PROBLEMS = {
+    "well": (z.well_even(), 1.5, 0.2),
+    "tanh": (z.monotone_odd(), 1.0, 0.3),
+    "ctrl": (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), 1.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_PROBLEMS))
+def test_wkb_spectrum_equals_one_index_solves(name, eps):
+    p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.025, eps=eps)
+    recs = z.wkb_spectrum(p)
+    assert sorted(r.k for r in recs) == z.enumerate_indices(p)
+    for rec in recs:
+        alone = z.solve_quantization(p, rec.k)
+        assert abs(rec.lam - alone.lam) < 1e-12
+        assert rec.residual < p.tolerances.quantize_residual
+
+
+def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.025, eps=0.05)
+    ks = z.enumerate_indices(p)
+    clean = z.wkb_spectrum(p)
+    bad = ks[len(ks) // 2]
+    action_rows = quantize._action_rows
+    first_round = [True]
+
+    def failing(problem, lams):
+        acts = action_rows(problem, lams)
+        if problem.eps > 0 and first_round[0]:
+            # every index is live in the first Newton round, in index order
+            first_round[0] = False
+            acts[ks.index(bad)] = NoConvergence("injected")
+        return acts
+
+    monkeypatch.setattr(quantize, "_action_rows", failing)
+    with pytest.warns(UserWarning) as caught:
+        recs = z.wkb_spectrum(p)
+    assert [str(w.message) for w in caught] == [f"quantization failed for k={bad}: injected"]
+    assert recs == [r for r in clean if r.k != bad]
 
 
 def test_branch_offset_values():
