@@ -35,6 +35,7 @@ _MAX_BOUNDARY_SAMPLES = 2 ** 16
 # cells x rows per propagation chunk; bounds the propagator's working memory
 _CHUNK_ELEMENTS = 4096
 _GAUSS3 = np.sqrt(15.0) / 10.0  # outer Gauss-Legendre nodes at mid -/+ _GAUSS3 * dx
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -87,16 +88,29 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     so the commutators collapse to Omega = (P*(c1 + P^2*c3), e0 + P^2*e2,
     P*(f1 + P^2*f3)) with P = -i*lam*dx/h and six per-cell coefficients.
     Then exp(Omega) = cosh(q)*I + sinh(q)/q*Omega with q^2 = p^2 + u^2 - v^2.
-    Each cell matrix is scaled by exp(-|Re q|), the exponent going to the log
-    scale, so no product of cells overflows. Chunks of cells are multiplied by
-    a pairwise tree and applied to the states, which are then renormalized to
-    unit norm.
+
+    Both cosh(q) and sinh(q)/q are even in q, so the kernel works in real
+    arithmetic from q^2 alone. Kahan's cancellation-free root gives the
+    principal q = (Re q, Im q), Re q >= 0: with t = sqrt((|q^2| + |Re q^2|)/2)
+    and o = Im q^2/(2t), q = (t, o) where Re q^2 >= 0 and (|o|, copysign(t,
+    Im q^2)) elsewhere. Each cell matrix is scaled by exp(-Re q), the exponent
+    going to the log scale, so no product of cells overflows: with
+    near = exp(i*Im q) = cos + i*sin and far = exp(-2*Re q)*conj(near),
+    cosh = (near + far)/2 and sinh(q)/q = (near - far)*conj(q)/(2*|q^2|),
+    replaced by its Taylor series on the entries with |q| < 0.1, where the
+    difference cancels.
+
+    The cells go through in chunks of at most _CHUNK_ELEMENTS cells x rows,
+    and every chunk reuses one block of buffers allocated per call. A chunk's
+    matrices fill a (cells, 2, 2, rows) buffer and are multiplied by a
+    pairwise tree, later cell on the left, that alternates between two such
+    buffers. The product is applied to the states, which are then
+    renormalized to unit norm.
     """
     h = problem.h
-    y = ys.astype(complex)
-    log_scales = np.zeros(len(lams))
+    rows = len(lams)
     if x1 == x0:
-        return y, log_scales
+        return ys.astype(complex), np.zeros(rows)
     # the global error scales like dx^6/h^5: halving dx cuts it 64-fold. At the
     # default rtol = 1e-10, dx = 0.008 at h = 0.1 gives W to about 1e-10 of
     # max|W|, and the h^(3/4) factor keeps it below 1e-9 down to h = 0.0125
@@ -122,36 +136,109 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     e2 = (10.0 * u3 - u1 * u2 * u2) / 900.0
     f1 = u2 * (s * u1 / 1800.0 - 1.0 / 6.0)
     f3 = u2 / 90.0
+    # with d = -i*lam and P = dx_h*d, (p, u, v) = (d, 1, d)*(k0 + k1*d^2): one
+    # column of k0 and of k1 per cell
+    dx_h2 = dx_h * dx_h
+    k0 = np.stack([dx_h * c1, e0, dx_h * f1])[:, :, None]
+    k1 = np.stack([dx_h * dx_h2 * c3, dx_h2 * e2, dx_h * dx_h2 * f3])[:, :, None]
     d = -1j * lams
-    step = max(1, _CHUNK_ELEMENTS // len(lams))
+    d2 = d * d
+
+    step = min(len(dx_h), max(1, _CHUNK_ELEMENTS // rows))
+    # one block of (step, rows) slots per call. Slots 0-3 hold the chunk's
+    # cell matrices as (cells, 2, 2, rows) and, until those are written, the
+    # kernel's real scratch; slots 4-10 hold p, u/q2, v/tmp, u+v, u-v, cosh,
+    # sinh(q)/q and then, in the tree, the second matrix set and the terms
+    block = np.empty((11, step, rows), dtype=complex)
+    real_buf = block[:4].reshape(-1).view(float).reshape(8, step, rows)
+    mats_buf, spare_buf = (block[i:i + 4].reshape(step, 2, 2, rows) for i in (0, 4))
+    term_buf = block[8:10].reshape(-1)[:(step // 2) * 4 * rows].reshape(step // 2, 2, 2, rows)
+    flag_buf = np.empty((step, rows), dtype=bool)
+    y = np.array(ys.T, dtype=complex)  # (2, rows): one row per state component
+    y_next, y_tmp = np.empty((2, 2, rows), dtype=complex)
+    norms = np.empty((2, rows))
+    log_scales = np.zeros(rows)
     for k in range(0, len(dx_h), step):
         cells = slice(k, k + step)
-        big_p = dx_h[cells, None] * d
-        big_p2 = big_p * big_p
-        p = big_p * (c1[cells, None] + big_p2 * c3[cells, None])
-        u = e0[cells, None] + big_p2 * e2[cells, None]
-        v = big_p * (f1[cells, None] + big_p2 * f3[cells, None])
-        q2 = p * p + u * u - v * v
-        q = np.sqrt(q2)  # principal root, Re q >= 0
-        near = np.exp(1j * q.imag)  # exp(q - Re q)
-        far = np.exp(-2.0 * q.real) * near.conj()  # exp(-q - Re q)
-        cosh = 0.5 * (near + far)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinhc = np.where(np.abs(q) < 0.1,  # series where the difference cancels
-                             np.exp(-q.real) * (1 + q2 * (1 / 6 + q2 * (1 / 120 + q2 / 5040))),
-                             (near - far) / (2.0 * q))
-        mats = np.array([[cosh + sinhc * p, sinhc * (u + v)],
-                         [sinhc * (u - v), cosh - sinhc * p]])
-        while mats.shape[2] > 1:  # pairwise tree, later cell on the left
-            n = mats.shape[2]
-            first, second = mats[:, :, 0:n - 1:2], mats[:, :, 1::2]
-            prod = second[:, 0, None] * first[None, 0] + second[:, 1, None] * first[None, 1]
-            mats = np.concatenate([prod, mats[:, :, n - 1:]], axis=2) if n % 2 else prod
-        y = (mats[:, 0, 0] * y[:, 0] + mats[:, 1, 0] * y[:, 1]).T
-        norms = np.linalg.norm(y, axis=1)
-        y /= norms[:, None]
-        log_scales += np.log(norms) + q.real.sum(axis=0)
-    return y, log_scales
+        n = len(dx_h[cells])
+        slots = block[:, :n]
+        puv, uv = slots[4:7], slots[7:9]  # (p, u, v) and (u + v, u - v)
+        p, cosh, sinhc = slots[4], slots[9], slots[10]
+        q2, tmp = slots[5], slots[6]  # u and v are done with once uv is formed
+        aq, re_q, im_q, w1, w2, cs, sn = real_buf[:7, :n]
+        flag = flag_buf[:n]
+        np.multiply(k1[:, cells], d2, out=puv)
+        np.add(puv, k0[:, cells], out=puv)
+        np.multiply(puv[0::2], d, out=puv[0::2])
+        np.add(puv[1], puv[2], out=uv[0])
+        np.subtract(puv[1], puv[2], out=uv[1])
+        np.multiply(p, p, out=q2)
+        np.multiply(uv[0], uv[1], out=tmp)
+        np.add(q2, tmp, out=q2)
+        # Kahan's root. |q^2| is floored at the smallest normal, so q^2 = 0
+        # gives o = 0 and a finite 1/|q^2|: no division here can warn
+        np.abs(q2, out=aq)
+        np.maximum(aq, _TINY, out=aq)
+        np.abs(q2.real, out=re_q)
+        np.add(re_q, aq, out=re_q)
+        np.multiply(re_q, 2.0, out=re_q)
+        np.sqrt(re_q, out=re_q)  # 2t
+        np.divide(q2.imag, re_q, out=im_q)  # o
+        np.multiply(re_q, 0.5, out=re_q)  # t
+        np.less(q2.real, 0.0, out=flag)  # where q = (|o|, copysign(t, Im q^2))
+        np.abs(im_q, out=w1)
+        np.copysign(re_q, q2.imag, out=w2)
+        np.putmask(re_q, flag, w1)
+        np.putmask(im_q, flag, w2)
+        np.cos(im_q, out=cs)
+        np.sin(im_q, out=sn)
+        ep, em = w1, w2  # free again
+        np.multiply(re_q, -2.0, out=em)
+        np.exp(em, out=em)
+        np.multiply(em, 0.5, out=em)
+        np.add(em, 0.5, out=ep)  # (1 + exp(-2 Re q))/2
+        np.subtract(0.5, em, out=em)  # (1 - exp(-2 Re q))/2
+        np.multiply(cs, ep, out=cosh.real)
+        np.multiply(sn, em, out=cosh.imag)
+        np.multiply(cs, em, out=sinhc.real)  # (near - far)/2
+        np.multiply(sn, ep, out=sinhc.imag)
+        np.divide(re_q, aq, out=tmp.real)
+        np.divide(im_q, aq, out=tmp.imag)
+        np.negative(tmp.imag, out=tmp.imag)  # conj(q)/|q^2|
+        np.multiply(sinhc, tmp, out=sinhc)
+        np.less(aq, 0.01, out=flag)  # |q| < 0.1
+        if flag.any():  # series where near - far cancels
+            at = np.flatnonzero(flag)
+            z2 = q2.take(at)
+            np.put(sinhc, at, np.exp(-re_q.take(at)) *
+                   (1 + z2 * (1 / 6 + z2 * (1 / 120 + z2 / 5040))))
+        log_scales += re_q.sum(axis=0)
+        mats, spare = mats_buf[:n], spare_buf[:n]
+        np.multiply(sinhc, p, out=p)
+        np.add(cosh, p, out=mats[:, 0, 0])
+        np.subtract(cosh, p, out=mats[:, 1, 1])
+        np.multiply(sinhc, uv[0], out=mats[:, 0, 1])
+        np.multiply(sinhc, uv[1], out=mats[:, 1, 0])
+        while n > 1:  # pairwise tree, later cell on the left
+            half = n // 2
+            later, first = mats[1:2 * half:2], mats[0:2 * half:2]
+            prod, term = spare[:half], term_buf[:half]
+            np.multiply(later[:, :, 0, None], first[:, None, 0], out=prod)
+            np.multiply(later[:, :, 1, None], first[:, None, 1], out=term)
+            np.add(prod, term, out=prod)
+            if n % 2:
+                spare[half] = mats[n - 1]
+            mats, spare = spare, mats
+            n = half + n % 2
+        np.multiply(mats[0, :, 0], y[0], out=y_next)
+        np.multiply(mats[0, :, 1], y[1], out=y_tmp)
+        np.add(y_next, y_tmp, out=y_next)
+        y, y_next = y_next, y
+        np.abs(y, out=norms)
+        np.hypot(norms[0], norms[1], out=norms[0])
+        y /= norms[0]
+        log_scales += np.log(norms[0], out=norms[0])
+    return y.T, log_scales
 
 
 def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 import zswkb as z
-from zswkb.direct import (_integrate_batch, _newton_wronskian, _phase_track, _seed_batch,
-                          _wronskian_batch)
+from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _newton_wronskian, _phase_track,
+                          _seed_batch, _wronskian_batch)
 from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, PhaseTrackingLost
 
 from oracles import matrix_window_eigenvalues
@@ -72,6 +73,47 @@ def test_integrate_matches_matrix_exponential(const_problem):
     exact_dir = exact / np.linalg.norm(exact)
     assert abs(np.vdot(exact_dir, vec[0])) == pytest.approx(1.0, abs=1e-8)
     assert ls[0] == pytest.approx(exact_ls, abs=1e-8)
+
+
+def off_direction(exact: np.ndarray, vec: np.ndarray) -> float:
+    """Sine of the angle between a vector and a unit state: its part off the vector's line."""
+    unit = exact / np.linalg.norm(exact)
+    return float(np.linalg.norm(vec - unit * np.vdot(unit, vec)))
+
+
+def test_integrate_kernel_edge_cases_match_matrix_exponential(const_problem):
+    # A = 2, so q^2 = (4 - lam^2)*(dx/h)^2 in every cell: exactly 0 at lam = 2
+    # (a nilpotent generator, on the series path), positive real at lam = 1,
+    # and negative real at lam = 2.5, with Im q^2 a signed zero or tiny
+    lams = np.array([2.0, 2.0 + 1e-9j, 1.0, 1.0 + 1e-9j, 2.5, 2.5 + 1e-9j, 2.5 - 1e-9j])
+    seed = np.tile([0.6, 0.8j], (len(lams), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vecs, ls = _integrate_batch(const_problem, lams, seed, -5.0, 0.0)
+    for lam, vec, log_scale in zip(lams, vecs, ls):
+        exact = scipy.linalg.expm(system_matrix(2.0, lam, const_problem.h) * 5.0) @ seed[0]
+        assert off_direction(exact, vec) < 1e-10, lam
+        assert log_scale == pytest.approx(math.log(np.linalg.norm(exact)), abs=1e-10), lam
+
+
+def test_integrate_matches_ode_solver_on_varying_potential(well_problem):
+    # a non-constant A_eps: the Magnus cells against an adaptive high-order
+    # Runge-Kutta solution of u' = M(x) u / h
+    p = well_problem.with_(eps=0.05)
+    x0, x1 = -1.2, -0.4
+    lams = np.array([1.42 + 0.03j, 1.55 - 0.02j, 1.66 + 0.05j])
+    seed = np.tile([0.8, 0.6], (len(lams), 1)).astype(complex)
+    vecs, ls = _integrate_batch(p, lams, seed, x0, x1)
+    for lam, vec, log_scale in zip(lams, vecs, ls):
+        def rhs(x, u, lam=lam):
+            a = complex(z.eval_potential(p.potential, x, p.eps)[0])
+            return np.array([-1j * lam * u[0] + a * u[1], a * u[0] + 1j * lam * u[1]]) / p.h
+
+        sol = scipy.integrate.solve_ivp(rhs, (x0, x1), seed[0], method="DOP853",
+                                        rtol=1e-12, atol=1e-14)
+        exact = sol.y[:, -1]
+        assert off_direction(exact, vec) < 1e-9, lam
+        assert log_scale == pytest.approx(math.log(np.linalg.norm(exact)), abs=1e-9), lam
 
 
 def test_integrate_zero_length_is_identity(const_problem):
@@ -356,6 +398,43 @@ def test_wronskian_row_independent_of_batch(well_problem):
     lams = np.linspace(1.3, 1.7, 256) + 0.1j * np.linspace(-1.0, 1.0, 256) ** 2
     ws, ls = _wronskian_batch(p, lams)
     for j in (0, 97, 255):
+        single = z.wronskian(p, lams[j])
+        in_batch = ws[j] * math.exp(ls[j] - single.log_scale)
+        assert abs(in_batch - single.w_value) < 1e-12 * abs(single.w_value)
+
+
+def cells_per_span(problem) -> list:
+    """Cell counts of the two integrations of one Wronskian row."""
+    counts = []
+
+    def spy(spec, x, eps):
+        if np.ndim(x):
+            counts.append(len(x) // 3)  # three Gauss points per cell
+        return z.eval_potential(spec, x, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(z.direct, "eval_potential", spy)
+        _wronskian_batch(problem, one(problem.lambda0))
+    return counts
+
+
+def odd_tail_rows(problem) -> int:
+    """A batch size whose last chunk on one span holds an odd number (>= 3) of cells."""
+    counts = cells_per_span(problem)
+    for rows in range(8, 512):
+        step = _CHUNK_ELEMENTS // rows
+        if any(c > step and c % step >= 3 and c % step % 2 for c in counts):
+            return rows
+    raise AssertionError(f"no batch size gives an odd partial last chunk for {counts}")
+
+
+@pytest.mark.parametrize("layout", ["one_cell_per_chunk", "odd_partial_last_chunk"])
+def test_wronskian_row_independent_of_chunking(well_problem, layout):
+    p = well_problem.with_(eps=0.05)
+    rows = _CHUNK_ELEMENTS + 1 if layout == "one_cell_per_chunk" else odd_tail_rows(p)
+    lams = np.linspace(1.3, 1.7, rows) + 0.1j * np.linspace(-1.0, 1.0, rows) ** 2
+    ws, ls = _wronskian_batch(p, lams)
+    for j in (0, rows // 3, rows - 1):
         single = z.wronskian(p, lams[j])
         in_batch = ws[j] * math.exp(ls[j] - single.log_scale)
         assert abs(in_batch - single.w_value) < 1e-12 * abs(single.w_value)
