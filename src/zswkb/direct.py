@@ -192,7 +192,7 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
         np.putmask(im_q, flag, w2)
         np.cos(im_q, out=cs)
         np.sin(im_q, out=sn)
-        ep, em = w1, w2  # free again
+        ep, em = w1, w2  # done with after the putmask
         np.multiply(re_q, -2.0, out=em)
         np.exp(em, out=em)
         np.multiply(em, 0.5, out=em)
