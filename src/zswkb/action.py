@@ -65,7 +65,7 @@ def _rule(problem: Problem, alpha: np.ndarray, beta: np.ndarray, lam: np.ndarray
     r = 0.5 * (beta - alpha)
     theta = (2.0 * np.arange(1, n + 1) - 1.0) * np.pi / (2 * n)
     a, _ = eval_potential(problem.potential, m[:, None] + r[:, None] * np.cos(theta),
-                          problem.eps)
+                          problem.eps, derivative=False)
     g, ok = _continued_sqrt((lam * lam)[:, None] - a * a, n // 2)
     sin = np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with g = 0 are not ok
@@ -124,15 +124,16 @@ def _doubling(problem: Problem, alpha: np.ndarray, beta: np.ndarray, lam: np.nda
     return out
 
 
-def _action_rows(problem: Problem, lams) -> list:
+def _action_rows(problem: Problem, lams, samples: tuple | None = None) -> list:
     """ActionValue, or the ZSWKBError that stopped it, for each lambda.
 
-    The turning points of all rows come from one call of the array solver.
-    A Collision of the turning points means no segment exists:
+    The turning points of all rows come from one call of the array solver,
+    which takes its real-seed ``samples`` from the caller when given.  A
+    Collision of the turning points means no segment exists:
     DegenerateSegment.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    results = _turning_rows(problem, lams)
+    results = _turning_rows(problem, lams, samples)
     for k, pair in enumerate(results):
         if isinstance(pair, Collision):
             results[k] = DegenerateSegment(str(pair))

@@ -58,7 +58,7 @@ def _seed_batch(problem: Problem, lams: np.ndarray, x_cut: float, sign: int) -> 
     sign = +1 at the left cut and -1 at the right cut select the solution that
     decays away from the domain; InsideWell is raised when a row cannot decay.
     """
-    a_c, _ = eval_potential(problem.potential, x_cut, problem.eps)
+    a_c, _ = eval_potential(problem.potential, x_cut, problem.eps, derivative=False)
     a_c = complex(a_c)
     mu = np.sqrt(a_c * a_c - lams * lams)
     mu = np.where(mu.real < 0, -mu, mu)
@@ -123,7 +123,7 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     mids = 0.5 * (edges[:-1] + edges[1:])
     offset = _GAUSS3 * h * dx_h
     a, _ = eval_potential(problem.potential, np.concatenate([mids - offset, mids, mids + offset]),
-                          problem.eps)
+                          problem.eps, derivative=False)
     a1, a2, a3 = np.split(a, 3)
     # u parts of alpha1, alpha2, alpha3; alpha1 also has p = P
     u1 = dx_h * a2

@@ -135,58 +135,78 @@ def spec_from_json(obj: dict) -> PotentialSpec:
     return PotentialSpec(obj["family"], tuple(obj["params"]), float(obj["strip_half_width"]))
 
 
-def _sum_terms(spec: PotentialSpec, z, target: int):
-    """(value, z-derivative) of the terms of ``spec`` that belong to ``target``.
+def _sum_terms(spec: PotentialSpec, z, targets: tuple, derivative: bool = True) -> list:
+    """(value, z-derivative) of the terms of ``spec``, one pair per entry of ``targets``.
 
-    On arrays the sums accumulate in place: fresh temporaries for every term
-    of a large grid make the allocator map and unmap pages on each call.
+    One pass over the terms serves every target, and a gauss and an xgauss of
+    the same scale share exp(-s*z^2).  Without ``derivative`` each pair is
+    (value, None) and no derivative is formed; the values are the same either
+    way.  On arrays the sums accumulate in place: fresh temporaries for every
+    term of a large grid make the allocator map and unmap pages on each call.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim:
-        val, dval = np.zeros(z.shape, dtype=complex), np.zeros(z.shape, dtype=complex)
-    else:  # numpy scalar arithmetic costs a fraction of that on 0-d arrays
-        z, val, dval = z[()], np.complex128(0.0), np.complex128(0.0)
+    if not z.ndim:  # numpy scalar arithmetic costs a fraction of that on 0-d arrays
+        z = z[()]
+
+    def zero():
+        return np.zeros(z.shape, dtype=complex) if z.ndim else np.complex128(0.0)
+
+    val = {t: zero() for t in targets}
+    dval = {t: zero() for t in targets} if derivative else {}
+    gauss = {}
     for t, k, c, s in spec.terms:
-        if t != target:
+        if t not in val:
             continue
         if k == TERM_CONST:
-            val += c
+            val[t] += c
         elif k == TERM_TANH:
             th = np.tanh(s * z)
-            val += c * th
-            dval += c * s * (1.0 - th * th)
+            val[t] += c * th
+            if derivative:
+                dval[t] += c * s * (1.0 - th * th)
         else:
-            e = np.exp(-s * z * z)
+            e = gauss.get(s)
+            if e is None:
+                e = gauss[s] = np.exp(-s * z * z)
             if k == TERM_GAUSS:
-                val += c * e
-                dval -= 2.0 * c * s * z * e
+                val[t] += c * e
+                if derivative:
+                    dval[t] -= 2.0 * c * s * z * e
             else:
-                val += c * z * e
-                dval += c * (1.0 - 2.0 * s * z * z) * e
-    return val, dval
+                val[t] += c * z * e
+                if derivative:
+                    dval[t] += c * (1.0 - 2.0 * s * z * z) * e
+    return [(val[t], dval.get(t)) for t in targets]
 
 
 def eval_A(spec: PotentialSpec, z):
     """Return (A(z), A'(z)); z may be a scalar or ndarray, real or complex."""
-    return _sum_terms(spec, z, TARGET_A)
+    return _sum_terms(spec, z, (TARGET_A,))[0]
 
 
 def eval_B(spec: PotentialSpec, z):
     """Return (B(z), B'(z))."""
-    return _sum_terms(spec, z, TARGET_B)
+    return _sum_terms(spec, z, (TARGET_B,))[0]
 
 
-def eval_potential(spec: PotentialSpec, z, eps: float):
-    """Evaluate A_eps(z) = A(z) + i*eps*B(z) and its z-derivative from closed forms."""
+def eval_potential(spec: PotentialSpec, z, eps: float, *, derivative: bool = True):
+    """Evaluate A_eps(z) = A(z) + i*eps*B(z) and its z-derivative from closed forms.
+
+    With ``derivative=False`` the call returns (A_eps(z), None): the same
+    value, bit for bit, without forming any derivative, for callers that need
+    only the value.  Either way it raises ValueError for a negative or NaN
+    eps, and OutOfStrip when some point has |Im z| >= strip_half_width.
+    """
     if not eps >= 0:  # also rejects NaN
         raise ValueError("eps must be non-negative")
     zz = np.asarray(z, dtype=complex)
     if (np.abs(zz.imag) >= spec.strip_half_width).any():
         raise OutOfStrip(f"|Im z| >= {spec.strip_half_width}")
-    a, da = eval_A(spec, zz)
     if eps == 0.0:
-        return a, da
-    b, db = eval_B(spec, zz)
+        return _sum_terms(spec, zz, (TARGET_A,), derivative)[0]
+    (a, da), (b, db) = _sum_terms(spec, zz, (TARGET_A, TARGET_B), derivative)
+    if not derivative:
+        return a + 1j * eps * b, None
     return a + 1j * eps * b, da + 1j * eps * db
 
 

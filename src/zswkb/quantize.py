@@ -10,6 +10,7 @@ from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
 from .potential import A1Report, WellType
 from .problem import Problem, a1_report
+from .turning import _crossing_samples
 
 _NEWTON_CAP = 50
 
@@ -117,7 +118,8 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
     """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
 
     Each row starts from its secant seed and takes Newton steps in lockstep:
-    a round is one call of the array action over the rows still iterating.
+    a round is one call of the array action over the rows still iterating,
+    and every round brackets its real turning-point seeds on one sample of A.
     A row stops on its own at the residual test, on its action's failure, on
     leaving the window, or after ``_NEWTON_CAP`` rounds.
     """
@@ -134,10 +136,11 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
 
     tol = problem.tolerances.quantize_residual
     live = [j for j, res in enumerate(results) if res is None]
+    samples = _crossing_samples(problem)
     for _ in range(_NEWTON_CAP):
         if not live:
             break
-        acts = _action_rows(problem, [lams[j] for j in live])
+        acts = _action_rows(problem, [lams[j] for j in live], samples)
         still = []
         for j, act in zip(live, acts):
             if isinstance(act, Exception):

@@ -5,11 +5,14 @@ i*sigma*|s|/s, s = sqrt(A_eps^2 - lambda^2). The running phase integral is
 accumulated with per-step Gauss panels and a transverse Newton projection every
 few steps pins the trace back onto the level set, so drift cannot build up.
 
-All curves of one call advance in lockstep: each RK4 stage is one array
-potential call over every curve, and so are the new vertices together with
-their panel nodes. A curve that terminates is masked out and frozen while the
-others go on, so a curve comes out the same whether it is traced alone or as
-one of the six of a graph.
+All curves of one call advance in lockstep: each RK4 stage after the first is
+one array potential call over every curve, and so are the new vertices
+together with their panel nodes. The first stage needs no call: the aligned
+root at each vertex is already held from the panel or projection call that
+made it. The termination checks of a step clear their curves from one mask,
+and a curve that ended takes the first rule that holds for it. A curve that
+terminates is frozen while the others go on, so a curve comes out the same
+whether it is traced alone or as one of the six of a graph.
 """
 from __future__ import annotations
 
@@ -73,7 +76,7 @@ def _slope(problem: Problem, z):
 
 def _sqrt(problem: Problem, lam2: complex, z):
     """Principal sqrt(A_eps(z)^2 - lambda^2), elementwise."""
-    a, _ = eval_potential(problem.potential, z, problem.eps)
+    a, _ = eval_potential(problem.potential, z, problem.eps, derivative=False)
     return np.sqrt(a * a - lam2)
 
 
@@ -148,55 +151,62 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     tangent = 1j * np.abs(s) / s
     turn = np.where((tangent * np.exp(-1j * angle)).real > 0.0, 1j, -1j)
 
-    mine = own[:, None] == np.arange(len(tps))
+    other = own[:, None] != np.arange(len(tps))
     running = np.ones(len(own), dtype=bool)
+    n_running = len(own)
     ends = [Termination.MAX_LENGTH] * len(own)
     n_points = np.zeros(len(own), dtype=int)
     history = np.empty((_HISTORY_ROWS, len(own)), dtype=complex)
     history[0], history[1] = tp, z
     rows = 2
 
-    def stop(mask, end):
-        """End the running curves of ``mask`` with ``end`` and ``rows`` points."""
-        if mask.any():
-            for j in np.flatnonzero(mask & running):
-                ends[j], n_points[j] = end, rows
-            running[mask] = False
-
-    def field(zz):
-        # an ended curve is evaluated at its frozen vertex, which lies in the strip
-        stop(np.abs(zz.imag) >= strip, Termination.STRIP_BOUNDARY)
-        ss = _align(_sqrt(problem, lam2, np.where(running, zz, z)), s)
+    def field(zz, live):
+        # a stage that leaves the strip ends its curve, and an ended curve is
+        # evaluated at its frozen vertex, which lies in the strip
+        live &= ~(np.abs(zz.imag) >= strip)
+        ss = _align(_sqrt(problem, lam2, np.where(live, zz, z)), s)
         return turn * np.abs(ss) / ss
 
     arc = _FIRST_HOP
     steps_since_projection = 0
-    while arc < _MAX_ARC and running.any():
-        k1 = field(z)
-        k2 = field(z + 0.5 * _STEP * k1)
-        k3 = field(z + 0.5 * _STEP * k2)
-        k4 = field(z + _STEP * k3)
+    while arc < _MAX_ARC and n_running:
+        # each check of the step clears its curves from ``live``; a curve that
+        # ended takes the first check that holds for it, in list order
+        live = running.copy()
+        # s is the aligned root at z, so the first stage needs no potential call
+        k1 = turn * np.abs(s) / s
+        k2 = field(z + 0.5 * _STEP * k1, live)
+        k3 = field(z + 0.5 * _STEP * k2, live)
+        k4 = field(z + _STEP * k3, live)
+        stage_out = running ^ live
         z_new = z + (_STEP / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        stop(~np.isfinite(z_new), Termination.STEP_FAILURE)
-        stop(np.abs(z_new.imag) >= strip, Termination.STRIP_BOUNDARY)
-        z_new = np.where(running, z_new, z)
+        broken = ~np.isfinite(z_new)
+        out = np.abs(z_new.imag) >= strip
+        live &= ~(broken | out)
+        z_new = np.where(live, z_new, z)
         chord = z_new - z
         ss = _align(_sqrt(problem, lam2, np.concatenate(
             [z_new[:, None], z[:, None] + _GL3_T * chord[:, None]], axis=1)), s[:, None])
         s_new = ss[:, 0]
         size = np.abs(s_new)
-        stop(size < 1e-12, Termination.STEP_FAILURE)
-        stop(size > _SQRT_MAGNITUDE_WALL, Termination.STRIP_BOUNDARY)
+        tiny = size < 1e-12
+        wall = size > _SQRT_MAGNITUDE_WALL
+        live &= ~(tiny | wall)
         phase = phase + (ss[:, 1:] @ _GL3_W) * chord
-        z = np.where(running, z_new, z)
-        s = np.where(running, s_new, s)
+        z = np.where(live, z_new, z)
+        s = np.where(live, s_new, s)
+        checks = [(stage_out, Termination.STRIP_BOUNDARY), (broken, Termination.STEP_FAILURE),
+                  (out, Termination.STRIP_BOUNDARY), (tiny, Termination.STEP_FAILURE),
+                  (wall, Termination.STRIP_BOUNDARY)]
         arc += _STEP
         steps_since_projection += 1
         if steps_since_projection >= _PROJECT_EVERY:
             steps_since_projection = 0
             dz = -phase.real / s
-            stop(np.abs(dz) > _STEP, Termination.STEP_FAILURE)
-            dz = np.where(running, dz, 0.0)
+            far = np.abs(dz) > _STEP
+            live &= ~far
+            checks.append((far, Termination.STEP_FAILURE))
+            dz = np.where(live, dz, 0.0)
             z = z + dz
             phase = phase + s * dz
             s = _align(_sqrt(problem, lam2, z), s)
@@ -204,11 +214,21 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
             history = np.concatenate([history, np.empty_like(history)])
         history[rows] = z
         rows += 1
+        # near its own turning point a curve stops only once it has left it
         near = np.abs(z[:, None] - tps) < _NEAR_TP
-        if near.any():
-            stop((near & ~mine).any(axis=1)
-                 | ((near & mine).any(axis=1) & (arc > 5 * _FIRST_HOP)),
-                 Termination.NEAR_TURNING_POINT)
+        if arc <= 5 * _FIRST_HOP:
+            near &= other
+        close = near.any(axis=1)
+        live &= ~close
+        checks.append((close, Termination.NEAR_TURNING_POINT))
+        ended = running ^ live
+        if ended.any():
+            for j in np.flatnonzero(ended):
+                ends[j] = next(end for mask, end in checks if mask[j])
+                # a curve ended near a turning point keeps this step's vertex
+                n_points[j] = rows if ends[j] is Termination.NEAR_TURNING_POINT else rows - 1
+            running = live
+            n_running = np.count_nonzero(running)
     n_points[running] = rows
     return [(history[:n, j].copy(), end) for j, (n, end) in enumerate(zip(n_points, ends))]
 

@@ -32,16 +32,27 @@ class TurningPointPair:
     eps: float
 
 
-def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarray:
+def _crossing_samples(problem: Problem) -> tuple:
+    """The crossing grid and the real part of A on it, which bracket the real seeds.
+
+    They depend only on the potential and the cutoff, so a caller that solves
+    many rounds of lambda samples them once and passes them to each round.
+    """
+    x = crossing_grid(problem.cutoff)
+    return x, eval_A(problem.potential, x)[0].real
+
+
+def _real_seeds(problem: Problem, levels: np.ndarray, errors: list,
+                samples: tuple | None = None) -> np.ndarray:
     """Real roots of A(x)^2 = level^2 near alpha0, beta0, one row per level.
 
-    All levels share one sample of A; every bracket of every level is polished
-    together, and each row keeps the roots nearest alpha0 and beta0.  Returns
-    the (K, 2) seeds; a row without them gets its error in ``errors``.
+    All levels share one sample of A, ``samples`` from ``_crossing_samples``
+    when given; every bracket of every level is polished together, and each
+    row keeps the roots nearest alpha0 and beta0.  Returns the (K, 2) seeds; a
+    row without them gets its error in ``errors``.
     """
     rep = a1_report(problem)
-    x = crossing_grid(problem.cutoff)
-    a = eval_A(problem.potential, x)[0].real
+    x, a = samples if samples is not None else _crossing_samples(problem)
     f = np.abs(a) - levels[:, None]
     row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
     t, done = polish_crossings(problem.potential, x[i], x[i + 1], f[row, i],
@@ -118,16 +129,17 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
             errors[r // 2] = failed[r]
 
 
-def _turning_rows(problem: Problem, lams) -> list:
+def _turning_rows(problem: Problem, lams, samples: tuple | None = None) -> list:
     """TurningPointPair, or the ZSWKBError that stopped it, for each lambda.
 
     The roots are found at (|Re lambda|, eps=0) by polishing real crossings
-    of |A| and continued to the target in fixed homotopy stages, first in
+    of |A|, bracketed on ``samples`` (see ``_crossing_samples``) when given,
+    and continued to the target in fixed homotopy stages, first in
     Im lambda, then in eps.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     errors = [None] * len(lams)
-    z = _real_seeds(problem, np.abs(lams.real), errors)
+    z = _real_seeds(problem, np.abs(lams.real), errors, samples)
 
     def alive():
         return np.array([e is None for e in errors], dtype=bool)
@@ -150,7 +162,7 @@ def _turning_rows(problem: Problem, lams) -> list:
     ok = alive()
     swap = ok & (z[:, 0].real > z[:, 1].real)
     z[swap] = z[swap][:, ::-1]
-    a, _ = eval_potential(problem.potential, z[ok], problem.eps)
+    a, _ = eval_potential(problem.potential, z[ok], problem.eps, derivative=False)
     res = np.zeros(z.shape)
     res[ok] = np.abs(a * a - (lams[ok] * lams[ok])[:, None])
     return [errors[k] if errors[k] is not None else

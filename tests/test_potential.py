@@ -99,6 +99,51 @@ def test_presets_equal_their_custom_spelling(preset, spelled):
         assert np.array_equal(dval, dval_c)
 
 
+# every term kind, with an A gauss and a B xgauss of one scale that share
+# their exponential and a B gauss of another scale that must not
+ALL_KINDS = z.custom([("const", 2.0), ("tanh", 0.5, 0.8), ("gauss", -1.0, 1.3)],
+                     [("const", 0.1), ("xgauss", 0.7, 1.3), ("gauss", 0.4, 2.0)])
+CTRL = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])  # A8's control
+
+
+@pytest.mark.parametrize("spec", [z.well_even(), z.monotone_odd(), CTRL, ALL_KINDS],
+                         ids=["well", "tanh", "ctrl", "all-kinds"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_value_only_path_is_bitwise_the_default_value(spec, eps):
+    r = rng(11)
+    w = 0.9 * min(spec.strip_half_width, 2.0)
+    pts = r.uniform(-3, 3, 24) + 1j * r.uniform(-w, w, 24)
+    for zz in (pts, pts.reshape(4, 6), pts[0]):
+        val, _ = z.eval_potential(spec, zz, eps)
+        fast, none = z.eval_potential(spec, zz, eps, derivative=False)
+        assert none is None
+        assert np.shape(fast) == np.shape(val)
+        assert np.asarray(fast).tobytes() == np.asarray(val).tobytes()
+
+
+def test_shared_exponentials_give_the_closed_form():
+    r = rng(12)
+    pts = r.uniform(-3, 3, 50) + 1j * r.uniform(-0.45, 0.45, 50)
+    e13 = np.exp(-1.3 * pts * pts)
+    a = 2.0 + 0.5 * np.tanh(0.8 * pts) - e13
+    b = 0.1 + 0.7 * pts * e13 + 0.4 * np.exp(-2.0 * pts * pts)
+    for derivative in (True, False):
+        val, _ = z.eval_potential(ALL_KINDS, pts, 0.05, derivative=derivative)
+        assert np.max(np.abs(val - (a + 0.05j * b))) < 1e-14 * np.max(np.abs(val))
+
+
+def test_value_only_path_keeps_the_input_checks(tanh_spec):
+    pts = np.array([[0.1, -0.3 + 0.2j], [0.55j, 1.0 - 0.1j]])
+    with pytest.raises(OutOfStrip):
+        z.eval_potential(tanh_spec, pts, 0.05, derivative=False)
+    with pytest.raises(OutOfStrip):
+        z.eval_potential(tanh_spec, 0.6j, 0.0, derivative=False)
+    with pytest.raises(ValueError):
+        z.eval_potential(tanh_spec, 0.0, -0.1, derivative=False)
+    with pytest.raises(ValueError):
+        z.eval_potential(tanh_spec, 0.0, math.nan, derivative=False)
+
+
 @pytest.mark.parametrize("spec, levels, exact", [
     (z.well_even(2.0, 1.0), (1.3, 1.5, 1.7), lambda lam: math.sqrt(math.log(1.0 / (2.0 - lam)))),
     (z.well_even(3.0, 1.5), (1.6, 2.0, 2.4), lambda lam: math.sqrt(math.log(1.5 / (3.0 - lam)))),

@@ -116,9 +116,9 @@ def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, e
     rows = []
     action_rows = quantize._action_rows
 
-    def counted(problem, lams):
+    def counted(problem, lams, *args, **kwargs):
         rows.append(len(lams))
-        return action_rows(problem, lams)
+        return action_rows(problem, lams, *args, **kwargs)
 
     monkeypatch.setattr(quantize, "_action_rows", counted)
     recs = z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
@@ -133,9 +133,9 @@ def test_wkb_spectrum_potential_calls_do_not_scale_with_roots(monkeypatch):
     calls = []
     eval_potential = z.eval_potential
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return eval_potential(*args)
+        return eval_potential(*args, **kwargs)
 
     monkeypatch.setattr("zswkb.turning.eval_potential", counted)
     monkeypatch.setattr("zswkb.action.eval_potential", counted)
@@ -175,8 +175,8 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     action_rows = quantize._action_rows
     first_round = [True]
 
-    def failing(problem, lams):
-        acts = action_rows(problem, lams)
+    def failing(problem, lams, *args, **kwargs):
+        acts = action_rows(problem, lams, *args, **kwargs)
         if problem.eps > 0 and first_round[0]:
             # every index is live in the first Newton round, in index order
             first_round[0] = False
