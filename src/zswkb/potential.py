@@ -200,7 +200,7 @@ def eval_potential(spec: PotentialSpec, z, eps: float, *, derivative: bool = Tru
     if not eps >= 0:  # also rejects NaN
         raise ValueError("eps must be non-negative")
     zz = np.asarray(z, dtype=complex)
-    if (np.abs(zz.imag) >= spec.strip_half_width).any():
+    if np.count_nonzero(np.abs(zz.imag) >= spec.strip_half_width):
         raise OutOfStrip(f"|Im z| >= {spec.strip_half_width}")
     if eps == 0.0:
         return _sum_terms(spec, zz, (TARGET_A,), derivative)[0]

@@ -87,12 +87,15 @@ def domain_cuts(problem: Problem) -> tuple:
     target = problem.lambda0 + 0.5 * rep.margin_at_infinity
 
     def march(start: float, sign: float) -> float:
-        x = start
-        while abs(x) < problem.cutoff:
-            v, _ = eval_A(problem.potential, x)
-            if abs(v.real.item()) >= target:
-                return float(np.clip(x + sign * 2.0, -problem.cutoff, problem.cutoff))
-            x += sign * 0.01
+        # accumulate adds in order, so the grid holds the sums of repeated
+        # x += sign*0.01 bit for bit; it runs up to the first |x| >= cutoff
+        steps = int((problem.cutoff + abs(start)) / 0.01) + 2
+        x = np.add.accumulate(np.concatenate([[start], np.full(steps, sign * 0.01)]))
+        x = x[:np.argmax(np.abs(x) >= problem.cutoff)]
+        v, _ = eval_A(problem.potential, x)
+        hit = np.flatnonzero(np.abs(v.real) >= target)
+        if hit.size:
+            return float(np.clip(x[hit[0]] + sign * 2.0, -problem.cutoff, problem.cutoff))
         return sign * problem.cutoff
 
     left = problem.x_cut_left if problem.x_cut_left is not None else march(rep.alpha0, -1.0)

@@ -1,18 +1,28 @@
 """Stokes lines: level curves Re integral sqrt(A_eps^2 - lambda^2) dz = 0 from turning points.
 
-Curves are traced in arc length with fixed-step RK4 on the unit tangent field
+Curves are traced in arc length with RK4 on the unit tangent field
 i*sigma*|s|/s, s = sqrt(A_eps^2 - lambda^2). The running phase integral is
 accumulated with per-step Gauss panels and a transverse Newton projection every
-few steps pins the trace back onto the level set, so drift cannot build up.
+few iterations pins the trace back onto the level set, so drift cannot build up.
 
-All curves of one call advance in lockstep: each RK4 stage after the first is
-one array potential call over every curve, and so are the new vertices
-together with their panel nodes. The first stage needs no call: the aligned
-root at each vertex is already held from the panel or projection call that
-made it. The termination checks of a step clear their curves from one mask,
-and a curve that ended takes the first rule that holds for it. A curve that
-terminates is frozen while the others go on, so a curve comes out the same
-whether it is traced alone or as one of the six of a graph.
+Each curve controls its own step (Hairer, Norsett and Wanner, Solving ODEs I,
+section II.4) from values the step already has, with no extra potential call:
+the error estimate is the larger of |Re| of the GL3 phase increment, which is
+|s| times the step's departure from the level set, and the gap between that
+increment and Simpson's rule on the two vertex roots and the middle GL3 node.
+A step longer than _STEP that meets a termination event is retried shorter,
+so only a step of at most _STEP ends a curve, as the fixed step of _STEP did.
+
+All curves of one call advance in lockstep iterations, one step attempt per
+curve: each RK4 stage after the first is one array potential call over every
+curve, and so are the new vertices together with their panel nodes. The first
+stage needs no call: the aligned root at each vertex is already held from the
+panel or projection call that made it. The events of an attempt clear their
+curves from one mask, and a curve that ended takes the first rule that holds
+for it. A curve whose attempt is rejected waits at its vertex and a curve that
+terminates is frozen while the others go on; every decision is elementwise, so
+a curve comes out the same whether it is traced alone or as one of the six of
+a graph.
 """
 from __future__ import annotations
 
@@ -27,7 +37,10 @@ from .potential import eval_potential
 from .problem import Problem
 from .turning import find_turning_points
 
-_STEP = 1e-3
+_STEP = 1e-3                     # first step, and the longest step an event may end a curve on
+_MAX_STEP = 5e-2
+_TOL = 1e-10                     # per-step bound on the phase error estimate
+_SAFETY = 0.8                    # shrinks the fifth-root step update so few steps are rejected
 _FIRST_HOP = 1e-2
 _MAX_ARC = 20.0
 _NEAR_TP = 1e-3
@@ -118,9 +131,12 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     """Trace one Stokes line per (index into ``tps``, angle) of ``starts``, in lockstep.
 
     A curve starts at its turning point and stops near any other entry of
-    ``tps``.  Every curve takes the same steps, so all of them project on the
-    same iterations; a curve that terminates keeps its last vertex and drops
-    out of the checks.  Returns one (points, Termination) pair per start.
+    ``tps``.  Each lockstep iteration makes one step attempt per running curve,
+    of that curve's own length: an accepted attempt adds a vertex, a rejected
+    one leaves the curve where it is for the next iteration, and a curve that
+    terminates keeps its last vertex and drops out of the checks.  Curves
+    project on the same iterations, those that advanced in it.  Returns one
+    (points, Termination) pair per start.
     """
     lam2 = complex(lam) ** 2
     strip = problem.potential.strip_half_width
@@ -152,84 +168,104 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     turn = np.where((tangent * np.exp(-1j * angle)).real > 0.0, 1j, -1j)
 
     other = own[:, None] != np.arange(len(tps))
+    columns = np.arange(len(own))
     running = np.ones(len(own), dtype=bool)
     n_running = len(own)
     ends = [Termination.MAX_LENGTH] * len(own)
-    n_points = np.zeros(len(own), dtype=int)
+    n_points = np.full(len(own), 2)
     history = np.empty((_HISTORY_ROWS, len(own)), dtype=complex)
     history[0], history[1] = tp, z
-    rows = 2
+    dist = np.abs(z[:, None] - tps)
+    arc = np.full(len(own), _FIRST_HOP)
+    step = np.full(len(own), _STEP)
+    w0, w1, w2 = _GL3_W
 
     def field(zz, live):
-        # a stage that leaves the strip ends its curve, and an ended curve is
-        # evaluated at its frozen vertex, which lies in the strip
+        # a stage that leaves the strip is an event of its curve, and a curve
+        # not stepping is evaluated at its vertex, which lies in the strip
         live &= ~(np.abs(zz.imag) >= strip)
         ss = _align(_sqrt(problem, lam2, np.where(live, zz, z)), s)
         return turn * np.abs(ss) / ss
 
-    arc = _FIRST_HOP
-    steps_since_projection = 0
-    while arc < _MAX_ARC and n_running:
-        # each check of the step clears its curves from ``live``; a curve that
-        # ended takes the first check that holds for it, in list order
+    iteration = 0
+    while n_running:
+        iteration += 1
+        # no step reaches halfway to a turning point, so none jumps its disk
+        h = np.minimum(np.minimum(step, _MAX_STEP), 0.5 * dist.min(axis=1))
+        # each event of the attempt clears its curve from ``live``
         live = running.copy()
         # s is the aligned root at z, so the first stage needs no potential call
         k1 = turn * np.abs(s) / s
-        k2 = field(z + 0.5 * _STEP * k1, live)
-        k3 = field(z + 0.5 * _STEP * k2, live)
-        k4 = field(z + _STEP * k3, live)
-        stage_out = running ^ live
-        z_new = z + (_STEP / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        broken = ~np.isfinite(z_new)
-        out = np.abs(z_new.imag) >= strip
-        live &= ~(broken | out)
-        z_new = np.where(live, z_new, z)
+        k2 = field(z + 0.5 * h * k1, live)
+        k3 = field(z + 0.5 * h * k2, live)
+        k4 = field(z + h * k3, live)
+        staged = live.copy()
+        z_try = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        live &= np.isfinite(z_try) & ~(np.abs(z_try.imag) >= strip)
+        z_new = np.where(live, z_try, z)
         chord = z_new - z
         ss = _align(_sqrt(problem, lam2, np.concatenate(
             [z_new[:, None], z[:, None] + _GL3_T * chord[:, None]], axis=1)), s[:, None])
         s_new = ss[:, 0]
+        # elementwise sums round alike for every batch shape, so a curve takes
+        # the same step decisions alone and inside a graph
+        increment = (w0 * ss[:, 1] + w1 * ss[:, 2] + w2 * ss[:, 3]) * chord
+        simpson = (s + 4.0 * ss[:, 2] + s_new) * (chord / 6.0)
+        # |s| times the step's departure from the level set, and the phase
+        # increment's quadrature error against the fourth-order rule
+        error = np.maximum(np.abs(increment.real), np.abs(increment - simpson))
         size = np.abs(s_new)
-        tiny = size < 1e-12
-        wall = size > _SQRT_MAGNITUDE_WALL
-        live &= ~(tiny | wall)
-        phase = phase + (ss[:, 1:] @ _GL3_W) * chord
-        z = np.where(live, z_new, z)
-        s = np.where(live, s_new, s)
-        checks = [(stage_out, Termination.STRIP_BOUNDARY), (broken, Termination.STEP_FAILURE),
-                  (out, Termination.STRIP_BOUNDARY), (tiny, Termination.STEP_FAILURE),
-                  (wall, Termination.STRIP_BOUNDARY)]
-        arc += _STEP
-        steps_since_projection += 1
-        if steps_since_projection >= _PROJECT_EVERY:
-            steps_since_projection = 0
+        live &= (size >= 1e-12) & (size <= _SQRT_MAGNITUDE_WALL) & np.isfinite(error)
+        # an event ends a curve only on a step of at most _STEP; a longer step
+        # is retried at a quarter of its length, but not below _STEP
+        event = running & ~live
+        final = event & (h <= _STEP)
+        accept = live & (error <= _TOL)
+        # a zero estimate takes the largest growth; a rejected step's estimate
+        # exceeds _TOL, so its factor is below _SAFETY and needs no upper clip
+        grow = _SAFETY * (_TOL / np.maximum(error, 1e-10 * _TOL)) ** 0.2
+        grow = np.maximum(np.minimum(grow, 2.0), np.where(accept, 1.0, 0.2))
+        step = np.where(live, h * grow, np.where(event, np.maximum(_STEP, 0.25 * h), step))
+        z = np.where(accept, z_new, z)
+        s = np.where(accept, s_new, s)
+        phase = np.where(accept, phase + increment, phase)
+        arc = np.where(accept, arc + h, arc)
+        far = np.zeros_like(accept)
+        if iteration % _PROJECT_EVERY == 0:
             dz = -phase.real / s
-            far = np.abs(dz) > _STEP
-            live &= ~far
-            checks.append((far, Termination.STEP_FAILURE))
-            dz = np.where(live, dz, 0.0)
+            far = accept & (np.abs(dz) > _STEP)
+            accept &= ~far
+            dz = np.where(accept, dz, 0.0)
             z = z + dz
             phase = phase + s * dz
             s = _align(_sqrt(problem, lam2, z), s)
-        if rows == len(history):
+        # every curve writes its z one row past its last vertex, and only an
+        # accepted step counts that row; no curve has more rows than iterations
+        if iteration + 2 > len(history):
             history = np.concatenate([history, np.empty_like(history)])
-        history[rows] = z
-        rows += 1
+        history[n_points, columns] = z
+        n_points += accept
+        dist = np.abs(z[:, None] - tps)
         # near its own turning point a curve stops only once it has left it
-        near = np.abs(z[:, None] - tps) < _NEAR_TP
-        if arc <= 5 * _FIRST_HOP:
-            near &= other
-        close = near.any(axis=1)
-        live &= ~close
-        checks.append((close, Termination.NEAR_TURNING_POINT))
-        ended = running ^ live
+        near = (dist < _NEAR_TP) & (other | (arc > 5 * _FIRST_HOP)[:, None])
+        close = accept & near.any(axis=1)
+        too_long = accept & (arc >= _MAX_ARC)
+        ended = final | far | close | too_long
         if ended.any():
+            # a curve that ended takes the first rule that holds for it
+            checks = [(running & ~staged, Termination.STRIP_BOUNDARY),
+                      (~np.isfinite(z_try), Termination.STEP_FAILURE),
+                      (np.abs(z_try.imag) >= strip, Termination.STRIP_BOUNDARY),
+                      (size < 1e-12, Termination.STEP_FAILURE),
+                      (size > _SQRT_MAGNITUDE_WALL, Termination.STRIP_BOUNDARY),
+                      (~np.isfinite(error), Termination.STEP_FAILURE)]
+            checks = [(mask & final, end) for mask, end in checks] + [
+                (far, Termination.STEP_FAILURE), (close, Termination.NEAR_TURNING_POINT),
+                (too_long, Termination.MAX_LENGTH)]
             for j in np.flatnonzero(ended):
                 ends[j] = next(end for mask, end in checks if mask[j])
-                # a curve ended near a turning point keeps this step's vertex
-                n_points[j] = rows if ends[j] is Termination.NEAR_TURNING_POINT else rows - 1
-            running = live
+            running &= ~ended
             n_running = np.count_nonzero(running)
-    n_points[running] = rows
     return [(history[:n, j].copy(), end) for j, (n, end) in enumerate(zip(n_points, ends))]
 
 

@@ -46,6 +46,22 @@ def test_out_of_strip_raises_for_one_point_of_an_array(tanh_spec):
         z.eval_potential(tanh_spec, pts, 0.05)
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3)])
+def test_strip_check_is_inclusive_at_the_boundary(tanh_spec, shape):
+    # |Im z| == strip_half_width is out; the largest double below it is in,
+    # and a NaN imaginary part is left to the arithmetic, as before
+    edge = tanh_spec.strip_half_width
+    inside = np.nextafter(edge, 0.0)
+    for im in (inside, -inside, math.nan):
+        z.eval_potential(tanh_spec, np.full(shape, 0.3 + 1j * im), 0.05)
+    for im in (edge, -edge):
+        pts = np.full(shape, 0.3 + 1j * inside)
+        pts[np.unravel_index(pts.size - 1, shape)] = 0.3 + 1j * im
+        for derivative in (True, False):
+            with pytest.raises(OutOfStrip):
+                z.eval_potential(tanh_spec, pts, 0.05, derivative=derivative)
+
+
 def test_eps_must_be_nonnegative(well_spec):
     with pytest.raises(ValueError):
         z.eval_potential(well_spec, 0.0, -0.1)
@@ -273,3 +289,37 @@ def test_custom_strip_default_stays_below_tanh_pole():
     # evaluation at the strip edge stays finite
     val, _ = z.eval_potential(spec, 0.99j * spec.strip_half_width, 0.0)
     assert np.isfinite(val)
+
+
+def scalar_march_cuts(problem):
+    """The cut rule of ``domain_cuts`` as a scalar march: one eval_A per 0.01."""
+    rep = z.a1_report(problem)
+    target = problem.lambda0 + 0.5 * rep.margin_at_infinity
+
+    def march(x, sign):
+        while abs(x) < problem.cutoff:
+            if abs(potential.eval_A(problem.potential, x)[0].real.item()) >= target:
+                return float(np.clip(x + sign * 2.0, -problem.cutoff, problem.cutoff))
+            x += sign * 0.01
+        return sign * problem.cutoff
+
+    return march(rep.alpha0, -1.0), march(rep.beta0, +1.0)
+
+
+CTRL = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])
+
+
+@pytest.mark.parametrize("spec, lam0, cutoff", [
+    (z.well_even(), 1.5, 8.0),
+    (z.monotone_odd(), 1.0, 8.0),
+    (CTRL, 1.5, 8.0),
+    (z.well_even(3.0, 2.0), 2.0, 8.0),
+    # both crossings lie within 0.01 of the cutoff, so both marches reach it
+    (z.well_even(), 1.9813, 2.0),
+])
+def test_domain_cuts_equal_the_scalar_march(spec, lam0, cutoff):
+    problem = z.Problem(spec, lam0, 0.001, 0.1, cutoff=cutoff)
+    cuts = z.domain_cuts(problem)
+    assert cuts == scalar_march_cuts(problem)
+    if cutoff == 2.0:
+        assert cuts == (-2.0, 2.0)

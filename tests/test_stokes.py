@@ -142,9 +142,10 @@ def test_graph_curves_equal_lone_traces(well_problem, tanh_problem, name, lam):
 
 
 def test_graph_potential_calls_are_per_step(well_problem, monkeypatch):
-    # one array call for each of the three RK4 stages after the first, one for
-    # the new vertices and their panel nodes, and one per projection every
-    # tenth step; a scalar tracer makes about 8 calls per curve and step
+    # per lockstep iteration, rejected attempts included: one array call for
+    # each of the three RK4 stages after the first, one for the new vertices
+    # and their panel nodes, and one per projection every tenth iteration; a
+    # scalar tracer makes about 8 calls per curve and step
     calls = []
     eval_potential = z.stokes.eval_potential
 
@@ -155,3 +156,62 @@ def test_graph_potential_calls_are_per_step(well_problem, monkeypatch):
     monkeypatch.setattr(z.stokes, "eval_potential", counting)
     graph = z.build_graph(well_problem.with_(eps=0.05), 1.5)
     assert len(calls) <= 4.2 * max(len(c.points) for c in graph.curves)
+
+
+CTRL = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])
+GRAPH_PROBLEMS = {
+    "well": z.Problem(z.well_even(), 1.5, 0.2, 0.05),
+    "tanh": z.Problem(z.monotone_odd(), 1.0, 0.3, 0.05),
+    "ctrl": z.Problem(CTRL, 1.5, 0.2, 0.05),
+}
+NTP, SB = "near-turning-point", "strip-boundary"
+# terminations of the fixed-step (1e-3) tracer, curve by curve in graph order
+FIXED_STEP_ENDS = {
+    ("well", 0.0): [NTP, SB, SB, SB, NTP, SB],
+    ("well", 0.05): [SB, SB, NTP, SB, NTP, SB],
+    ("well", 0.2): [SB, SB, NTP, SB, NTP, SB],
+    ("tanh", 0.0): [NTP, SB, SB, SB, NTP, SB],
+    ("tanh", 0.05): [SB, SB, NTP, SB, NTP, SB],
+    ("tanh", 0.2): [SB, SB, NTP, SB, NTP, SB],
+    ("ctrl", 0.0): [NTP, SB, SB, SB, NTP, SB],
+    ("ctrl", 0.05): [SB] * 6,
+    ("ctrl", 0.2): [SB] * 6,
+}
+
+
+@pytest.mark.parametrize("name, eps", list(FIXED_STEP_ENDS))
+def test_graph_terminations_and_reach(name, eps):
+    problem = GRAPH_PROBLEMS[name].with_(eps=eps)
+    lam = problem.lambda0
+    graph = z.build_graph(problem, lam)
+    assert [c.termination.value for c in graph.curves] == FIXED_STEP_ENDS[name, eps]
+    # the fixed step took up to 5,724 vertices on a curve of these graphs
+    # (4,022 on each strip-boundary curve of well at eps = 0.05)
+    assert max(len(c.points) for c in graph.curves) <= 1500
+    strip = problem.potential.strip_half_width
+    tps = np.asarray(graph.turning_points)
+    for curve in graph.curves:
+        # no step is longer than 0.05 or half the way to the nearest turning
+        # point, up to the projection's nudge
+        a, b = curve.points[1:-1], curve.points[2:]
+        reach = np.minimum(0.5 * np.abs(a[:, None] - tps).min(axis=1), 0.05)
+        assert np.all(np.abs(b - a) <= reach + 1e-9)
+        last = curve.points[-1]
+        if curve.termination is Termination.NEAR_TURNING_POINT:
+            assert abs(last - graph.turning_points[1 - curve.origin_index]) < 1e-3
+        elif name == "tanh":
+            # the tanh strip is narrow, so its curves end at its edge
+            assert abs(last.imag) >= strip - 1e-3
+        else:
+            # the gaussian families end at the magnitude wall, far inside the strip
+            a, _ = z.eval_potential(problem.potential, last, eps)
+            assert abs(np.sqrt(a * a - lam * lam)) >= 0.99e6
+
+
+def test_symmetry_broken_graph_stays_on_the_level_set():
+    # the A5 acceptance graphs are symmetric pairs; here A and B are both even
+    problem = GRAPH_PROBLEMS["ctrl"].with_(eps=0.05)
+    graph = z.build_graph(problem, problem.lambda0)
+    for curve in graph.curves:
+        assert independent_level_drift(problem, problem.lambda0, curve) < 1e-8
+
