@@ -88,7 +88,8 @@ def domain_cuts(problem: Problem) -> tuple:
 
     def march(start: float, sign: float) -> float:
         # accumulate adds in order, so the grid holds the sums of repeated
-        # x += sign*0.01 bit for bit; it runs up to the first |x| >= cutoff
+        # x += sign*0.01 bit for bit; like that march, it stops before the
+        # first |x| >= cutoff
         steps = int((problem.cutoff + abs(start)) / 0.01) + 2
         x = np.add.accumulate(np.concatenate([[start], np.full(steps, sign * 0.01)]))
         x = x[:np.argmax(np.abs(x) >= problem.cutoff)]

@@ -240,7 +240,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
             phase = phase + s * dz
             s = _align(_sqrt(problem, lam2, z), s)
         # every curve writes its z one row past its last vertex, and only an
-        # accepted step counts that row; no curve has more rows than iterations
+        # accepted step counts that row; that row is at most iteration + 1
         if iteration + 2 > len(history):
             history = np.concatenate([history, np.empty_like(history)])
         history[n_points, columns] = z
