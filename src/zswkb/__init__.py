@@ -15,11 +15,9 @@ from .potential import (A1Report, PotentialSpec, SymmetryClass, WellType,
                         spec_from_json, spec_to_json, validate_A1, well_even)
 from .problem import Problem, Tolerances, a1_report, domain_cuts, symmetry_class, window_rectangle
 from .quantize import (Branch, EigenvalueRecord, Method, enumerate_indices,
-                       record_from_json, record_to_json, select_branch,
-                       solve_quantization, wkb_spectrum)
+                       select_branch, solve_quantization, wkb_spectrum)
 from .stokes import (StokesCurve, StokesGraph, Termination, build_graph,
-                     graph_from_json, graph_to_json, level_drift,
-                     stokes_directions, trace_stokes_line)
+                     graph_to_json, stokes_directions, trace_stokes_line)
 from .turning import TurningPointPair, find_turning_points
 
 __version__ = "0.1.0"
@@ -32,8 +30,7 @@ __all__ = [
     "a1_report", "action_integral", "build_graph", "check_schwarz_symmetry",
     "classify_symmetry", "count_zeros", "custom", "direct_spectrum_complex",
     "direct_spectrum_real", "domain_cuts", "enumerate_indices", "eval_potential",
-    "find_turning_points", "graph_from_json", "graph_to_json",
-    "level_drift", "monotone_odd", "record_from_json", "record_to_json",
+    "find_turning_points", "graph_to_json", "monotone_odd",
     "select_branch", "solve_quantization",
     "spec_from_json", "spec_to_json", "stokes_directions", "symmetry_class",
     "trace_stokes_line", "validate_A1", "well_even", "window_rectangle",

@@ -180,12 +180,6 @@ def _meta(config: ExperimentConfig) -> dict:
     }
 
 
-def _direct_records(problem: Problem) -> list:
-    if problem.eps == 0.0:
-        return direct.direct_spectrum_real(problem)
-    return direct.direct_spectrum_complex(problem, certify=False)
-
-
 def _match_records(wkb_records, direct_records) -> list:
     """Greedy nearest-lambda matching; a bijection when the counts agree."""
     pairs = []
@@ -204,7 +198,7 @@ def _match_records(wkb_records, direct_records) -> list:
 def _compare_rows(problem: Problem) -> list:
     h, eps = problem.h, problem.eps
     wkb_records = quantize.wkb_spectrum(problem)
-    direct_records = _direct_records(problem)
+    direct_records = direct.direct_spectrum_complex(problem, certify=False)
     pairs, free_w, free_d = _match_records(wkb_records, direct_records)
     rows = []
     for i, j in pairs:
@@ -239,7 +233,8 @@ def _record_rows(records) -> list:
 # command -> (rows of one cell, rows a failed cell writes with its error message)
 _CELLS = {
     "wkb": (lambda p: _record_rows(quantize.wkb_spectrum(p)), lambda p, err: []),
-    "direct": (lambda p: _record_rows(_direct_records(p)), lambda p, err: []),
+    "direct": (lambda p: _record_rows(direct.direct_spectrum_complex(p, certify=False)),
+               lambda p, err: []),
     "compare": (_compare_rows,
                 lambda p, err: [ComparisonRow(p.h, p.eps, None, None, None, None, "", err)]),
     "pt-sweep": (_pt_rows, lambda p, err: [[p.eps, p.h, None, symmetry_class(p).value,

@@ -11,8 +11,10 @@ magnitude accumulates in a log scale; overflow cannot occur.
 batch of spectral parameters on one grid, and ``wronskian`` is its public
 one-lambda probe. Every root-finding stage is array code over such batches,
 and ``_newton_wronskian`` is the one root polisher: it starts from the
-sign-change brackets of a real scan in ``direct_spectrum_real`` and from the
-eps = 0 roots in ``direct_spectrum_complex``.
+sign-change brackets of a real scan in ``direct_spectrum_real`` and, at
+eps > 0, from the eps = 0 roots in ``direct_spectrum_complex``. At eps = 0
+the operator is self-adjoint and ``direct_spectrum_complex`` returns the real
+records as they are.
 """
 from __future__ import annotations
 
@@ -263,35 +265,28 @@ def wronskian(problem: Problem, lam: complex) -> WronskianSample:
 def _phase_track(ws: np.ndarray) -> tuple:
     """Track the real line the aligned Wronskian lives on along a real scan.
 
-    Returns (signs, line_phases). A line drift above pi/4 between samples is
-    indistinguishable from a sign flip and raises PhaseTrackingLost. Samples
-    with negligible magnitude get sign 0.
+    Returns (signs, line_phases). Between tracked samples the line turns by
+    d = arg(W_j/W_i); with m = round(d/pi), an odd m is a sign flip, and a
+    drift |d - m*pi| above pi/4 cannot be told from one: PhaseTrackingLost.
+    Samples with negligible magnitude get sign 0 and the phase of the tracked
+    sample before them, or of the first one.
     """
     amps = np.abs(ws)
-    tiny = 1e-12 * float(np.max(amps))
+    tracked = amps > 1e-12 * float(np.max(amps))
+    tracked[np.argmax(tracked)] = True  # the first sample stands in when none is large
+    at = np.flatnonzero(tracked)
+    d = np.angle(ws[at[1:]] / ws[at[:-1]])
+    m = np.round(d / np.pi)
+    r = d - m * np.pi
+    lost = np.abs(r) > np.pi / 4
+    if lost.any():
+        raise PhaseTrackingLost(
+            f"line phase drifted {r[np.argmax(lost)]:+.3f} rad between consecutive samples")
     signs = np.zeros(len(ws), dtype=int)
-    phases = np.zeros(len(ws))
-    start = int(np.argmax(amps > tiny))
-    psi = float(np.angle(ws[start]))
-    sign = 1
-    signs[start] = sign
-    phases[:start + 1] = psi
-    for i in range(start + 1, len(ws)):
-        if amps[i] <= tiny:
-            phases[i] = psi
-            continue
-        d = float(np.angle(ws[i])) - psi
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        m = round(d / np.pi)
-        r = d - m * np.pi
-        if abs(r) > np.pi / 4:
-            raise PhaseTrackingLost(
-                f"line phase drifted {r:+.3f} rad between consecutive samples")
-        psi += d  # unwrapped phase; a pi jump is a sign flip on a slowly turning line
-        if m % 2 != 0:
-            sign = -sign
-        signs[i] = sign
-        phases[i] = psi
+    signs[at] = np.cumprod(np.concatenate([[1], np.where(m != 0, -1, 1)]))
+    # unwrapped phase; a pi jump is a sign flip on a slowly turning line
+    line = np.cumsum(np.concatenate([[np.angle(ws[at[0]])], d]))
+    phases = line[np.maximum(np.cumsum(tracked) - 1, 0)]
     return signs, phases
 
 
@@ -454,36 +449,39 @@ def _collect_roots(problem: Problem, lams, resid, failed) -> list:
 
 
 def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
-    """Complex Newton on the Wronskian from every eps = 0 real eigenvalue.
+    """Wronskian zeros in the window rectangle, real or complex.
 
-    Seeds whose Newton iteration diverges are dropped with a warning. With
-    ``certify`` the root count is checked against the argument-principle
-    winding over the window rectangle; a mismatch emits MissedZerosWarning.
+    At eps = 0 the operator is self-adjoint and these are the records of
+    ``direct_spectrum_real(problem)``. At eps > 0 complex Newton starts from
+    every eps = 0 real eigenvalue; seeds whose Newton iteration diverges are
+    dropped with a warning. With ``certify`` the root count, zero included,
+    is checked against the argument-principle winding over the window
+    rectangle; a mismatch emits MissedZerosWarning.
     """
-    base = problem if problem.eps == 0.0 else problem.with_(eps=0.0)
-    seeds = np.asarray([r.lam for r in direct_spectrum_real(base)], dtype=complex)
-    if len(seeds) == 0:
-        return []
-    if problem.eps > 0.0:
-        # zeros lift off the real axis under the perturbation; probe each seed
-        # along a vertical line and start Newton from the |W| minimum so the
-        # iteration begins in the right basin
-        t = np.linspace(-0.5 * problem.delta, 0.5 * problem.delta, 17)
-        probe = (seeds[:, None] + 1j * t[None, :]).ravel()
-        w, _ = _wronskian_batch(problem, probe)
-        picks = np.argmin(np.abs(w).reshape(len(seeds), len(t)), axis=1)
-        seeds = seeds + 1j * t[picks]
-    lams, resid, failed = _newton_wronskian(problem, seeds)
-    roots = _collect_roots(problem, lams, resid, failed)
-    if np.any(failed):
-        warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
+    if problem.eps == 0.0:
+        records = direct_spectrum_real(problem)
+    else:
+        records = []
+        seeds = np.asarray([r.lam for r in direct_spectrum_real(problem.with_(eps=0.0))],
+                           dtype=complex)
+        if len(seeds):
+            # zeros lift off the real axis under the perturbation; probe each
+            # seed along a vertical line and start Newton from the |W| minimum
+            # so the iteration begins in the right basin
+            t = np.linspace(-0.5 * problem.delta, 0.5 * problem.delta, 17)
+            probe = (seeds[:, None] + 1j * t[None, :]).ravel()
+            w, _ = _wronskian_batch(problem, probe)
+            picks = np.argmin(np.abs(w).reshape(len(seeds), len(t)), axis=1)
+            lams, resid, failed = _newton_wronskian(problem, seeds + 1j * t[picks])
+            if np.any(failed):
+                warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
+            branch = _branch(problem)
+            records = [EigenvalueRecord(lam, k, branch, Method.DIRECT, r, problem.h, problem.eps)
+                       for k, (lam, r) in enumerate(_collect_roots(problem, lams, resid, failed))]
     if certify:
         zc = count_zeros(problem, window_rectangle(problem))
-        if zc.winding != len(roots):
+        if zc.winding != len(records):
             warnings.warn(
-                f"winding {zc.winding} over the window differs from {len(roots)} located roots",
+                f"winding {zc.winding} over the window differs from {len(records)} located roots",
                 MissedZerosWarning, stacklevel=2)
-
-    branch = _branch(problem)
-    return [EigenvalueRecord(lam, k, branch, Method.DIRECT, r, problem.h, problem.eps)
-            for k, (lam, r) in enumerate(roots)]
+    return records

@@ -36,27 +36,6 @@ class EigenvalueRecord:
     eps: float
 
 
-def record_to_json(record: EigenvalueRecord) -> dict:
-    return {
-        "re_lambda": record.lam.real,
-        "im_lambda": record.lam.imag,
-        "k": record.k,
-        "branch": record.branch.value if record.branch else None,
-        "method": record.method.value,
-        "residual": record.residual,
-        "h": record.h,
-        "eps": record.eps,
-    }
-
-
-def record_from_json(obj: dict) -> EigenvalueRecord:
-    return EigenvalueRecord(
-        complex(obj["re_lambda"], obj["im_lambda"]), int(obj["k"]),
-        Branch(obj["branch"]) if obj["branch"] else None,
-        Method(obj["method"]), float(obj["residual"]),
-        float(obj["h"]), float(obj["eps"]))
-
-
 def branch_offset(branch: Branch) -> float:
     return 0.5 if branch is Branch.HALF_INTEGER else 0.0
 

@@ -276,29 +276,6 @@ def trace_stokes_line(problem: Problem, lam: complex, tp: complex, angle: float,
     return StokesCurve(origin_index, float(angle), points, termination)
 
 
-def level_drift(problem: Problem, lam: complex, curve: StokesCurve) -> float:
-    """Max |Re phase| accumulated from the origin along the polyline vertices.
-
-    One potential call covers every vertex and panel node after the first
-    hop.  The square root at the vertices continues from the hop's end value
-    by sign flips between neighbours, and each panel follows the vertex it
-    starts from.
-    """
-    lam2 = complex(lam) ** 2
-    pts = np.asarray(curve.points, dtype=complex)
-    tp = pts[:1]
-    hop, s_hop = _hop_phase(problem, lam2, tp, pts[1:2], _slope(problem, tp))
-    a, b = pts[1:-1], pts[2:]
-    chord = b - a
-    sq = _sqrt(problem, lam2, np.concatenate([b, (a[:, None] + _GL3_T * chord[:, None]).ravel()]))
-    vertex, nodes = sq[:len(b)], sq[len(b):].reshape(-1, 3)
-    flips = np.cumsum((vertex * np.concatenate([s_hop, vertex[:-1]]).conjugate()).real < 0.0)
-    vertex = np.where(flips % 2 == 1, -vertex, vertex)
-    ref = np.concatenate([s_hop, vertex[:-1]])
-    acc = hop[0] + np.cumsum((_align(nodes, ref[:, None]) @ _GL3_W) * chord)
-    return float(max(abs(hop[0].real), np.abs(acc.real).max(initial=0.0)))
-
-
 def build_graph(problem: Problem, lam: complex) -> StokesGraph:
     """All six Stokes lines (three per turning point) for one spectral parameter."""
     pair = find_turning_points(problem, lam)
@@ -324,14 +301,3 @@ def graph_to_json(graph: StokesGraph) -> dict:
             for c in graph.curves
         ],
     }
-
-
-def graph_from_json(obj: dict) -> StokesGraph:
-    tps = [complex(re, im) for re, im in obj["turning_points"]]
-    curves = [
-        StokesCurve(c["origin"], float(c["angle"]),
-                    np.asarray([complex(re, im) for re, im in c["points"]]),
-                    Termination(c["termination"]))
-        for c in obj["curves"]
-    ]
-    return StokesGraph(tps, curves)

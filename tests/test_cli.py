@@ -4,9 +4,11 @@ import math
 import pytest
 
 import zswkb as z
-from zswkb.cli import (config_from_json, config_hash, load_config, main,
+from zswkb.cli import (config_from_json, config_hash, load_config, main, make_problem,
                        run_compare, run_pt_sweep, run_stokes, run_validate)
 from zswkb.errors import BoundaryZero, ConfigError
+
+from oracles import assert_graph_document
 
 
 def base_config_dict(tmp_path, **overrides):
@@ -186,8 +188,7 @@ def test_stokes_output_roundtrip(tmp_path):
     assert parsed["meta"]["config_sha256"] == config_hash(cfg)
     # the eps = 0 graph contains the curve connecting the two turning points
     assert any(c["termination"] == "near-turning-point" for c in parsed["curves"])
-    graph = z.graph_from_json(parsed)
-    assert len(graph.curves) == 6
+    assert_graph_document(parsed, z.build_graph(make_problem(cfg, 0.1, 0.0), 1.0))
 
 
 def test_cli_exit_codes(tmp_path):

@@ -11,7 +11,7 @@ from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _newton_wronskian, 
                           _seed_batch, _wronskian_batch)
 from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, PhaseTrackingLost
 
-from oracles import matrix_window_eigenvalues
+from oracles import loop_phase_track, matrix_window_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +306,15 @@ def test_complex_spectrum_at_eps_zero_reproduces_real(well_problem, spectra_cach
     with warnings.catch_warnings():
         warnings.simplefilter("error", MissedZerosWarning)
         cplx = z.direct_spectrum_complex(well_problem)
-    assert len(cplx) == len(real_recs)
-    for a, b in zip(cplx, real_recs):
-        assert abs(a.lam - b.lam) < 1e-10
+    # at eps = 0 the operator is self-adjoint: the real records, as they are
+    assert cplx == real_recs
+
+
+def test_complex_spectrum_certifies_an_empty_seed_set(well_problem, monkeypatch):
+    # with no eps = 0 root the winding still counts the window's zeros
+    monkeypatch.setattr(z.direct, "direct_spectrum_real", lambda problem: [])
+    with pytest.warns(MissedZerosWarning, match="differs from 0 located roots"):
+        assert z.direct_spectrum_complex(well_problem) == []
 
 
 def test_complex_spectrum_symmetric_perturbation_real(well_problem):
@@ -345,6 +351,46 @@ def test_phase_track_sign_changes():
     signs, _ = _phase_track(ws)
     flips = np.sum(np.abs(np.diff(np.sign([s for s in signs if s != 0]))) > 0)
     assert flips == 3
+
+
+def test_phase_track_skips_tiny_samples():
+    # leading and interior zero samples get sign 0 and carry the line phase of
+    # the tracked sample before them (the first tracked one, for leading zeros)
+    line = np.exp(1j * np.array([0.3, 0.3, 0.31, 0.32, 0.33]))
+    ws = np.array([0, 0, 1, 2, 0, -1, -2, 0, 1]) * line[[0, 0, 0, 1, 1, 2, 3, 3, 4]]
+    signs, phases = _phase_track(ws)
+    assert signs.tolist() == [0, 0, 1, 1, 0, -1, -1, 0, 1]
+    want = [0.3, 0.3, 0.3, 0.3, 0.3, 0.31 - np.pi, 0.32 - np.pi, 0.32 - np.pi, 0.33 - 2 * np.pi]
+    assert np.max(np.abs(phases - want)) < 1e-14
+    # an all-zero scan tracks its first sample only
+    signs, phases = _phase_track(np.zeros(3, dtype=complex))
+    assert signs.tolist() == [1, 0, 0]
+    assert phases.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_phase_track_matches_loop_reference():
+    # random scans with zero and tiny samples, slow and fast turning lines;
+    # the unwrapped phases accumulate in another order, so they agree to a
+    # about a hundred ulps of the largest phase (|phase| < 40 rad here)
+    rng = np.random.default_rng(7)
+    lost = 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 60))
+        turns = rng.normal(0, rng.choice([0.05, 0.3, 0.7]), n)
+        phase = rng.uniform(-np.pi, np.pi) + np.cumsum(turns)
+        amp = rng.normal(0, 1, n)
+        amp[rng.random(n) < 0.2] = rng.choice([0.0, 1e-14])
+        ws = amp * np.exp(1j * phase)
+        want = loop_phase_track(ws)
+        if want is None:
+            lost += 1
+            with pytest.raises(PhaseTrackingLost):
+                _phase_track(ws)
+            continue
+        signs, phases = _phase_track(ws)
+        assert np.array_equal(signs, want[0])
+        assert np.max(np.abs(phases - want[1])) < 1e-12
+    assert 200 < lost < 1800  # both outcomes are exercised
 
 
 def test_phase_track_lost_on_fast_rotation():

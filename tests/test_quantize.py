@@ -193,13 +193,3 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
 def test_branch_offset_values():
     assert branch_offset(Branch.HALF_INTEGER) == 0.5
     assert branch_offset(Branch.INTEGER) == 0.0
-
-
-def test_record_json_roundtrip(tanh_problem):
-    from zswkb.quantize import record_from_json, record_to_json
-    ks = z.enumerate_indices(tanh_problem)
-    rec = z.solve_quantization(tanh_problem, ks[0])
-    doc = record_to_json(rec)
-    assert set(doc) == {"re_lambda", "im_lambda", "k", "branch", "method",
-                        "residual", "h", "eps"}
-    assert record_from_json(doc) == rec
