@@ -124,16 +124,15 @@ def _doubling(problem: Problem, alpha: np.ndarray, beta: np.ndarray, lam: np.nda
     return out
 
 
-def _action_rows(problem: Problem, lams, samples: tuple | None = None) -> list:
+def _action_rows(problem: Problem, lams) -> list:
     """ActionValue, or the ZSWKBError that stopped it, for each lambda.
 
-    The turning points of all rows come from one call of the array solver,
-    which takes its real-seed ``samples`` from the caller when given.  A
-    Collision of the turning points means no segment exists:
+    The turning points of all rows come from one call of the array solver.
+    A Collision of the turning points means no segment exists:
     DegenerateSegment.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    results = _turning_rows(problem, lams, samples)
+    results = _turning_rows(problem, lams)
     for k, pair in enumerate(results):
         if isinstance(pair, Collision):
             results[k] = DegenerateSegment(str(pair))

@@ -70,6 +70,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         h_list = tuple(float(h) for h in obj["h_list"])
         eps_list = tuple(float(e) for e in obj["eps_list"])
         tol_overrides = obj.get("tolerances", {})
+        if not isinstance(tol_overrides, dict):
+            raise ConfigError("tolerances must be a JSON object of name: value")
         # float() and the tolerance checks would read a JSON true as 1
         pot = obj["potential"]
         numbers = (obj["lambda0"], obj["delta"], obj.get("cutoff", 8.0), *obj["h_list"],
@@ -397,6 +399,7 @@ def main(argv=None) -> int:
                 return 1
             text = json.dumps(doc, sort_keys=True, indent=2)
             if args.out:
+                Path(args.out).parent.mkdir(parents=True, exist_ok=True)
                 Path(args.out).write_text(text)
             print(text)
             return 0

@@ -7,7 +7,7 @@ never from numerical differentiation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -88,6 +88,9 @@ class PotentialSpec:
                         f"strip_half_width {self.strip_half_width} reaches the "
                         f"tanh pole at {np.pi / (2 * s):.4f}")
                 terms.append((int(t), int(k), c, s))
+        # checked last, so a NaN term code is still reported as a bad code
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("potential params must be finite")
         # the one representation every evaluator reads; not a dataclass field,
         # so equality, hashing and JSON see only (family, params, strip)
         object.__setattr__(self, "terms", tuple(terms))
@@ -250,44 +253,30 @@ class A1Report:
     slopes: tuple
     well_type: WellType
     margin_at_infinity: float
+    # Re A on the crossing grid, which brackets the real crossings of any level
+    samples: np.ndarray = field(compare=False, repr=False)
 
 
-def real_crossings(spec: PotentialSpec, level: float, cutoff: float) -> tuple:
-    """Real roots of |A(x)| = level in [-cutoff, cutoff], and the samples of A.
+def real_crossings(spec: PotentialSpec, levels, cutoff: float, a=None) -> tuple:
+    """Real roots of |A(x)| = level in [-cutoff, cutoff], for every level at once.
 
-    Sign changes of |A| - level between neighbouring samples bracket the
-    roots, and ``polish_crossings`` polishes all brackets together.  Returns
-    ``(roots, a)``: the roots in ascending order and A at the
-    ``_CROSSING_SAMPLES`` equispaced points.  Raises NoConvergence when a
-    bracket does not settle.
+    Sign changes of |A| - level between neighbouring samples of Re A on
+    ``_CROSSING_SAMPLES`` equispaced points bracket the roots; ``a`` passes
+    those samples in, and without it they are evaluated here.  Each bracket
+    is seeded at its secant point and polished by Newton on A's analytic
+    derivative; an iterate that leaves its (shrinking) bracket is replaced by
+    the bracket's midpoint.  The brackets of all levels polish together and
+    independently of each other.  Returns ``(row, t, done, a)``: per bracket
+    its level's index (ascending), its root, and whether that root settled
+    within ``_CROSSING_NEWTON_CAP`` passes; then the samples.
     """
-    x = crossing_grid(cutoff)
-    a, _ = eval_A(spec, x)
-    f = np.abs(a.real) - level
-    i = np.flatnonzero(f[:-1] * f[1:] < 0)
-    t, done = polish_crossings(spec, x[i], x[i + 1], f[i], f[i + 1], level)
-    if not done.all():
-        raise NoConvergence(f"real crossings of |A| = {level} did not settle near "
-                            f"x = {t[~done]}")
-    return t, a
-
-
-def crossing_grid(cutoff: float) -> np.ndarray:
-    """The ``_CROSSING_SAMPLES`` equispaced points on which crossings are bracketed."""
-    return np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
-
-
-def polish_crossings(spec: PotentialSpec, lo, hi, flo, fhi, level) -> tuple:
-    """Roots of |A(x)| = level inside the brackets [lo, hi], polished together.
-
-    ``flo`` and ``fhi`` are |A| - level at the bracket ends, of opposite signs;
-    ``level`` is a scalar or one level per bracket.  Each bracket is seeded at
-    its secant point and polished by Newton on A's analytic derivative; an
-    iterate that leaves its (shrinking) bracket is replaced by the bracket's
-    midpoint.  Brackets are independent of each other.  Returns ``(t, done)``:
-    the iterates and which of them settled within ``_CROSSING_NEWTON_CAP``
-    passes.
-    """
+    x = np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
+    if a is None:
+        a = eval_A(spec, x)[0].real
+    levels = np.asarray(levels, dtype=float)
+    f = np.abs(a) - levels[:, None]
+    row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
+    lo, hi, flo, fhi, level = x[i], x[i + 1], f[row, i], f[row, i + 1], levels[row]
     t = lo - flo * (hi - lo) / (fhi - flo)
     ftol = 4.0 * np.finfo(float).eps * np.maximum(1.0, level)
     done = np.zeros(len(t), dtype=bool)
@@ -310,7 +299,7 @@ def polish_crossings(spec: PotentialSpec, lo, hi, flo, fhi, level) -> tuple:
         t = np.select([done, small_step, settled, inside], [t, newton, t, newton],
                       0.5 * (lo + hi))
         done |= settled
-    return t, done
+    return row, t, done, a
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
@@ -324,10 +313,15 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("lambda0 must be positive")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    roots, a = real_crossings(spec, lambda0, cutoff)
+    a, _ = eval_A(spec, np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES))
     if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
         raise ValueError("A(x) is not real-valued on the real axis")
-    a = a.real
+    # a copy, so a cached report does not keep the complex samples alive
+    a = a.real.copy()
+    _, roots, done, _ = real_crossings(spec, [lambda0], cutoff, a)
+    if not done.all():
+        raise NoConvergence(f"real crossings of |A| = {lambda0} did not settle near "
+                            f"x = {roots[~done]}")
     margin = min(abs(a[0]), abs(a[-1])) - lambda0
     if margin <= 0:
         raise A1Violated("no-margin-at-infinity",
@@ -343,4 +337,5 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise A1Violated("zero-slope", f"|A'| at a crossing is below {slope_tol}")
     prod = v[0].real.item() * v[1].real.item()
     well = WellType.SIMPLE_WELL if prod > 0 else WellType.MONOTONIC
-    return A1Report(float(alpha0), float(beta0), float(lambda0), slopes, well, float(margin))
+    return A1Report(float(alpha0), float(beta0), float(lambda0), slopes, well, float(margin),
+                    a)

@@ -10,7 +10,6 @@ from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
 from .potential import A1Report, WellType
 from .problem import Problem, a1_report
-from .turning import _crossing_samples
 
 _NEWTON_CAP = 50
 
@@ -98,9 +97,10 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
 
     Each row starts from its secant seed and takes Newton steps in lockstep:
     a round is one call of the array action over the rows still iterating,
-    and every round brackets its real turning-point seeds on one sample of A.
-    A row stops on its own at the residual test, on its action's failure, on
-    leaving the window, or after ``_NEWTON_CAP`` rounds.
+    and every round brackets its real turning-point seeds on the samples of
+    A that ``a1_report`` keeps.  A row stops on its own at the residual test,
+    on its action's failure, on leaving the window, or after ``_NEWTON_CAP``
+    rounds.
     """
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
@@ -115,11 +115,10 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
 
     tol = problem.tolerances.quantize_residual
     live = [j for j, res in enumerate(results) if res is None]
-    samples = _crossing_samples(problem)
     for _ in range(_NEWTON_CAP):
         if not live:
             break
-        acts = _action_rows(problem, [lams[j] for j in live], samples)
+        acts = _action_rows(problem, [lams[j] for j in live])
         still = []
         for j, act in zip(live, acts):
             if isinstance(act, Exception):

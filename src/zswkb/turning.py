@@ -1,10 +1,10 @@
 """Complex turning points: the roots of A_eps(z)^2 - lambda^2 tracked from the real pair.
 
-``_turning_rows`` solves a whole array of lambda at once: one sample of A
-brackets the real seeds of every row, and each Newton iteration of the
-homotopy is one array potential call over both roots of every row still
-iterating.  A row's result does not depend on the other rows, and a failure
-removes only its own row.
+``_turning_rows`` solves a whole array of lambda at once: the samples of A
+kept by ``a1_report`` bracket the real seeds of every row, and each Newton
+iteration of the homotopy is one array potential call over both roots of
+every row still iterating.  A row's result does not depend on the other
+rows, and a failure removes only its own row.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Collision, LeftStrip, NoConvergence
-from .potential import crossing_grid, eval_A, eval_potential, polish_crossings
+from .potential import eval_potential, real_crossings
 from .problem import Problem, a1_report
 
 _HOMOTOPY_STEPS = 8
@@ -32,31 +32,16 @@ class TurningPointPair:
     eps: float
 
 
-def _crossing_samples(problem: Problem) -> tuple:
-    """The crossing grid and the real part of A on it, which bracket the real seeds.
-
-    They depend only on the potential and the cutoff, so a caller that solves
-    many rounds of lambda samples them once and passes them to each round.
-    """
-    x = crossing_grid(problem.cutoff)
-    return x, eval_A(problem.potential, x)[0].real
-
-
-def _real_seeds(problem: Problem, levels: np.ndarray, errors: list,
-                samples: tuple | None = None) -> np.ndarray:
+def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarray:
     """Real roots of A(x)^2 = level^2 near alpha0, beta0, one row per level.
 
-    All levels share one sample of A, ``samples`` from ``_crossing_samples``
-    when given; every bracket of every level is polished together, and each
-    row keeps the roots nearest alpha0 and beta0.  Returns the (K, 2) seeds; a
-    row without them gets its error in ``errors``.
+    All levels are bracketed on the samples of A that ``a1_report`` keeps,
+    every bracket of every level is polished together, and each row keeps the
+    roots nearest alpha0 and beta0.  Returns the (K, 2) seeds; a row without
+    them gets its error in ``errors``.
     """
     rep = a1_report(problem)
-    x, a = samples if samples is not None else _crossing_samples(problem)
-    f = np.abs(a) - levels[:, None]
-    row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
-    t, done = polish_crossings(problem.potential, x[i], x[i + 1], f[row, i],
-                               f[row, i + 1], levels[row])
+    row, t, done, a = real_crossings(problem.potential, levels, problem.cutoff, rep.samples)
     count = np.bincount(row, minlength=len(levels))
     unsettled = np.bincount(row, weights=~done, minlength=len(levels)) > 0
     seeds = np.zeros((len(levels), 2), dtype=complex)
@@ -129,31 +114,27 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
             errors[r // 2] = failed[r]
 
 
-def _turning_rows(problem: Problem, lams, samples: tuple | None = None) -> list:
+def _turning_rows(problem: Problem, lams) -> list:
     """TurningPointPair, or the ZSWKBError that stopped it, for each lambda.
 
     The roots are found at (|Re lambda|, eps=0) by polishing real crossings
-    of |A|, bracketed on ``samples`` (see ``_crossing_samples``) when given,
-    and continued to the target in fixed homotopy stages, first in
-    Im lambda, then in eps.
+    of |A| and continued to the target along one path of fixed homotopy
+    stages, (Re lambda + i*t*Im lambda, t*eps) for t = 1/8, ..., 1.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     errors = [None] * len(lams)
-    z = _real_seeds(problem, np.abs(lams.real), errors, samples)
+    z = _real_seeds(problem, np.abs(lams.real), errors)
 
     def alive():
         return np.array([e is None for e in errors], dtype=bool)
 
-    tilted = lams.imag != 0.0
-    if tilted.any():
+    moving = (lams.imag != 0.0) | (problem.eps != 0.0)
+    if moving.any():
         for j in range(1, _HOMOTOPY_STEPS + 1):
             lam_j = lams.copy()
             lam_j.imag = lams.imag * j / _HOMOTOPY_STEPS
-            _newton_stage(problem, z, lam_j, 0.0, alive() & tilted, errors)
-    if problem.eps != 0.0:
-        for j in range(1, _HOMOTOPY_STEPS + 1):
-            eps_j = problem.eps * j / _HOMOTOPY_STEPS
-            _newton_stage(problem, z, lams, eps_j, alive(), errors)
+            _newton_stage(problem, z, lam_j, problem.eps * j / _HOMOTOPY_STEPS,
+                          alive() & moving, errors)
 
     for k in np.flatnonzero(alive()):
         gap = abs(z[k, 0] - z[k, 1])
@@ -175,10 +156,10 @@ def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
     """Track the two simple roots of A_eps^2 - lambda^2 from real seeds.
 
     The roots are found at (Re lambda, eps=0) by polishing the real crossings
-    of |A| and continued to the target in fixed homotopy stages, first in
-    Im lambda, then in eps.  A one-row call of the array solver that
-    ``action_integral`` and ``wkb_spectrum`` run on many lambda at once; its
-    failure is raised.
+    of |A| and continued to the target along one path of fixed homotopy
+    stages in Im lambda and eps together.  A one-row call of the array
+    solver that ``action_integral`` and ``wkb_spectrum`` run on many lambda
+    at once; its failure is raised.
     """
     (pair,) = _turning_rows(problem, [lam])
     if isinstance(pair, Exception):

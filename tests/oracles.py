@@ -11,7 +11,9 @@ import cmath
 import numpy as np
 
 import zswkb as z
+from zswkb.errors import Collision
 from zswkb.potential import eval_potential
+from zswkb.turning import _HOMOTOPY_STEPS, _newton_stage, _real_seeds
 
 
 def independent_level_drift(problem, lam, curve) -> float:
@@ -51,6 +53,36 @@ def independent_level_drift(problem, lam, curve) -> float:
             ref = s
         worst = max(worst, abs(acc.real))
     return worst
+
+
+def two_stage_turning_points(problem, lams) -> list:
+    """Turning points continued first in Im lambda at eps = 0, then in eps.
+
+    The reference for the one-path homotopy of ``zswkb.turning._turning_rows``:
+    it shares that solver's real seeds and Newton stage, so only the path
+    differs.  Returns, per lambda, (alpha, beta) ordered by real part, or the
+    error that stopped the row.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    errors = [None] * len(lams)
+    z_ = _real_seeds(problem, np.abs(lams.real), errors)
+
+    def alive():
+        return np.array([e is None for e in errors], dtype=bool)
+
+    for j in range(1, _HOMOTOPY_STEPS + 1):
+        lam_j = lams.copy()
+        lam_j.imag = lams.imag * j / _HOMOTOPY_STEPS
+        _newton_stage(problem, z_, lam_j, 0.0, alive() & (lams.imag != 0.0), errors)
+    if problem.eps != 0.0:
+        for j in range(1, _HOMOTOPY_STEPS + 1):
+            _newton_stage(problem, z_, lams, problem.eps * j / _HOMOTOPY_STEPS, alive(), errors)
+    out = []
+    for err, (a, b) in zip(errors, z_):
+        if err is None and abs(a - b) < problem.tolerances.collision:
+            err = Collision(f"|alpha - beta| = {abs(a - b):.3e}")
+        out.append(err if err is not None else tuple(sorted((a, b), key=lambda w: w.real)))
+    return out
 
 
 def loop_phase_track(ws):

@@ -63,6 +63,34 @@ def test_config_validation_errors(tmp_path):
             config_from_json(base_config_dict(tmp_path, **bad))
 
 
+@pytest.mark.parametrize("tolerances", [[1], "x", 5])
+def test_config_rejects_tolerances_that_are_not_an_object(tmp_path, capsys, tolerances):
+    with pytest.raises(ConfigError, match="tolerances"):
+        config_from_json(base_config_dict(tmp_path, tolerances=tolerances))
+    config_path = write_config(tmp_path, tolerances=tolerances)
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "pt-sweep"])
+def test_config_rejects_non_finite_potential_params(tmp_path, capsys, command):
+    # a NaN coefficient of B once passed validate as a simple well, and
+    # pt-sweep then failed with a misleading BoundaryZero
+    pot = {"family": "custom-sum-of-terms",
+           "params": [0, 0, 2.0, 1.0, 0, 2, -1.0, 1.0, 1, 2, math.nan, 1.0],
+           "strip_half_width": 10.0}
+    config_path = write_config(tmp_path, potential=pot, lambda0=1.5, delta=0.2)
+    assert main([command, "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_validate_creates_the_parent_of_its_output(tmp_path):
+    config_path = write_config(tmp_path)
+    out = tmp_path / "a" / "b" / "v.json"
+    assert main(["validate", "--config", str(config_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["well_type"] == "monotonic"
+
+
 def test_config_hash_ignores_output_dir(tmp_path):
     a = config_from_json(base_config_dict(tmp_path))
     b = config_from_json(base_config_dict(tmp_path, output_dir="elsewhere"))

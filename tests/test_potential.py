@@ -167,9 +167,10 @@ def test_value_only_path_keeps_the_input_checks(tanh_spec):
 ])
 def test_real_crossings_closed_forms(spec, levels, exact):
     for lam in levels:
-        roots, a = real_crossings(spec, lam, 8.0)
+        row, roots, done, a = real_crossings(spec, [lam], 8.0)
         assert a.shape == (4001,)
         assert len(roots) == 2
+        assert done.all() and not row.any()
         assert abs(roots[0] + exact(lam)) < 1e-13
         assert abs(roots[1] - exact(lam)) < 1e-13
 
@@ -188,9 +189,27 @@ def test_real_crossings_evaluation_budget(monkeypatch):
     for spec, lam in ((z.well_even(), 1.5), (z.well_even(3.0, 1.5), 2.0),
                       (z.monotone_odd(), 1.0)):
         calls.clear()
-        roots, _ = real_crossings(spec, lam, 8.0)
-        assert len(roots) == 2
+        _, roots, done, _ = real_crossings(spec, [lam], 8.0)
+        assert len(roots) == 2 and done.all()
         assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("spec, levels", [
+    (z.well_even(2.0, 1.0), (1.3, 1.5, 0.5, 1.7, 2.5)),
+    (z.monotone_odd(2.0), (0.5, 1.0, 1.5)),
+    (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), (1.4, 1.6)),
+])
+def test_real_crossings_multi_level_equals_single_levels(spec, levels):
+    # brackets polish independently, so each level's roots are bit for bit
+    # those of a call with that level alone, also for levels without roots
+    row, roots, done, a = real_crossings(spec, levels, 8.0)
+    assert np.all(np.diff(row) >= 0)
+    for k, lam in enumerate(levels):
+        row_k, roots_k, done_k, a_k = real_crossings(spec, [lam], 8.0, a)
+        assert not row_k.any()
+        assert np.array_equal(roots[row == k], roots_k)
+        assert np.array_equal(done[row == k], done_k)
+        assert a_k is a
 
 
 def test_axis_blend_matches_eval_potential():
@@ -281,6 +300,18 @@ def test_custom_family_validation():
         z.PotentialSpec("no-such-family", (), 1.0)
     with pytest.raises(ValueError):
         z.custom([("tanh", 1.0, 4.0)], [], strip_half_width=0.5)  # pole inside strip
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_params(bad):
+    for make in (lambda: z.well_even(bad, 1.0), lambda: z.well_even(2.0, bad),
+                 lambda: z.monotone_odd(bad),
+                 lambda: z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", bad)]),
+                 lambda: z.custom([("const", bad)], [("xgauss", 1.0)])):
+        with pytest.raises(ValueError):
+            make()
+    with pytest.raises(ValueError, match="finite"):
+        z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", bad)])
 
 
 def test_custom_strip_default_stays_below_tanh_pole():

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb import quantize
+from zswkb import potential, quantize
 from zswkb.errors import EmptyWindow, LeftWindow, NoConvergence
 from zswkb.quantize import Branch, Method, branch_offset, indices_in_range
 
@@ -116,9 +117,9 @@ def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, e
     rows = []
     action_rows = quantize._action_rows
 
-    def counted(problem, lams, *args, **kwargs):
+    def counted(problem, lams):
         rows.append(len(lams))
-        return action_rows(problem, lams, *args, **kwargs)
+        return action_rows(problem, lams)
 
     monkeypatch.setattr(quantize, "_action_rows", counted)
     recs = z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
@@ -148,6 +149,32 @@ def test_wkb_spectrum_potential_calls_do_not_scale_with_roots(monkeypatch):
     assert counts[0.0125][1] <= 1.5 * counts[0.05][1]
 
 
+@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 2)])
+@pytest.mark.parametrize("spec, lambda0, delta", [
+    (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
+def test_wkb_spectrum_samples_the_crossing_grid_once_per_problem(monkeypatch, spec, lambda0,
+                                                                 delta, eps, cold):
+    # the real turning-point seeds are bracketed on the samples a1_report
+    # keeps: a cold call samples A once per Problem, at eps > 0 also for its
+    # eps = 0 base, and a repeat call not at all
+    grid = []
+    eval_a = potential.eval_A
+
+    def counted(spec_, x):
+        grid.append(np.size(x) == potential._CROSSING_SAMPLES)
+        return eval_a(spec_, x)
+
+    monkeypatch.setattr(potential, "eval_A", counted)
+    monkeypatch.setattr("zswkb.turning.eval_A", counted, raising=False)
+    z.a1_report.cache_clear()
+    p = z.Problem(spec, lambda0, delta, 0.05, eps=eps)
+    z.wkb_spectrum(p)
+    assert sum(grid) == cold
+    grid.clear()
+    z.wkb_spectrum(p)
+    assert sum(grid) == 0
+
+
 LOCKSTEP_PROBLEMS = {
     "well": (z.well_even(), 1.5, 0.2),
     "tanh": (z.monotone_odd(), 1.0, 0.3),
@@ -175,8 +202,8 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     action_rows = quantize._action_rows
     first_round = [True]
 
-    def failing(problem, lams, *args, **kwargs):
-        acts = action_rows(problem, lams, *args, **kwargs)
+    def failing(problem, lams):
+        acts = action_rows(problem, lams)
         if problem.eps > 0 and first_round[0]:
             # every index is live in the first Newton round, in index order
             first_round[0] = False

@@ -5,8 +5,10 @@ import pytest
 
 import zswkb as z
 from zswkb.errors import Collision
+from zswkb.turning import _turning_rows
 
 from conftest import rng
+from oracles import two_stage_turning_points
 
 ATANH_HALF = math.atanh(0.5)
 
@@ -95,3 +97,31 @@ def test_eps_to_zero_linear_rate(well_problem):
         dists.append(abs(pair.alpha - base.alpha))
     slope = np.polyfit(np.log(eps_values), np.log(dists), 1)[0]
     assert slope >= 0.9
+
+
+HOMOTOPY_PROBLEMS = {
+    "well": z.Problem(z.well_even(), 1.5, 0.2, 0.05),
+    "tanh": z.Problem(z.monotone_odd(), 1.0, 0.3, 0.05),
+    "ctrl": z.Problem(z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]),
+                      1.5, 0.2, 0.05),
+    "well-3-2": z.Problem(z.well_even(3.0, 2.0), 2.0, 0.3, 0.05),
+}
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.5, 1.2])
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_PROBLEMS))
+def test_one_homotopy_path_matches_two_stage_reference(name, eps):
+    # one path in (Im lambda, eps) together lands on the roots that continuing
+    # first in Im lambda, then in eps, lands on; random lambda fill the window
+    # rectangle
+    p = HOMOTOPY_PROBLEMS[name].with_(eps=eps)
+    r = rng(7)
+    lams = (p.lambda0 + p.delta * r.uniform(-1.0, 1.0, 200)
+            + 0.5j * p.delta * r.uniform(-1.0, 1.0, 200))
+    ref = two_stage_turning_points(p, lams)
+    for pair, want in zip(_turning_rows(p, lams), ref):
+        if isinstance(want, Exception):
+            assert type(pair) is type(want)
+        else:
+            assert abs(pair.alpha - want[0]) < 1e-11
+            assert abs(pair.beta - want[1]) < 1e-11
