@@ -10,11 +10,11 @@ magnitude accumulates in a log scale; overflow cannot occur.
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
 one-lambda probe. Every root-finding stage is array code over such batches,
-and ``_newton_wronskian`` is the one root polisher: it starts from the
-sign-change brackets of a real scan in ``direct_spectrum_real`` and, at
-eps > 0, from the eps = 0 roots in ``direct_spectrum_complex``. At eps = 0
-the operator is self-adjoint and ``direct_spectrum_complex`` returns the real
-records as they are.
+and ``_newton_wronskian`` is the one root polisher. ``direct_spectrum_real``
+seeds it from sign changes on the real axis, where a symmetry puts W on a
+known line: self-adjointness at eps = 0, a parity pairing at eps > 0. At
+eps > 0 ``direct_spectrum_complex`` seeds it from the eps = 0 roots; at
+eps = 0 it returns the real records as they are.
 """
 from __future__ import annotations
 
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import action_integral
-from .errors import (BoundaryZero, InsideWell, MissedZerosWarning,
-                     NoConvergence, PhaseResolution, PhaseTrackingLost, ZSWKBError)
+from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
+                     PhaseResolution, SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
-from .potential import axis_blend_callable, eval_potential  # noqa: F401
-from .problem import (Problem, a1_report, domain_cuts, matching_point,
+from .potential import SymmetryClass, axis_blend_callable, eval_potential  # noqa: F401
+from .problem import (Problem, a1_report, domain_cuts, matching_point, symmetry_class,
                       window_rectangle)
 from .quantize import EigenvalueRecord, Method, select_branch
 
@@ -262,32 +262,35 @@ def wronskian(problem: Problem, lam: complex) -> WronskianSample:
     return WronskianSample(complex(lam), complex(w[0]), float(ls[0]))
 
 
-def _phase_track(ws: np.ndarray) -> tuple:
-    """Track the real line the aligned Wronskian lives on along a real scan.
+def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
+    """Unit factor c per real lambda of a scan such that c*W is real up to rounding.
 
-    Returns (signs, line_phases). Between tracked samples the line turns by
-    d = arg(W_j/W_i); with m = round(d/pi), an odd m is a sign flip, and a
-    drift |d - m*pi| above pi/4 cannot be told from one: PhaseTrackingLost.
-    Samples with negligible magnitude get sign 0 and the phase of the tracked
-    sample before them, or of the first one.
+    eps = 0: sigma_x*conj(u) solves the system with u, so a unit seed v times
+    phi, phi^2 = conj(v1)/v0, is invariant, as is its state: phi_l*phi_r*W is
+    imaginary. The principal root would jump at lambda = 0 (right seed with
+    A > 0 at the cut, left with A < 0), so the ratio is first scaled by
+    t = side*sign(A), to real part mu/|A| > 0, and sqrt(t) is carried apart.
+    eps > 0: a parity pairing reflects the states, u_r(x) = kappa*R*conj(u_l(-x))
+    with R = sigma_z (A even, B odd) or I (A odd, B even), kappa the overlap of
+    the right seed with the reflected left one, and W/kappa is real or
+    imaginary; exactly so for mirror cuts, as the default cuts of a paired
+    potential are. Without a pairing there is no line: SymmetryRequired.
     """
-    amps = np.abs(ws)
-    tracked = amps > 1e-12 * float(np.max(amps))
-    tracked[np.argmax(tracked)] = True  # the first sample stands in when none is large
-    at = np.flatnonzero(tracked)
-    d = np.angle(ws[at[1:]] / ws[at[:-1]])
-    m = np.round(d / np.pi)
-    r = d - m * np.pi
-    lost = np.abs(r) > np.pi / 4
-    if lost.any():
-        raise PhaseTrackingLost(
-            f"line phase drifted {r[np.argmax(lost)]:+.3f} rad between consecutive samples")
-    signs = np.zeros(len(ws), dtype=int)
-    signs[at] = np.cumprod(np.concatenate([[1], np.where(m != 0, -1, 1)]))
-    # unwrapped phase; a pi jump is a sign flip on a slowly turning line
-    line = np.cumsum(np.concatenate([[np.angle(ws[at[0]])], d]))
-    phases = line[np.maximum(np.cumsum(tracked) - 1, 0)]
-    return signs, phases
+    x_l, x_r = domain_cuts(problem)
+    v_l = _seed_batch(problem, lams, x_l, 1)
+    v_r = _seed_batch(problem, lams, x_r, -1)
+    if problem.eps == 0.0:
+        c = -1j
+        for v, side in ((v_l, 1.0), (v_r, -1.0)):
+            t = side * np.sign(v[0, 0].real)  # the seed's first entry is A at the cut
+            c = c * np.sqrt(complex(t)) * np.sqrt(t * np.conj(v[:, 1]) / v[:, 0])
+        return c
+    sym = symmetry_class(problem)
+    if sym is SymmetryClass.NONE:
+        raise SymmetryRequired("at eps > 0 the real scan needs a PT-like parity pairing")
+    if sym is SymmetryClass.A_EVEN_B_ODD:
+        return np.conj(v_l[:, 0] * v_r[:, 0] - v_l[:, 1] * v_r[:, 1])
+    return -1j * np.conj(v_l[:, 0] * v_r[:, 0] + v_l[:, 1] * v_r[:, 1])
 
 
 def _branch(problem: Problem):
@@ -299,11 +302,14 @@ def _branch(problem: Problem):
 
 
 def direct_spectrum_real(problem: Problem) -> list:
-    """Scan the real window for sign changes of the phase-aligned Wronskian, then polish.
+    """Scan the real window for sign changes of W on its symmetry line, then polish.
 
-    Each sign-change bracket seeds one Newton row at its secant point; all rows
-    are polished together by ``_newton_wronskian`` and the real parts kept. A
-    row that Newton flags failed, or whose root leaves its own bracket, raises
+    The scan reads f = Re(c*W), with ``_line_factor``'s c putting W on the
+    real axis: at eps = 0 by self-adjointness, at eps > 0 by the parity
+    pairing, and SymmetryRequired where there is none. Each sign-change
+    bracket of f seeds one Newton row at its secant point; all rows are
+    polished together by ``_newton_wronskian`` and the real parts kept. A row
+    that Newton flags failed, or whose root leaves its own bracket, raises
     NoConvergence naming the bracket.
     """
     try:
@@ -316,17 +322,14 @@ def direct_spectrum_real(problem: Problem) -> list:
     hi_edge = problem.lambda0 + problem.delta
     n = int(np.ceil((hi_edge - lo_edge) / step)) + 1
     lams = np.linspace(lo_edge, hi_edge, n)
-    ws, _ = _wronskian_batch(problem, lams.astype(complex))
-    signs, phases = _phase_track(ws)
-
-    keep = np.flatnonzero(signs)
-    flip = signs[keep[:-1]] * signs[keep[1:]] < 0
-    i_a, i_b = keep[:-1][flip], keep[1:][flip]
+    f = (_line_factor(problem, lams) * _wronskian_batch(problem, lams)[0]).real
+    keep = np.flatnonzero(f)  # a sample with f = 0 exactly is bracketed by its neighbours
+    flip = np.flatnonzero(np.sign(f[keep[:-1]]) != np.sign(f[keep[1:]]))
+    i_a, i_b = keep[flip], keep[flip + 1]
     if len(i_a) == 0:
         return []
     a, b = lams[i_a], lams[i_b]
-    align = np.exp(-1j * phases[i_a])
-    f_a, f_b = (ws[i_a] * align).real, (ws[i_b] * align).real
+    f_a, f_b = f[i_a], f[i_b]
     seeds = b - f_b * (b - a) / (f_b - f_a)  # secant point of each bracket
     roots, resid, failed = _newton_wronskian(problem, seeds)
     roots = roots.real

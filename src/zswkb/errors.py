@@ -71,10 +71,6 @@ class InsideWell(ZSWKBError):
     """A boundary cut has no positive decay margin (|A| not above |lambda|)."""
 
 
-class PhaseTrackingLost(ZSWKBError):
-    """Wronskian phase drifted too fast between grid samples to track a sign."""
-
-
 class BoundaryZero(ZSWKBError):
     """A Wronskian zero sits on the counting contour even after inflation."""
 

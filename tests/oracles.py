@@ -85,39 +85,6 @@ def two_stage_turning_points(problem, lams) -> list:
     return out
 
 
-def loop_phase_track(ws):
-    """Sample-by-sample reference for ``zswkb.direct._phase_track``.
-
-    Returns (signs, line_phases), or None where a line drift above pi/4 stops
-    the tracking. The phase is unwrapped by accumulating each wrapped turn
-    against the running phase.
-    """
-    amps = np.abs(ws)
-    tiny = 1e-12 * float(np.max(amps))
-    signs = np.zeros(len(ws), dtype=int)
-    phases = np.zeros(len(ws))
-    start = int(np.argmax(amps > tiny))
-    psi = float(np.angle(ws[start]))
-    sign = 1
-    signs[start] = sign
-    phases[:start + 1] = psi
-    for i in range(start + 1, len(ws)):
-        if amps[i] <= tiny:
-            phases[i] = psi
-            continue
-        d = float(np.angle(ws[i])) - psi
-        d = (d + np.pi) % (2 * np.pi) - np.pi
-        m = round(d / np.pi)
-        if abs(d - m * np.pi) > np.pi / 4:
-            return None
-        psi += d
-        if m % 2 != 0:
-            sign = -sign
-        signs[i] = sign
-        phases[i] = psi
-    return signs, phases
-
-
 def assert_graph_document(doc, graph) -> None:
     """``doc`` holds every field of the Stokes ``graph``, exactly, in the JSON layout."""
     assert doc["turning_points"] == [[tp.real, tp.imag] for tp in graph.turning_points]

@@ -103,6 +103,10 @@ def test_a3_spectral_reality_under_symmetry(spectra_cache, capsys):
                     (name, h, eps, "complex"),
                     lambda p=problem: z.direct_spectrum_complex(p, certify=False))
                 assert records, (name, h, eps)
+                # the real scan reads W off its symmetry line: the same roots
+                real = z.direct_spectrum_real(problem)
+                assert len(real) == len(records), (name, h, eps)
+                assert max(abs(a.lam - b.lam) for a, b in zip(real, records)) < 1e-12
                 zc = z.count_zeros(problem, z.window_rectangle(problem))
                 assert zc.winding == len(records), (name, h, eps)
                 worst_im = max(worst_im, max(abs(r.lam.imag) for r in records))

@@ -7,11 +7,11 @@ import scipy.integrate
 import scipy.linalg
 
 import zswkb as z
-from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _newton_wronskian, _phase_track,
+from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
                           _seed_batch, _wronskian_batch)
-from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, PhaseTrackingLost
+from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, SymmetryRequired
 
-from oracles import loop_phase_track, matrix_window_eigenvalues
+from oracles import matrix_window_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,37 @@ def test_seeds_related_by_conjugation_symmetry(well_problem):
     assert abs(np.vdot(right, mapped)) == pytest.approx(1.0, abs=1e-12)
     swapped = np.conj(left[::-1])
     assert abs(np.vdot(left, swapped)) == pytest.approx(1.0, abs=1e-12)
+
+
+# (spec, lambda0, delta); the control pairs an even A with an even B
+WINDOWS = {
+    "well": (z.well_even(), 1.5, 0.2),
+    "tanh": (z.monotone_odd(), 1.0, 0.3),
+    "ctrl": (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), 1.5, 0.2),
+}
+
+
+@pytest.mark.parametrize("name, eps", [("well", 0.0), ("tanh", 0.0), ("ctrl", 0.0),
+                                       ("well", 0.01), ("tanh", 0.01),
+                                       ("well", 0.05), ("tanh", 0.05)])
+def test_real_scan_wronskian_lies_on_its_symmetry_line(name, eps):
+    # self-adjointness (eps = 0, any potential) or the parity pairing (eps > 0,
+    # mirror cuts) puts c*W on the real axis: the part the line discards is
+    # rounding, with the default cuts, cuts 1.25x wider and x_m moved by 0.2
+    spec, lambda0, delta = WINDOWS[name]
+    lams = np.linspace(lambda0 - delta, lambda0 + delta, 401).astype(complex)
+    for h in (0.1, 0.05):
+        problem = z.Problem(spec, lambda0, delta, h, eps)
+        x_m = z.problem.matching_point(problem)
+        x_l, x_r = z.domain_cuts(problem)
+        for p in (problem, problem.with_(matching_point=x_m + 0.2),
+                  problem.with_(matching_point=x_m - 0.2),
+                  problem.with_(x_cut_left=1.25 * x_l, x_cut_right=1.25 * x_r)):
+            c = _line_factor(p, lams)
+            assert np.max(np.abs(np.abs(c) - 1.0)) < 1e-12
+            w, ls = _wronskian_batch(p, lams)
+            g = c * w * np.exp(ls - ls.max())
+            assert np.max(np.abs(g.imag)) <= 1e-11 * np.max(np.abs(g)), (h, p)
 
 
 def test_integrate_matches_matrix_exponential(const_problem):
@@ -186,6 +217,34 @@ def test_direct_spectrum_empty_below_well_bottom():
     p = z.Problem(z.well_even(), 0.7, 0.1, 0.05,
                   x_cut_left=-3.18, x_cut_right=3.18)
     assert z.direct_spectrum_real(p) == []
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05])
+def test_real_scan_requires_a_parity_pairing_at_eps_above_zero(eps):
+    # without a pairing W has no line on the real axis to read signs off
+    spec, lambda0, delta = WINDOWS["ctrl"]
+    with pytest.raises(SymmetryRequired):
+        z.direct_spectrum_real(z.Problem(spec, lambda0, delta, 0.1, eps))
+
+
+@pytest.mark.parametrize("eps, well_roots, tanh_roots", [
+    (0.0, [0.2014207954621219, 0.37053545446469366, 0.4946339715082142,
+           0.6006229344320371, 0.6950166659396297], [0.0, 0.44440972086591407]),
+    (0.05, [0.20167011470264135, 0.37068645079495677, 0.49475339103822835,
+            0.6007192686683819, 0.6950943987002479], [0.0, 0.44427088253245045]),
+])
+def test_real_scan_line_is_continuous_through_lambda_zero(eps, well_roots, tanh_roots):
+    # windows reaching lambda <= 0: the principal root of the seeds' line
+    # phase jumps at lambda = 0 (A > 0 on the right cut, A < 0 on the left
+    # one), which would bracket a phantom root there
+    well = z.Problem(z.custom([("const", 2.0), ("gauss", -1.9)], [("xgauss", 1.0)]),
+                     0.3, 0.4, 0.05, eps)
+    for problem, want in ((well, well_roots),
+                          (z.Problem(z.monotone_odd(), 0.2, 0.3, 0.05, eps), tanh_roots)):
+        got = [r.lam.real for r in z.direct_spectrum_real(problem)]
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert z.count_zeros(well, z.window_rectangle(well)).winding == len(well_roots)
 
 
 def test_direct_spectrum_increasing_with_expected_spacing(well_problem):
@@ -341,62 +400,6 @@ def test_matching_point_shift_invariance(well_problem, spectra_cache):
     assert len(base) == len(shifted)
     for a, b in zip(base, shifted):
         assert abs(a.lam - b.lam) < 1e-9
-
-
-def test_phase_track_sign_changes():
-    # a real-valued oscillation recorded through a slowly turning unit phase:
-    # interior zeros at pi, 2*pi, 3*pi give three tracked sign flips
-    lams = np.linspace(0.3, 4 * np.pi - 0.3, 200)
-    ws = np.sin(lams) * np.exp(1j * (0.3 + 0.1 * lams / (4 * np.pi)))
-    signs, _ = _phase_track(ws)
-    flips = np.sum(np.abs(np.diff(np.sign([s for s in signs if s != 0]))) > 0)
-    assert flips == 3
-
-
-def test_phase_track_skips_tiny_samples():
-    # leading and interior zero samples get sign 0 and carry the line phase of
-    # the tracked sample before them (the first tracked one, for leading zeros)
-    line = np.exp(1j * np.array([0.3, 0.3, 0.31, 0.32, 0.33]))
-    ws = np.array([0, 0, 1, 2, 0, -1, -2, 0, 1]) * line[[0, 0, 0, 1, 1, 2, 3, 3, 4]]
-    signs, phases = _phase_track(ws)
-    assert signs.tolist() == [0, 0, 1, 1, 0, -1, -1, 0, 1]
-    want = [0.3, 0.3, 0.3, 0.3, 0.3, 0.31 - np.pi, 0.32 - np.pi, 0.32 - np.pi, 0.33 - 2 * np.pi]
-    assert np.max(np.abs(phases - want)) < 1e-14
-    # an all-zero scan tracks its first sample only
-    signs, phases = _phase_track(np.zeros(3, dtype=complex))
-    assert signs.tolist() == [1, 0, 0]
-    assert phases.tolist() == [0.0, 0.0, 0.0]
-
-
-def test_phase_track_matches_loop_reference():
-    # random scans with zero and tiny samples, slow and fast turning lines;
-    # the unwrapped phases accumulate in another order, so they agree to a
-    # about a hundred ulps of the largest phase (|phase| < 40 rad here)
-    rng = np.random.default_rng(7)
-    lost = 0
-    for _ in range(2000):
-        n = int(rng.integers(1, 60))
-        turns = rng.normal(0, rng.choice([0.05, 0.3, 0.7]), n)
-        phase = rng.uniform(-np.pi, np.pi) + np.cumsum(turns)
-        amp = rng.normal(0, 1, n)
-        amp[rng.random(n) < 0.2] = rng.choice([0.0, 1e-14])
-        ws = amp * np.exp(1j * phase)
-        want = loop_phase_track(ws)
-        if want is None:
-            lost += 1
-            with pytest.raises(PhaseTrackingLost):
-                _phase_track(ws)
-            continue
-        signs, phases = _phase_track(ws)
-        assert np.array_equal(signs, want[0])
-        assert np.max(np.abs(phases - want[1])) < 1e-12
-    assert 200 < lost < 1800  # both outcomes are exercised
-
-
-def test_phase_track_lost_on_fast_rotation():
-    ws = np.exp(1j * 1.2 * np.arange(30))  # 1.2 rad per sample > pi/4
-    with pytest.raises(PhaseTrackingLost):
-        _phase_track(ws)
 
 
 def test_wronskian_batch_matches_scalar(well_problem):
