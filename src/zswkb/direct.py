@@ -273,8 +273,8 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
     eps > 0: a parity pairing reflects the states, u_r(x) = kappa*R*conj(u_l(-x))
     with R = sigma_z (A even, B odd) or I (A odd, B even), kappa the overlap of
     the right seed with the reflected left one, and W/kappa is real or
-    imaginary; exactly so for mirror cuts, as the default cuts of a paired
-    potential are. Without a pairing there is no line: SymmetryRequired.
+    imaginary; exactly so for mirror cuts, as the default cuts of every
+    paired potential are. Without a pairing there is no line: SymmetryRequired.
     """
     x_l, x_r = domain_cuts(problem)
     v_l = _seed_batch(problem, lams, x_l, 1)
@@ -401,7 +401,8 @@ def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
     """Batched complex Newton on W with a central-difference derivative.
 
     Returns (lams, resid, failed). A row stops when its step falls below
-    1e-12; ``resid`` is |W| at its last evaluated iterate. A row is failed
+    1e-12; ``resid`` is the determinant of the unit-norm states at its last
+    evaluated iterate, W without its log scale. A row is failed
     when it leaves the window (real part beyond 2*delta of lambda0, or |Im|
     above delta), when its step is not finite, or when it is still stepping
     after 40 rounds.
@@ -469,12 +470,12 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
                            dtype=complex)
         if len(seeds):
             # zeros lift off the real axis under the perturbation; probe each
-            # seed along a vertical line and start Newton from the |W| minimum
-            # so the iteration begins in the right basin
+            # seed along a vertical line and start Newton from the minimum of
+            # |W|, log scale included, so it begins in the right basin
             t = np.linspace(-0.5 * problem.delta, 0.5 * problem.delta, 17)
             probe = (seeds[:, None] + 1j * t[None, :]).ravel()
-            w, _ = _wronskian_batch(problem, probe)
-            picks = np.argmin(np.abs(w).reshape(len(seeds), len(t)), axis=1)
+            w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(problem, probe))
+            picks = np.argmin(np.abs(w) * np.exp(ls - ls.max(axis=1, keepdims=True)), axis=1)
             lams, resid, failed = _newton_wronskian(problem, seeds + 1j * t[picks])
             if np.any(failed):
                 warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)

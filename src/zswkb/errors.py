@@ -80,7 +80,7 @@ class PhaseResolution(ZSWKBError):
 
 
 class MissedZerosWarning(UserWarning):
-    """Winding number exceeds the number of roots located by Newton seeding."""
+    """Winding number differs from the number of roots located by Newton seeding."""
 
 
 # -- Stokes geometry -------------------------------------------------------

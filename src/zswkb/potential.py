@@ -31,7 +31,7 @@ _TERM_NAMES = {"const": TERM_CONST, "tanh": TERM_TANH,
 # distance to the root per pass.
 _CROSSING_XTOL = 1e-10
 _CROSSING_NEWTON_CAP = 64
-_CROSSING_SAMPLES = 4001         # equispaced samples that bracket the crossings
+_CROSSING_SAMPLES = 4001         # odd: the crossing grid holds 0 and mirrors about it
 _SYMMETRY_SAMPLES = 101          # symmetric grid of the parity test
 _SYMMETRY_REL_TOL = 1e-12
 
@@ -257,27 +257,35 @@ class A1Report:
     samples: np.ndarray = field(compare=False, repr=False)
 
 
+def _crossing_grid(cutoff: float) -> np.ndarray:
+    """``_CROSSING_SAMPLES`` equispaced points on [-cutoff, cutoff]: 0 and exact mirror pairs."""
+    half = np.linspace(0.0, cutoff, _CROSSING_SAMPLES // 2 + 1)
+    return np.concatenate([-half[:0:-1], half])
+
+
 def real_crossings(spec: PotentialSpec, levels, cutoff: float, a=None) -> tuple:
     """Real roots of |A(x)| = level in [-cutoff, cutoff], for every level at once.
 
     Sign changes of |A| - level between neighbouring samples of Re A on
-    ``_CROSSING_SAMPLES`` equispaced points bracket the roots; ``a`` passes
-    those samples in, and without it they are evaluated here.  Each bracket
-    is seeded at its secant point and polished by Newton on A's analytic
-    derivative; an iterate that leaves its (shrinking) bracket is replaced by
-    the bracket's midpoint.  The brackets of all levels polish together and
-    independently of each other.  Returns ``(row, t, done, a)``: per bracket
-    its level's index (ascending), its root, and whether that root settled
-    within ``_CROSSING_NEWTON_CAP`` passes; then the samples.
+    ``_crossing_grid(cutoff)`` bracket the roots; ``a`` passes those samples
+    in, and without it they are evaluated here.  Each bracket is seeded at its
+    secant point and polished by Newton on A's analytic derivative; an
+    iterate that leaves its (shrinking) bracket is replaced by the bracket's
+    midpoint.  The brackets of all levels polish together and independently
+    of each other.  Grid and secant point are mirror-exact, so every paired
+    potential, with |A| even, gets exactly negated roots.  Returns ``(row, t,
+    done, a)``: per bracket its level's index (ascending), its root, and
+    whether that root settled within ``_CROSSING_NEWTON_CAP`` passes; then
+    the samples.
     """
-    x = np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES)
+    x = _crossing_grid(cutoff)
     if a is None:
         a = eval_A(spec, x)[0].real
     levels = np.asarray(levels, dtype=float)
     f = np.abs(a) - levels[:, None]
     row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
     lo, hi, flo, fhi, level = x[i], x[i + 1], f[row, i], f[row, i + 1], levels[row]
-    t = lo - flo * (hi - lo) / (fhi - flo)
+    t = (lo * fhi - hi * flo) / (fhi - flo)
     ftol = 4.0 * np.finfo(float).eps * np.maximum(1.0, level)
     done = np.zeros(len(t), dtype=bool)
     for _ in range(_CROSSING_NEWTON_CAP):
@@ -313,7 +321,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("lambda0 must be positive")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    a, _ = eval_A(spec, np.linspace(-cutoff, cutoff, _CROSSING_SAMPLES))
+    a, _ = eval_A(spec, _crossing_grid(cutoff))
     if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
         raise ValueError("A(x) is not real-valued on the real axis")
     # a copy, so a cached report does not keep the complex samples alive

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import A1Violated
 from .potential import (A1Report, PotentialSpec, SymmetryClass, classify_symmetry,
-                        eval_A, validate_A1)
+                        real_crossings, validate_A1)
 
 
 @dataclass(frozen=True)
@@ -77,31 +77,22 @@ def symmetry_class(problem: Problem) -> SymmetryClass:
 def domain_cuts(problem: Problem) -> tuple:
     """Boundary cut positions for the shooting solver.
 
-    Default rule: first x beyond the turning interval where |A| - lambda0
-    exceeds half the asymptotic margin, pushed out by 2.0 and capped at the
-    sampling cutoff.
+    Default rule: the nearest x beyond the turning interval where |A| -
+    lambda0 reaches half the asymptotic margin, pushed out by 2.0 and capped
+    at the sampling cutoff; a side with no such x is cut at the cutoff. The
+    x are ``real_crossings`` of that level on the A1 report's samples, so a
+    paired potential gets exactly mirrored cuts.
     """
     if problem.x_cut_left is not None and problem.x_cut_right is not None:
         return problem.x_cut_left, problem.x_cut_right
     rep = a1_report(problem)
     target = problem.lambda0 + 0.5 * rep.margin_at_infinity
-
-    def march(start: float, sign: float) -> float:
-        # accumulate adds in order, so the grid holds the sums of repeated
-        # x += sign*0.01 bit for bit; like that march, it stops before the
-        # first |x| >= cutoff
-        steps = int((problem.cutoff + abs(start)) / 0.01) + 2
-        x = np.add.accumulate(np.concatenate([[start], np.full(steps, sign * 0.01)]))
-        x = x[:np.argmax(np.abs(x) >= problem.cutoff)]
-        v, _ = eval_A(problem.potential, x)
-        hit = np.flatnonzero(np.abs(v.real) >= target)
-        if hit.size:
-            return float(np.clip(x[hit[0]] + sign * 2.0, -problem.cutoff, problem.cutoff))
-        return sign * problem.cutoff
-
-    left = problem.x_cut_left if problem.x_cut_left is not None else march(rep.alpha0, -1.0)
-    right = problem.x_cut_right if problem.x_cut_right is not None else march(rep.beta0, +1.0)
-    return left, right
+    # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
+    _, x, _, _ = real_crossings(problem.potential, [target], problem.cutoff, rep.samples)
+    left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
+    right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
+    return (float(left) if problem.x_cut_left is None else problem.x_cut_left,
+            float(right) if problem.x_cut_right is None else problem.x_cut_right)
 
 
 def matching_point(problem: Problem) -> float:

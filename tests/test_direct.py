@@ -385,12 +385,17 @@ def test_complex_spectrum_symmetric_perturbation_real(well_problem):
     assert max(abs(r.lam.imag) for r in recs) < 1e-8
 
 
-def test_complex_spectrum_broken_symmetry_control(well_problem):
+def test_complex_spectrum_broken_symmetry_control():
+    # the vertical probe must compare |W| with its log scale: the unit-state
+    # determinant alone starts Newton off two of the nine roots at h = 0.05
     ctrl = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])
-    p = z.Problem(ctrl, 1.5, 0.2, 0.1, eps=0.05)
-    recs = z.direct_spectrum_complex(p, certify=False)
-    assert recs
-    assert max(abs(r.lam.imag) for r in recs) > 1e-6
+    for h, eps in ((0.1, 0.05), (0.05, 0.01)):
+        p = z.Problem(ctrl, 1.5, 0.2, h, eps=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MissedZerosWarning)
+            recs = z.direct_spectrum_complex(p, certify=True)
+        assert recs
+        assert max(abs(r.lam.imag) for r in recs) > 1e-6
 
 
 def test_matching_point_shift_invariance(well_problem, spectra_cache):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.errors import A1Violated, OutOfStrip
+from zswkb.errors import A1Violated, OutOfStrip, ZSWKBError
 from zswkb import potential
 from zswkb.potential import axis_blend_callable, real_crossings
+from zswkb.problem import matching_point
 
 from conftest import rng
 
@@ -322,35 +323,76 @@ def test_custom_strip_default_stays_below_tanh_pole():
     assert np.isfinite(val)
 
 
-def scalar_march_cuts(problem):
-    """The cut rule of ``domain_cuts`` as a scalar march: one eval_A per 0.01."""
-    rep = z.a1_report(problem)
-    target = problem.lambda0 + 0.5 * rep.margin_at_infinity
-
-    def march(x, sign):
-        while abs(x) < problem.cutoff:
-            if abs(potential.eval_A(problem.potential, x)[0].real.item()) >= target:
-                return float(np.clip(x + sign * 2.0, -problem.cutoff, problem.cutoff))
-            x += sign * 0.01
-        return sign * problem.cutoff
-
-    return march(rep.alpha0, -1.0), march(rep.beta0, +1.0)
-
-
-CTRL = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])
-
-
 @pytest.mark.parametrize("spec, lam0, cutoff", [
     (z.well_even(), 1.5, 8.0),
     (z.monotone_odd(), 1.0, 8.0),
     (CTRL, 1.5, 8.0),
     (z.well_even(3.0, 2.0), 2.0, 8.0),
-    # both crossings lie within 0.01 of the cutoff, so both marches reach it
+    # both turning points lie within 0.01 of the cutoff, so both cuts reach it
     (z.well_even(), 1.9813, 2.0),
 ])
-def test_domain_cuts_equal_the_scalar_march(spec, lam0, cutoff):
+def test_domain_cuts_follow_the_crossing_rule(spec, lam0, cutoff):
     problem = z.Problem(spec, lam0, 0.001, 0.1, cutoff=cutoff)
+    rep = z.a1_report(problem)
+    target = lam0 + 0.5 * rep.margin_at_infinity
     cuts = z.domain_cuts(problem)
-    assert cuts == scalar_march_cuts(problem)
+    # each cut is the nearest crossing of the target level beyond the turning
+    # interval, pushed out by 2.0, unless it is capped at the cutoff
+    for cut, sign, turning in zip(cuts, (-1.0, 1.0), (rep.alpha0, rep.beta0)):
+        if cut == sign * cutoff:
+            continue
+        crossing = cut - sign * 2.0
+        assert abs(abs(potential.eval_A(spec, crossing)[0].real) - target) < 1e-12
+        between = np.linspace(crossing, turning, 20001)[1:-1]
+        assert np.all(np.abs(potential.eval_A(spec, between)[0].real) < target)
     if cutoff == 2.0:
         assert cuts == (-2.0, 2.0)
+
+
+def paired_draw(r):
+    """A random potential with a parity pairing and a level inside its well."""
+    family = r.integers(3)
+    if family == 0:
+        b = r.uniform(0.2, 3.0)
+        a = b + r.uniform(0.05, 3.0)
+        return z.well_even(a, b), r.uniform(a - b, a)
+    if family == 1:
+        a = r.uniform(0.2, 4.0)
+        return z.monotone_odd(a), r.uniform(0.0, a)
+    scales = lambda n: r.choice([0.3, 1.0, 2.5], n) * r.uniform(0.8, 1.25, n)
+    if r.integers(2):  # A even, B odd
+        c0 = r.uniform(0.5, 3.0)
+        a_terms = [("const", c0)] + [("gauss", -r.uniform(0.1, c0), s) for s in scales(2)]
+        b_terms = [("xgauss", r.uniform(-1, 1), s) for s in scales(1)] + \
+            [("tanh", r.uniform(-1, 1), s) for s in scales(1)]
+        return z.custom(a_terms, b_terms), r.uniform(0.05, c0)
+    # A odd, B even
+    a_terms = [("tanh", r.uniform(0.5, 2.0), s) for s in scales(2)] + \
+        [("xgauss", r.uniform(-0.5, 0.5), s) for s in scales(1)]
+    b_terms = [("gauss", r.uniform(-1, 1), s) for s in scales(2)]
+    return z.custom(a_terms, b_terms), r.uniform(0.05, 1.0)
+
+
+def test_paired_potentials_get_a_mirror_exact_set_up():
+    # the crossing grid, the secant seed and the cut search are mirror images,
+    # so the set-up of every paired potential is exactly symmetric about 0
+    r = rng(17)
+    checked = 0
+    try:
+        for _ in range(1000):
+            spec, lam0 = paired_draw(r)
+            problem = z.Problem(spec, lam0, 0.1, 0.1)
+            try:
+                rep = z.a1_report(problem)
+                cuts = z.domain_cuts(problem)
+            except ZSWKBError:
+                continue
+            assert rep.alpha0 == -rep.beta0, (spec, lam0)
+            assert matching_point(problem) == 0.0, (spec, lam0)
+            assert cuts[0] == -cuts[1], (spec, lam0)
+            checked += 1
+    finally:
+        # each cached report keeps its 4001 samples; drop the thousand drawn
+        z.a1_report.cache_clear()
+        z.domain_cuts.cache_clear()
+    assert checked > 500
