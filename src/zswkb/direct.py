@@ -10,10 +10,11 @@ magnitude accumulates in a log scale; overflow cannot occur.
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
 one-lambda probe. Every root-finding stage is array code over such batches,
-and ``_newton_wronskian`` is the one root polisher. ``direct_spectrum_real``
-seeds it from sign changes on the real axis, where a symmetry puts W on a
-known line: self-adjointness at eps = 0, a parity pairing at eps > 0. At
-eps > 0 ``direct_spectrum_complex`` seeds it from the eps = 0 roots; at
+and ``_newton_wronskian`` is the one root polisher. ``_scan`` brackets the sign
+changes of W on the real axis, where a symmetry puts W on a known line:
+self-adjointness at eps = 0, a parity pairing at eps > 0. ``direct_spectrum_real``
+polishes the brackets' secant points; at eps > 0 ``direct_spectrum_complex``
+lifts the secant points of the eps = 0 scan off the axis, unpolished, and at
 eps = 0 it returns the real records as they are.
 """
 from __future__ import annotations
@@ -293,24 +294,22 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
     return -1j * np.conj(v_l[:, 0] * v_r[:, 0] + v_l[:, 1] * v_r[:, 1])
 
 
-def _branch(problem: Problem):
-    """The quantization branch of the problem, or None where its A1 report fails."""
+def _records(problem: Problem, roots) -> list:
+    """DIRECT records of (lam, resid) pairs, on the problem's quantization branch if A1 holds."""
     try:
-        return select_branch(a1_report(problem))
+        branch = select_branch(a1_report(problem))
     except ZSWKBError:
-        return None
+        branch = None
+    return [EigenvalueRecord(complex(lam), k, branch, Method.DIRECT, float(r), problem.h,
+                             problem.eps)
+            for k, (lam, r) in enumerate(roots)]
 
 
-def direct_spectrum_real(problem: Problem) -> list:
-    """Scan the real window for sign changes of W on its symmetry line, then polish.
+def _scan(problem: Problem) -> tuple:
+    """Sign-change brackets (a, b) of f = Re(c*W) on the real window, and their secant points.
 
-    The scan reads f = Re(c*W), with ``_line_factor``'s c putting W on the
-    real axis: at eps = 0 by self-adjointness, at eps > 0 by the parity
-    pairing, and SymmetryRequired where there is none. Each sign-change
-    bracket of f seeds one Newton row at its secant point; all rows are
-    polished together by ``_newton_wronskian`` and the real parts kept. A row
-    that Newton flags failed, or whose root leaves its own bracket, raises
-    NoConvergence naming the bracket.
+    ``_line_factor``'s c puts W on the real axis: at eps = 0 by self-adjointness,
+    at eps > 0 by the parity pairing, and SymmetryRequired where there is none.
     """
     try:
         base = problem.with_(eps=0.0)
@@ -326,11 +325,22 @@ def direct_spectrum_real(problem: Problem) -> list:
     keep = np.flatnonzero(f)  # a sample with f = 0 exactly is bracketed by its neighbours
     flip = np.flatnonzero(np.sign(f[keep[:-1]]) != np.sign(f[keep[1:]]))
     i_a, i_b = keep[flip], keep[flip + 1]
-    if len(i_a) == 0:
-        return []
     a, b = lams[i_a], lams[i_b]
     f_a, f_b = f[i_a], f[i_b]
-    seeds = b - f_b * (b - a) / (f_b - f_a)  # secant point of each bracket
+    return a, b, b - f_b * (b - a) / (f_b - f_a)
+
+
+def direct_spectrum_real(problem: Problem) -> list:
+    """Scan the real window for sign changes of W on its symmetry line, then polish.
+
+    Each sign-change bracket of ``_scan`` seeds one Newton row at its secant
+    point; all rows are polished together by ``_newton_wronskian`` and the
+    real parts kept. A row that Newton flags failed, or whose root leaves its
+    own bracket, raises NoConvergence naming the bracket.
+    """
+    a, b, seeds = _scan(problem)
+    if len(seeds) == 0:
+        return []
     roots, resid, failed = _newton_wronskian(problem, seeds)
     roots = roots.real
     bad = failed | (roots < a - 1e-12) | (roots > b + 1e-12)
@@ -338,10 +348,7 @@ def direct_spectrum_real(problem: Problem) -> list:
         i = int(np.argmax(bad))
         why = "failed" if failed[i] else f"left it for {roots[i]:.17g}"
         raise NoConvergence(f"Newton from the bracket [{a[i]:.17g}, {b[i]:.17g}] {why}")
-    branch = _branch(problem)
-    return [EigenvalueRecord(complex(lam), k, branch, Method.DIRECT, float(r), problem.h,
-                             problem.eps)
-            for k, (lam, r) in enumerate(zip(roots, resid))]
+    return _records(problem, zip(roots, resid))
 
 
 def _rectangle_corners(rectangle) -> tuple:
@@ -457,8 +464,8 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
 
     At eps = 0 the operator is self-adjoint and these are the records of
     ``direct_spectrum_real(problem)``. At eps > 0 complex Newton starts from
-    every eps = 0 real eigenvalue; seeds whose Newton iteration diverges are
-    dropped with a warning. With ``certify`` the root count, zero included,
+    the eps = 0 real scan's secant points; seeds whose Newton iteration diverges
+    are dropped with a warning. With ``certify`` the root count, zero included,
     is checked against the argument-principle winding over the window
     rectangle; a mismatch emits MissedZerosWarning.
     """
@@ -466,8 +473,7 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
         records = direct_spectrum_real(problem)
     else:
         records = []
-        seeds = np.asarray([r.lam for r in direct_spectrum_real(problem.with_(eps=0.0))],
-                           dtype=complex)
+        seeds = _scan(problem.with_(eps=0.0))[2].astype(complex)
         if len(seeds):
             # zeros lift off the real axis under the perturbation; probe each
             # seed along a vertical line and start Newton from the minimum of
@@ -479,9 +485,7 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
             lams, resid, failed = _newton_wronskian(problem, seeds + 1j * t[picks])
             if np.any(failed):
                 warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
-            branch = _branch(problem)
-            records = [EigenvalueRecord(lam, k, branch, Method.DIRECT, r, problem.h, problem.eps)
-                       for k, (lam, r) in enumerate(_collect_roots(problem, lams, resid, failed))]
+            records = _records(problem, _collect_roots(problem, lams, resid, failed))
     if certify:
         zc = count_zeros(problem, window_rectangle(problem))
         if zc.winding != len(records):

@@ -263,24 +263,20 @@ def _crossing_grid(cutoff: float) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def real_crossings(spec: PotentialSpec, levels, cutoff: float, a=None) -> tuple:
+def real_crossings(spec: PotentialSpec, levels, cutoff: float, a: np.ndarray) -> tuple:
     """Real roots of |A(x)| = level in [-cutoff, cutoff], for every level at once.
 
-    Sign changes of |A| - level between neighbouring samples of Re A on
-    ``_crossing_grid(cutoff)`` bracket the roots; ``a`` passes those samples
-    in, and without it they are evaluated here.  Each bracket is seeded at its
+    Sign changes of |A| - level between neighbouring samples ``a`` of Re A on
+    ``_crossing_grid(cutoff)`` bracket the roots.  Each bracket is seeded at its
     secant point and polished by Newton on A's analytic derivative; an
     iterate that leaves its (shrinking) bracket is replaced by the bracket's
     midpoint.  The brackets of all levels polish together and independently
     of each other.  Grid and secant point are mirror-exact, so every paired
     potential, with |A| even, gets exactly negated roots.  Returns ``(row, t,
-    done, a)``: per bracket its level's index (ascending), its root, and
-    whether that root settled within ``_CROSSING_NEWTON_CAP`` passes; then
-    the samples.
+    done)``: per bracket its level's index (ascending), its root, and
+    whether that root settled within ``_CROSSING_NEWTON_CAP`` passes.
     """
     x = _crossing_grid(cutoff)
-    if a is None:
-        a = eval_A(spec, x)[0].real
     levels = np.asarray(levels, dtype=float)
     f = np.abs(a) - levels[:, None]
     row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
@@ -307,7 +303,7 @@ def real_crossings(spec: PotentialSpec, levels, cutoff: float, a=None) -> tuple:
         t = np.select([done, small_step, settled, inside], [t, newton, t, newton],
                       0.5 * (lo + hi))
         done |= settled
-    return row, t, done, a
+    return row, t, done
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
@@ -326,7 +322,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("A(x) is not real-valued on the real axis")
     # a copy, so a cached report does not keep the complex samples alive
     a = a.real.copy()
-    _, roots, done, _ = real_crossings(spec, [lambda0], cutoff, a)
+    _, roots, done = real_crossings(spec, [lambda0], cutoff, a)
     if not done.all():
         raise NoConvergence(f"real crossings of |A| = {lambda0} did not settle near "
                             f"x = {roots[~done]}")

@@ -88,7 +88,7 @@ def domain_cuts(problem: Problem) -> tuple:
     rep = a1_report(problem)
     target = problem.lambda0 + 0.5 * rep.margin_at_infinity
     # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
-    _, x, _, _ = real_crossings(problem.potential, [target], problem.cutoff, rep.samples)
+    _, x, _ = real_crossings(problem.potential, [target], problem.cutoff, rep.samples)
     left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
     right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
     return (float(left) if problem.x_cut_left is None else problem.x_cut_left,
@@ -103,8 +103,10 @@ def matching_point(problem: Problem) -> float:
         return 0.5 * (rep.alpha0 + rep.beta0)
     except A1Violated:
         # no turning interval (e.g. window below the well floor): match midway
-        left, right = domain_cuts(problem)
-        return 0.5 * (left + right)
+        # between explicit cuts; default cuts need the report that just failed
+        if problem.x_cut_left is None or problem.x_cut_right is None:
+            raise
+        return 0.5 * (problem.x_cut_left + problem.x_cut_right)
 
 
 def window_rectangle(problem: Problem) -> tuple:

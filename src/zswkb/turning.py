@@ -41,7 +41,7 @@ def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarra
     them gets its error in ``errors``.
     """
     rep = a1_report(problem)
-    row, t, done, a = real_crossings(problem.potential, levels, problem.cutoff, rep.samples)
+    row, t, done = real_crossings(problem.potential, levels, problem.cutoff, rep.samples)
     count = np.bincount(row, minlength=len(levels))
     unsettled = np.bincount(row, weights=~done, minlength=len(levels)) > 0
     seeds = np.zeros((len(levels), 2), dtype=complex)
@@ -51,7 +51,7 @@ def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarra
         # row's nearest root at that row's first bracket position
         order = np.lexsort((np.abs(t - target), row))
         seeds[count > 0, j] = t[order[first[count > 0]]]
-    floor = np.min(a * a)
+    floor = np.min(rep.samples ** 2)
     for k in np.flatnonzero(unsettled | (count < 2)):
         level = levels[k]
         if unsettled[k]:

@@ -298,6 +298,21 @@ def test_direct_spectrum_real_wronskian_work(well_problem, monkeypatch):
     assert (len(sizes), sum(sizes)) == (5, 92)
 
 
+def test_complex_spectrum_seeds_from_the_eps_zero_scan_alone(well_problem, monkeypatch):
+    # at eps > 0 the only eps = 0 batch is the real scan: its secant points
+    # are lifted as they are, with no eps = 0 Newton polish
+    batches = []
+
+    def counted(problem, lams):
+        batches.append((problem.eps, len(lams)))
+        return _wronskian_batch(problem, lams)
+
+    monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
+    recs = z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
+    assert recs
+    assert [n for eps, n in batches if eps == 0.0] == [41]
+
+
 @pytest.mark.parametrize("fault", ["outside", "failed"])
 def test_direct_spectrum_real_rejects_unpolished_root(well_problem, monkeypatch, fault):
     # a Newton row that fails, or lands outside its own bracket, is an error,

@@ -6,7 +6,7 @@ import pytest
 import zswkb as z
 from zswkb.errors import A1Violated, OutOfStrip, ZSWKBError
 from zswkb import potential
-from zswkb.potential import axis_blend_callable, real_crossings
+from zswkb.potential import _crossing_grid, axis_blend_callable, real_crossings
 from zswkb.problem import matching_point
 
 from conftest import rng
@@ -167,9 +167,9 @@ def test_value_only_path_keeps_the_input_checks(tanh_spec):
     (z.monotone_odd(2.0), (0.5, 1.0, 1.5), lambda lam: math.atanh(lam / 2.0)),
 ])
 def test_real_crossings_closed_forms(spec, levels, exact):
+    a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
     for lam in levels:
-        row, roots, done, a = real_crossings(spec, [lam], 8.0)
-        assert a.shape == (4001,)
+        row, roots, done = real_crossings(spec, [lam], 8.0, a)
         assert len(roots) == 2
         assert done.all() and not row.any()
         assert abs(roots[0] + exact(lam)) < 1e-13
@@ -190,7 +190,8 @@ def test_real_crossings_evaluation_budget(monkeypatch):
     for spec, lam in ((z.well_even(), 1.5), (z.well_even(3.0, 1.5), 2.0),
                       (z.monotone_odd(), 1.0)):
         calls.clear()
-        _, roots, done, _ = real_crossings(spec, [lam], 8.0)
+        a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
+        _, roots, done = real_crossings(spec, [lam], 8.0, a)
         assert len(roots) == 2 and done.all()
         assert len(calls) <= 12
 
@@ -203,14 +204,14 @@ def test_real_crossings_evaluation_budget(monkeypatch):
 def test_real_crossings_multi_level_equals_single_levels(spec, levels):
     # brackets polish independently, so each level's roots are bit for bit
     # those of a call with that level alone, also for levels without roots
-    row, roots, done, a = real_crossings(spec, levels, 8.0)
+    a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
+    row, roots, done = real_crossings(spec, levels, 8.0, a)
     assert np.all(np.diff(row) >= 0)
     for k, lam in enumerate(levels):
-        row_k, roots_k, done_k, a_k = real_crossings(spec, [lam], 8.0, a)
+        row_k, roots_k, done_k = real_crossings(spec, [lam], 8.0, a)
         assert not row_k.any()
         assert np.array_equal(roots[row == k], roots_k)
         assert np.array_equal(done[row == k], done_k)
-        assert a_k is a
 
 
 def test_axis_blend_matches_eval_potential():
@@ -371,6 +372,27 @@ def paired_draw(r):
         [("xgauss", r.uniform(-0.5, 0.5), s) for s in scales(1)]
     b_terms = [("gauss", r.uniform(-1, 1), s) for s in scales(2)]
     return z.custom(a_terms, b_terms), r.uniform(0.05, 1.0)
+
+
+@pytest.mark.parametrize("cuts", [{}, {"x_cut_left": -3.0}])
+def test_matching_point_without_a1_reraises_the_report_error(monkeypatch, cuts):
+    # below the well floor there is no turning interval, and default cuts need
+    # the same report: its one error propagates, not a second one raised
+    # while handling it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return potential.validate_A1(*args, **kwargs)
+
+    monkeypatch.setattr(z.problem, "validate_A1", counted)
+    problem = z.Problem(z.well_even(), 0.5, 0.2, 0.1, **cuts)
+    with pytest.raises(A1Violated) as exc:
+        matching_point(problem)
+    assert len(calls) == 1
+    assert exc.value.__context__ is None
+    both = problem.with_(x_cut_left=-3.0, x_cut_right=3.0)
+    assert matching_point(both) == 0.0
 
 
 def test_paired_potentials_get_a_mirror_exact_set_up():
