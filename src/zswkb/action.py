@@ -124,27 +124,28 @@ def _doubling(problem: Problem, alpha: np.ndarray, beta: np.ndarray, lam: np.nda
     return out
 
 
-def _action_rows(problem: Problem, lams) -> list:
-    """ActionValue, or the ZSWKBError that stopped it, for each lambda.
+def _action_rows(problem: Problem, lams, z=None) -> tuple:
+    """ActionValue, or the ZSWKBError that stopped it, for each lambda, and the (K, 2) pairs.
 
-    The turning points of all rows come from one call of the array solver.
-    A Collision of the turning points means no segment exists:
-    DegenerateSegment.
+    The turning points of all rows come from one call of the array solver,
+    continued from the pairs ``z`` when given; a row whose turning points
+    failed has zeros in the returned pairs.  A Collision of the turning
+    points means no segment exists: DegenerateSegment.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    results = _turning_rows(problem, lams)
+    results = _turning_rows(problem, lams, z)
     for k, pair in enumerate(results):
         if isinstance(pair, Collision):
             results[k] = DegenerateSegment(str(pair))
             results[k].__cause__ = pair
     live = np.array([k for k, p in enumerate(results) if isinstance(p, TurningPointPair)],
                     dtype=int)
+    pairs = np.zeros((len(lams), 2), dtype=complex)
     if live.size:
-        alpha = np.array([results[k].alpha for k in live])
-        beta = np.array([results[k].beta for k in live])
-        for k, act in zip(live, _doubling(problem, alpha, beta, lams[live])):
+        pairs[live] = [(results[k].alpha, results[k].beta) for k in live]
+        for k, act in zip(live, _doubling(problem, pairs[live, 0], pairs[live, 1], lams[live])):
             results[k] = act
-    return results
+    return results, pairs
 
 
 def action_integral(problem: Problem, lam: complex) -> ActionValue:
@@ -157,7 +158,7 @@ def action_integral(problem: Problem, lam: complex) -> ActionValue:
     of the array quadrature that ``wkb_spectrum`` runs on all its indices at
     once; its failure is raised.
     """
-    (act,) = _action_rows(problem, [lam])
+    (act,), _ = _action_rows(problem, [lam])
     if isinstance(act, Exception):
         raise act
     return act

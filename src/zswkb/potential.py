@@ -263,26 +263,27 @@ def _crossing_grid(cutoff: float) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def real_crossings(spec: PotentialSpec, levels, cutoff: float, a: np.ndarray) -> tuple:
-    """Real roots of |A(x)| = level in [-cutoff, cutoff], for every level at once.
+def real_crossings(spec: PotentialSpec, level: float, cutoff: float, a: np.ndarray) -> tuple:
+    """Real roots of |A(x)| = level in [-cutoff, cutoff].
 
     Sign changes of |A| - level between neighbouring samples ``a`` of Re A on
-    ``_crossing_grid(cutoff)`` bracket the roots.  Each bracket is seeded at its
-    secant point and polished by Newton on A's analytic derivative; an
+    ``_crossing_grid(cutoff)`` bracket the roots; a sample where it is exactly
+    zero is skipped, so its neighbours bracket it.  Each bracket is seeded at
+    its secant point and polished by Newton on A's analytic derivative; an
     iterate that leaves its (shrinking) bracket is replaced by the bracket's
-    midpoint.  The brackets of all levels polish together and independently
-    of each other.  Grid and secant point are mirror-exact, so every paired
-    potential, with |A| even, gets exactly negated roots.  Returns ``(row, t,
-    done)``: per bracket its level's index (ascending), its root, and
-    whether that root settled within ``_CROSSING_NEWTON_CAP`` passes.
+    midpoint.  Grid, skipped samples and secant point are mirror-exact, so
+    every paired potential, with |A| even, gets exactly negated roots.
+    Returns ``(t, done)``: per bracket its root and whether that root settled
+    within ``_CROSSING_NEWTON_CAP`` passes.
     """
     x = _crossing_grid(cutoff)
-    levels = np.asarray(levels, dtype=float)
-    f = np.abs(a) - levels[:, None]
-    row, i = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
-    lo, hi, flo, fhi, level = x[i], x[i + 1], f[row, i], f[row, i + 1], levels[row]
+    f = np.abs(a) - level
+    keep = np.flatnonzero(f)
+    flip = np.flatnonzero(f[keep[:-1]] * f[keep[1:]] < 0)
+    i, j = keep[flip], keep[flip + 1]
+    lo, hi, flo, fhi = x[i], x[j], f[i], f[j]
     t = (lo * fhi - hi * flo) / (fhi - flo)
-    ftol = 4.0 * np.finfo(float).eps * np.maximum(1.0, level)
+    ftol = 4.0 * np.finfo(float).eps * max(1.0, level)
     done = np.zeros(len(t), dtype=bool)
     for _ in range(_CROSSING_NEWTON_CAP):
         if done.all():
@@ -303,7 +304,7 @@ def real_crossings(spec: PotentialSpec, levels, cutoff: float, a: np.ndarray) ->
         t = np.select([done, small_step, settled, inside], [t, newton, t, newton],
                       0.5 * (lo + hi))
         done |= settled
-    return row, t, done
+    return t, done
 
 
 def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
@@ -322,7 +323,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("A(x) is not real-valued on the real axis")
     # a copy, so a cached report does not keep the complex samples alive
     a = a.real.copy()
-    _, roots, done = real_crossings(spec, [lambda0], cutoff, a)
+    roots, done = real_crossings(spec, lambda0, cutoff, a)
     if not done.all():
         raise NoConvergence(f"real crossings of |A| = {lambda0} did not settle near "
                             f"x = {roots[~done]}")

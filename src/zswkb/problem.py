@@ -57,6 +57,14 @@ class Problem:
             raise ValueError("lambda0, delta and h must be positive")
         if self.eps < 0:
             raise ValueError("eps must be non-negative")
+        cuts = (self.x_cut_left, self.x_cut_right)
+        given = [v for v in (self.cutoff, self.matching_point, *cuts) if v is not None]
+        if not all(map(math.isfinite, given)):
+            raise ValueError("cutoff, cuts and matching_point must be finite")
+        if not self.cutoff > 0:
+            raise ValueError("cutoff must be positive")
+        if None not in cuts and not cuts[0] < cuts[1]:
+            raise ValueError("x_cut_left must lie below x_cut_right")
 
     def with_(self, **kw) -> "Problem":
         return replace(self, **kw)
@@ -88,7 +96,7 @@ def domain_cuts(problem: Problem) -> tuple:
     rep = a1_report(problem)
     target = problem.lambda0 + 0.5 * rep.margin_at_infinity
     # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
-    _, x, _ = real_crossings(problem.potential, [target], problem.cutoff, rep.samples)
+    x, _ = real_crossings(problem.potential, target, problem.cutoff, rep.samples)
     left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
     right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
     return (float(left) if problem.x_cut_left is None else problem.x_cut_left,

@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
 from .potential import A1Report, WellType
@@ -55,8 +57,8 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
 
 def _window_action_range(problem: Problem) -> tuple:
     """Action at the real window edges for the eps = 0 reference problem."""
-    edges = _action_rows(problem.with_(eps=0.0),
-                         [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
+    edges, _ = _action_rows(problem.with_(eps=0.0),
+                            [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
     for act in edges:
         if isinstance(act, Exception):
             raise act
@@ -96,11 +98,11 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
     """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
 
     Each row starts from its secant seed and takes Newton steps in lockstep:
-    a round is one call of the array action over the rows still iterating,
-    and every round brackets its real turning-point seeds on the samples of
-    A that ``a1_report`` keeps.  A row stops on its own at the residual test,
-    on its action's failure, on leaving the window, or after ``_NEWTON_CAP``
-    rounds.
+    a round is one call of the array action over the rows still iterating.
+    The first round continues the turning points from the A1 report's real
+    pair, and every later round continues each row's pair from the round
+    before.  A row stops on its own at the residual test, on its action's
+    failure, on leaving the window, or after ``_NEWTON_CAP`` rounds.
     """
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
@@ -115,10 +117,12 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
 
     tol = problem.tolerances.quantize_residual
     live = [j for j, res in enumerate(results) if res is None]
-    for _ in range(_NEWTON_CAP):
+    pairs = np.zeros((len(ks), 2), dtype=complex)
+    for n in range(_NEWTON_CAP):
         if not live:
             break
-        acts = _action_rows(problem, [lams[j] for j in live])
+        acts, pairs[live] = _action_rows(problem, [lams[j] for j in live],
+                                         pairs[live] if n else None)
         still = []
         for j, act in zip(live, acts):
             if isinstance(act, Exception):
@@ -144,8 +148,9 @@ def wkb_spectrum(problem: Problem) -> list:
     """Roots of I(lambda, eps) = c_k*pi*h for every admissible index, sorted by Re lambda.
 
     The branch and the window's action range are computed once, and all
-    indices are solved in lockstep: each Newton round finds the turning
-    points and the action of every unsettled index with one array call.
+    indices are solved in lockstep: each Newton round continues the turning
+    points of every unsettled index from the round before and finds their
+    actions with one array call.
     Each index gives the root ``solve_quantization`` gives for it alone.
     Per-index failures are reported as warnings, in index order; the other
     indices are unaffected.

@@ -1,10 +1,10 @@
-"""Complex turning points: the roots of A_eps(z)^2 - lambda^2 tracked from the real pair.
+"""Complex turning points: the roots of A_eps(z)^2 - lambda^2 continued from a known pair.
 
-``_turning_rows`` solves a whole array of lambda at once: the samples of A
-kept by ``a1_report`` bracket the real seeds of every row, and each Newton
-iteration of the homotopy is one array potential call over both roots of
-every row still iterating.  A row's result does not depend on the other
-rows, and a failure removes only its own row.
+``_turning_rows`` solves a whole array of lambda at once.  A row starts from
+the real pair alpha0 < beta0 of the A1 report, or from its own pair at a
+nearby lambda, and each Newton iteration is one array potential call over
+both roots of every row still iterating.  A row's result does not depend on
+the other rows, and a failure removes only its own row.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Collision, LeftStrip, NoConvergence
-from .potential import eval_potential, real_crossings
+from .potential import eval_potential
 from .problem import Problem, a1_report
 
 _HOMOTOPY_STEPS = 8
@@ -30,39 +30,6 @@ class TurningPointPair:
     residual_beta: float
     lam: complex
     eps: float
-
-
-def _real_seeds(problem: Problem, levels: np.ndarray, errors: list) -> np.ndarray:
-    """Real roots of A(x)^2 = level^2 near alpha0, beta0, one row per level.
-
-    All levels are bracketed on the samples of A that ``a1_report`` keeps,
-    every bracket of every level is polished together, and each row keeps the
-    roots nearest alpha0 and beta0.  Returns the (K, 2) seeds; a row without
-    them gets its error in ``errors``.
-    """
-    rep = a1_report(problem)
-    row, t, done = real_crossings(problem.potential, levels, problem.cutoff, rep.samples)
-    count = np.bincount(row, minlength=len(levels))
-    unsettled = np.bincount(row, weights=~done, minlength=len(levels)) > 0
-    seeds = np.zeros((len(levels), 2), dtype=complex)
-    first = np.searchsorted(row, np.arange(len(levels)))
-    for j, target in enumerate((rep.alpha0, rep.beta0)):
-        # row is ascending, so the stable sort by (row, distance) puts each
-        # row's nearest root at that row's first bracket position
-        order = np.lexsort((np.abs(t - target), row))
-        seeds[count > 0, j] = t[order[first[count > 0]]]
-    floor = np.min(rep.samples ** 2)
-    for k in np.flatnonzero(unsettled | (count < 2)):
-        level = levels[k]
-        if unsettled[k]:
-            errors[k] = NoConvergence(f"real crossings of |A| = {level} did not settle "
-                                      f"near x = {t[(row == k) & ~done]}")
-        elif floor - level ** 2 < 1e-6 * max(1.0, level ** 2):
-            # tangency: the real pair has already merged at this level
-            errors[k] = Collision(f"turning points merge on the real axis at lambda={level}")
-        else:
-            errors[k] = NoConvergence(f"no real turning-point seeds at lambda={level}")
-    return seeds
 
 
 def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
@@ -114,27 +81,33 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
             errors[r // 2] = failed[r]
 
 
-def _turning_rows(problem: Problem, lams) -> list:
+def _turning_rows(problem: Problem, lams, z=None) -> list:
     """TurningPointPair, or the ZSWKBError that stopped it, for each lambda.
 
-    The roots are found at (|Re lambda|, eps=0) by polishing real crossings
-    of |A| and continued to the target along one path of fixed homotopy
-    stages, (Re lambda + i*t*Im lambda, t*eps) for t = 1/8, ..., 1.
+    Without ``z`` every row starts from the A1 report's (alpha0, beta0) at
+    (lambda0, eps=0) and follows fixed homotopy stages along
+    (lambda0 + t*(mu - lambda0), t*eps) for t = 1/8, ..., 1, where mu is
+    lambda or, when Re lambda < 0, -lambda: the roots depend on lambda^2 only.
+    A (K, 2) ``z`` holds each row's pair at a nearby lambda, and the row takes
+    one Newton stage from it at its own lambda.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     errors = [None] * len(lams)
-    z = _real_seeds(problem, np.abs(lams.real), errors)
 
     def alive():
         return np.array([e is None for e in errors], dtype=bool)
 
-    moving = (lams.imag != 0.0) | (problem.eps != 0.0)
-    if moving.any():
+    if z is None:
+        rep = a1_report(problem)
+        mu = np.where(lams.real < 0, -lams, lams)
+        z = np.tile(np.array([rep.alpha0, rep.beta0], dtype=complex), (len(lams), 1))
         for j in range(1, _HOMOTOPY_STEPS + 1):
-            lam_j = lams.copy()
-            lam_j.imag = lams.imag * j / _HOMOTOPY_STEPS
-            _newton_stage(problem, z, lam_j, problem.eps * j / _HOMOTOPY_STEPS,
-                          alive() & moving, errors)
+            # the last stage lands on mu exactly
+            _newton_stage(problem, z, mu + (j / _HOMOTOPY_STEPS - 1.0) * (mu - rep.lambda0),
+                          problem.eps * j / _HOMOTOPY_STEPS, alive(), errors)
+    else:
+        z = np.array(z, dtype=complex)
+        _newton_stage(problem, z, lams, problem.eps, alive(), errors)
 
     for k in np.flatnonzero(alive()):
         gap = abs(z[k, 0] - z[k, 1])
@@ -153,13 +126,13 @@ def _turning_rows(problem: Problem, lams) -> list:
 
 
 def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
-    """Track the two simple roots of A_eps^2 - lambda^2 from real seeds.
+    """Track the two simple roots of A_eps^2 - lambda^2 from the real pair at lambda0.
 
-    The roots are found at (Re lambda, eps=0) by polishing the real crossings
-    of |A| and continued to the target along one path of fixed homotopy
-    stages in Im lambda and eps together.  A one-row call of the array
-    solver that ``action_integral`` and ``wkb_spectrum`` run on many lambda
-    at once; its failure is raised.
+    The roots are continued from the A1 report's alpha0 < beta0 at
+    (lambda0, eps=0) to the target along one path of fixed homotopy stages
+    in lambda and eps together.  A one-row call of the array solver that
+    ``action_integral`` and ``wkb_spectrum`` run on many lambda at once; its
+    failure is raised.
     """
     (pair,) = _turning_rows(problem, [lam])
     if isinstance(pair, Exception):

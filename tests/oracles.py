@@ -11,9 +11,9 @@ import cmath
 import numpy as np
 
 import zswkb as z
-from zswkb.errors import Collision
-from zswkb.potential import eval_potential
-from zswkb.turning import _HOMOTOPY_STEPS, _newton_stage, _real_seeds
+from zswkb.errors import Collision, NoConvergence
+from zswkb.potential import eval_potential, real_crossings
+from zswkb.turning import _HOMOTOPY_STEPS, _newton_stage
 
 
 def independent_level_drift(problem, lam, curve) -> float:
@@ -59,13 +59,21 @@ def two_stage_turning_points(problem, lams) -> list:
     """Turning points continued first in Im lambda at eps = 0, then in eps.
 
     The reference for the one-path homotopy of ``zswkb.turning._turning_rows``:
-    it shares that solver's real seeds and Newton stage, so only the path
+    it shares that solver's Newton stage, but seeds each row at the real
+    crossings of |A| = |Re lambda| nearest alpha0 and beta0, so the path
     differs.  Returns, per lambda, (alpha, beta) ordered by real part, or the
     error that stopped the row.
     """
     lams = np.asarray(lams, dtype=complex)
     errors = [None] * len(lams)
-    z_ = _real_seeds(problem, np.abs(lams.real), errors)
+    rep = z.a1_report(problem)
+    z_ = np.zeros((len(lams), 2), dtype=complex)
+    for k, lam in enumerate(lams):
+        t, done = real_crossings(problem.potential, abs(lam.real), problem.cutoff, rep.samples)
+        if len(t) < 2 or not done.all():
+            errors[k] = NoConvergence(f"no settled real seeds at lambda={lam}")
+        else:
+            z_[k] = [t[np.argmin(np.abs(t - x0))] for x0 in (rep.alpha0, rep.beta0)]
 
     def alive():
         return np.array([e is None for e in errors], dtype=bool)

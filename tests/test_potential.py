@@ -79,6 +79,17 @@ def test_problem_rejects_non_finite_or_out_of_range(well_spec, field, value):
         z.Problem(well_spec, **args)
 
 
+@pytest.mark.parametrize("set_up", [
+    {"cutoff": math.inf}, {"cutoff": math.nan}, {"cutoff": 0.0}, {"cutoff": -8.0},
+    {"matching_point": math.nan}, {"x_cut_left": math.nan}, {"x_cut_right": -math.inf},
+    {"x_cut_left": 3.0, "x_cut_right": -3.0}, {"x_cut_left": 3.0, "x_cut_right": 3.0}])
+def test_problem_rejects_bad_set_up_fields(well_spec, set_up):
+    # caught at construction, not as an untyped error or warning of the first
+    # shooting call or A1 check
+    with pytest.raises(ValueError):
+        z.Problem(well_spec, 1.5, 0.2, 0.1, **set_up)
+
+
 @pytest.mark.parametrize("spec_fn", [
     lambda: z.well_even(),
     lambda: z.monotone_odd(),
@@ -169,9 +180,9 @@ def test_value_only_path_keeps_the_input_checks(tanh_spec):
 def test_real_crossings_closed_forms(spec, levels, exact):
     a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
     for lam in levels:
-        row, roots, done = real_crossings(spec, [lam], 8.0, a)
+        roots, done = real_crossings(spec, lam, 8.0, a)
         assert len(roots) == 2
-        assert done.all() and not row.any()
+        assert done.all()
         assert abs(roots[0] + exact(lam)) < 1e-13
         assert abs(roots[1] - exact(lam)) < 1e-13
 
@@ -191,27 +202,25 @@ def test_real_crossings_evaluation_budget(monkeypatch):
                       (z.monotone_odd(), 1.0)):
         calls.clear()
         a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
-        _, roots, done = real_crossings(spec, [lam], 8.0, a)
+        roots, done = real_crossings(spec, lam, 8.0, a)
         assert len(roots) == 2 and done.all()
         assert len(calls) <= 12
 
 
-@pytest.mark.parametrize("spec, levels", [
-    (z.well_even(2.0, 1.0), (1.3, 1.5, 0.5, 1.7, 2.5)),
-    (z.monotone_odd(2.0), (0.5, 1.0, 1.5)),
-    (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), (1.4, 1.6)),
-])
-def test_real_crossings_multi_level_equals_single_levels(spec, levels):
-    # brackets polish independently, so each level's roots are bit for bit
-    # those of a call with that level alone, also for levels without roots
-    a = potential.eval_A(spec, _crossing_grid(8.0))[0].real
-    row, roots, done = real_crossings(spec, levels, 8.0, a)
-    assert np.all(np.diff(row) >= 0)
-    for k, lam in enumerate(levels):
-        row_k, roots_k, done_k = real_crossings(spec, [lam], 8.0, a)
-        assert not row_k.any()
-        assert np.array_equal(roots[row == k], roots_k)
-        assert np.array_equal(done[row == k], done_k)
+@pytest.mark.parametrize("spec, index", [(z.monotone_odd(), 2150), (z.well_even(), 2150)],
+                         ids=["tanh", "well"])
+def test_crossing_on_a_grid_sample_is_found(spec, index):
+    # the level equals |A| at the sample x = 0.6 and, by parity, at x = -0.6;
+    # a zero of |A| - level on a sample is bracketed by its neighbours
+    x = _crossing_grid(8.0)
+    a = potential.eval_A(spec, x)[0].real
+    level = abs(a[index])
+    rep = z.validate_A1(spec, level, 8.0)
+    nearby = z.validate_A1(spec, level * (1.0 + 1e-15), 8.0)
+    assert rep.alpha0 == -rep.beta0 and abs(rep.beta0 - x[index]) < 1e-13
+    assert abs(rep.beta0 - nearby.beta0) < 1e-13
+    roots, done = real_crossings(spec, level, 8.0, a)
+    assert done.all() and (roots[0], roots[1]) == (rep.alpha0, rep.beta0)
 
 
 def test_axis_blend_matches_eval_potential():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,9 +118,9 @@ def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, e
     rows = []
     action_rows = quantize._action_rows
 
-    def counted(problem, lams):
+    def counted(problem, lams, *args):
         rows.append(len(lams))
-        return action_rows(problem, lams)
+        return action_rows(problem, lams, *args)
 
     monkeypatch.setattr(quantize, "_action_rows", counted)
     recs = z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
@@ -175,6 +176,28 @@ def test_wkb_spectrum_samples_the_crossing_grid_once_per_problem(monkeypatch, sp
     assert sum(grid) == 0
 
 
+@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 2)])
+@pytest.mark.parametrize("spec, lambda0, delta", [
+    (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
+def test_wkb_spectrum_searches_real_crossings_only_for_a1(monkeypatch, spec, lambda0, delta,
+                                                          eps, cold):
+    # every Newton round continues its turning points from a known pair, so
+    # the only crossing searches left are the A1 reports' of each Problem
+    callers = []
+    search = potential.real_crossings
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return search(*args)
+
+    monkeypatch.setattr(potential, "real_crossings", counted)
+    monkeypatch.setattr("zswkb.problem.real_crossings", counted)
+    monkeypatch.setattr("zswkb.turning.real_crossings", counted, raising=False)
+    z.a1_report.cache_clear()
+    assert z.wkb_spectrum(z.Problem(spec, lambda0, delta, 0.025, eps=eps))
+    assert callers == ["validate_A1"] * cold
+
+
 LOCKSTEP_PROBLEMS = {
     "well": (z.well_even(), 1.5, 0.2),
     "tanh": (z.monotone_odd(), 1.0, 0.3),
@@ -202,13 +225,13 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     action_rows = quantize._action_rows
     first_round = [True]
 
-    def failing(problem, lams):
-        acts = action_rows(problem, lams)
+    def failing(problem, lams, *args):
+        acts, pairs = action_rows(problem, lams, *args)
         if problem.eps > 0 and first_round[0]:
             # every index is live in the first Newton round, in index order
             first_round[0] = False
             acts[ks.index(bad)] = NoConvergence("injected")
-        return acts
+        return acts, pairs
 
     monkeypatch.setattr(quantize, "_action_rows", failing)
     with pytest.warns(UserWarning) as caught:

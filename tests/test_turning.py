@@ -125,3 +125,22 @@ def test_one_homotopy_path_matches_two_stage_reference(name, eps):
         else:
             assert abs(pair.alpha - want[0]) < 1e-11
             assert abs(pair.beta - want[1]) < 1e-11
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_PROBLEMS))
+def test_carried_pairs_match_a_fresh_continuation(name, eps):
+    # one Newton stage from each row's pair at a nearby lambda lands where the
+    # full homotopy from the A1 pair lands; half the window lambda are real.
+    # Each path stops at the turning_residual test, about 1e-12 from the exact
+    # root here, so the two agree to twice that
+    p = HOMOTOPY_PROBLEMS[name].with_(eps=eps)
+    r = rng(8)
+    lams = (p.lambda0 + p.delta * r.uniform(-1.0, 1.0, 50)
+            + 0.5j * p.delta * r.uniform(-1.0, 1.0, 50) * (np.arange(50) % 2))
+    z_ = [(pair.alpha, pair.beta) for pair in _turning_rows(p, lams)]
+    carried = _turning_rows(p, lams + 1e-3, z_)
+    fresh = _turning_rows(p, lams + 1e-3)
+    for pair, want in zip(carried, fresh):
+        assert abs(pair.alpha - want.alpha) < 2e-12
+        assert abs(pair.beta - want.beta) < 2e-12
