@@ -1,4 +1,4 @@
-"""Direct reference solver: shoot decaying solutions from both cuts, find Wronskian zeros.
+"""Direct reference solver: shoot the decaying solutions to a matching point, find Wronskian zeros.
 
 The first-order system u' = (1/h) M(x) u with M = [[-i*lam, A_eps], [A_eps, i*lam]]
 is started at each cut from the eigenvector of M that decays away from the
@@ -9,8 +9,16 @@ magnitude accumulates in a log scale; overflow cannot occur.
 
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
-one-lambda probe. Every root-finding stage is array code over such batches,
-and ``_newton_wronskian`` is the one root polisher. ``_scan`` brackets the sign
+one-lambda probe. Under a PT-like parity pairing, with mirror cuts and the
+matching point at 0, the right state is the reflection of the left one at
+conj(lambda), so a batch shoots only its rows and their conjugates from the
+left cut, plus one guard row from the right cut that must agree with its
+reflection (SymmetryMismatch otherwise); every other problem is shot from
+both cuts. The window contour and the vertical probe sample conjugate-closed
+sets, so their batches shoot each row once.
+
+Every root-finding stage is array code over such batches, and
+``_newton_wronskian`` is the one root polisher. ``_scan`` brackets the sign
 changes of W on the real axis, where a symmetry puts W on a known line:
 self-adjointness at eps = 0, a parity pairing at eps > 0. ``direct_spectrum_real``
 polishes the brackets' secant points; at eps > 0 ``direct_spectrum_complex``
@@ -26,7 +34,7 @@ import numpy as np
 
 from .action import action_integral
 from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
-                     PhaseResolution, SymmetryRequired, ZSWKBError)
+                     PhaseResolution, SymmetryMismatch, SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
 from .potential import SymmetryClass, axis_blend_callable, eval_potential  # noqa: F401
 from .problem import (Problem, a1_report, domain_cuts, matching_point, symmetry_class,
@@ -39,6 +47,8 @@ _MAX_BOUNDARY_SAMPLES = 2 ** 16
 _CHUNK_ELEMENTS = 4096
 _GAUSS3 = np.sqrt(15.0) / 10.0  # outer Gauss-Legendre nodes at mid -/+ _GAUSS3 * dx
 _TINY = np.finfo(float).tiny
+# relative gap allowed between the reflected and the shot right state
+_REFLECTION_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -245,14 +255,55 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
 
 
 def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
-    """det(u_left, u_right) at the matching point for every lambda in the batch."""
+    """det(u_left, u_right) at the matching point for every lambda in the batch.
+
+    Returns the determinant of the unit-norm states and the sum of their log
+    scales. Two routes give the same W to rounding:
+
+    - two-sided: each row is shot from the left cut and from the right cut to
+      the matching point;
+    - reflected, when the potential has a parity pairing, the cuts are exact
+      mirrors (x_l == -x_r) and the matching point is 0.0: the right state is
+      the reflection u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))), with
+      R = sigma_z (A even, B odd) or I (A odd, B even). Only the unique rows
+      of lams and conj(lams) are shot, from the left cut to 0; each right
+      state is kappa*R*conj(y_l(0; conj(lam))) with log scale
+      ls_l(conj(lam)), and kappa, of modulus 1, is the overlap of the right
+      seed with R*conj of the left seed at conj(lam). A conjugate-closed batch
+      (a real scan, a window contour) shoots half the rows of the two-sided
+      route, plus the guard row.
+
+    The reflected route rests on ``classify_symmetry``'s sampled test, so on
+    every call a guard shoots the first row from the right cut as well. The
+    shot and the reflected right state must agree to _REFLECTION_GUARD
+    relative to the state's norm, measured to first order as the gap of the
+    unit states plus the gap of the log scales, or SymmetryMismatch is
+    raised. Unit states give |W| <= 1, so that bounds the row's W error by
+    1e-9 of the largest |W| unit states can give.
+    """
     lams = np.asarray(lams, dtype=complex)
     x_l, x_r = domain_cuts(problem)
     x_m = matching_point(problem)
-    y_l = _seed_batch(problem, lams, x_l, 1)
-    y_r = _seed_batch(problem, lams, x_r, -1)
-    y_l, ls_l = _integrate_batch(problem, lams, y_l, x_l, x_m)
-    y_r, ls_r = _integrate_batch(problem, lams, y_r, x_r, x_m)
+    sym = symmetry_class(problem)
+    if x_m != 0.0 or x_l != -x_r or sym is SymmetryClass.NONE:
+        y_l, ls_l = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_l, 1), x_l, x_m)
+        y_r, ls_r = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_r, -1), x_r, x_m)
+    else:
+        rows, inverse = np.unique(np.concatenate([lams, lams.conj()]), return_inverse=True)
+        own, bar = np.split(inverse, 2)
+        v_l = _seed_batch(problem, rows, x_l, 1)
+        v_r = _seed_batch(problem, lams, x_r, -1)
+        y, ls = _integrate_batch(problem, rows, v_l, x_l, 0.0)
+        r = np.array([1.0, -1.0]) if sym is SymmetryClass.A_EVEN_B_ODD else np.ones(2)
+        kappa = np.sum(r * v_l[bar] * v_r, axis=1)
+        y_l, ls_l = y[own], ls[own]
+        y_r, ls_r = kappa[:, None] * r * np.conj(y[bar]), ls[bar]
+        y_g, ls_g = _integrate_batch(problem, lams[:1], v_r[:1], x_r, 0.0)
+        gap = np.linalg.norm(y_g[0] - y_r[0]) + abs(ls_g[0] - ls_r[0])
+        if not gap <= _REFLECTION_GUARD:
+            raise SymmetryMismatch(
+                f"reflected right state differs from the shot one by {gap:.3e} at "
+                f"lambda={complex(lams[0])} ({sym.value} pairing, cuts +/-{x_r})")
     w = y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0]
     return w, ls_l + ls_r
 
@@ -359,12 +410,18 @@ def _rectangle_corners(rectangle) -> tuple:
 
 
 def _perimeter(ts: np.ndarray, re0, re1, im0, im1) -> np.ndarray:
-    """Counterclockwise rectangle perimeter parametrized by t in [0, 4), one side per unit."""
+    """Counterclockwise rectangle perimeter parametrized by t in [0, 4), one side per unit.
+
+    Every coordinate is mid + half*s with s = -1, 1, 2f - 1 or 1 - 2f, f the
+    fraction of t along its side. For dyadic t those s are exact negatives of
+    each other, so a rectangle symmetric about the real axis gives a
+    conjugate-closed sample set.
+    """
     side = [ts < 1, ts < 2, ts < 3]
-    frac = ts % 1.0
+    up = 2.0 * (ts % 1.0) - 1.0
     lams = np.empty(len(ts), dtype=complex)
-    lams.real = np.select(side, [re0 + frac * (re1 - re0), re1, re1 - frac * (re1 - re0)], re0)
-    lams.imag = np.select(side, [im0, im0 + frac * (im1 - im0), im1], im1 - frac * (im1 - im0))
+    lams.real = 0.5 * (re0 + re1) + 0.5 * (re1 - re0) * np.select(side, [up, 1.0, -up], -1.0)
+    lams.imag = 0.5 * (im0 + im1) + 0.5 * (im1 - im0) * np.select(side, [-1.0, up, 1.0], -up)
     return lams
 
 
@@ -478,7 +535,7 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
             # zeros lift off the real axis under the perturbation; probe each
             # seed along a vertical line and start Newton from the minimum of
             # |W|, log scale included, so it begins in the right basin
-            t = np.linspace(-0.5 * problem.delta, 0.5 * problem.delta, 17)
+            t = 0.5 * problem.delta * np.linspace(-1.0, 1.0, 17)  # mirror-exact
             probe = (seeds[:, None] + 1j * t[None, :]).ravel()
             w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(problem, probe))
             picks = np.argmin(np.abs(w) * np.exp(ls - ls.max(axis=1, keepdims=True)), axis=1)

@@ -38,9 +38,10 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
 
     ``z`` (K, 2) is updated in place.  Each root stops on its own: at the
     residual test, after a step below ``turning_min_step`` (converged or
-    stalled), at a vanishing derivative, on leaving the strip, or after
-    ``_NEWTON_CAP`` steps.  A row whose alpha fails takes alpha's error,
-    otherwise beta's.
+    stalled), at a vanishing derivative, before a step that would take
+    |Re z| beyond ``problem.cutoff`` (the iterate keeps its last value), on
+    leaving the strip, or after ``_NEWTON_CAP`` steps.  A row whose alpha
+    fails takes alpha's error, otherwise beta's.
     """
     tol = problem.tolerances
     strip = problem.potential.strip_half_width
@@ -69,9 +70,17 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
             failed[r] = NoConvergence(f"vanishing derivative at z={complex(zf[r])}")
         step = f[go] / fp[go]
         moved = idx[go]
-        zf[moved] -= step
+        new = zf[moved] - step
+        beyond = np.abs(new.real) > problem.cutoff
+        if beyond.any():
+            for r in moved[beyond]:
+                failed[r] = NoConvergence(f"turning-point Newton step from z={complex(zf[r])} "
+                                          f"leaves |Re z| <= cutoff={problem.cutoff}")
+            live[moved[beyond]] = False
+            moved, step, new = moved[~beyond], step[~beyond], new[~beyond]
+        zf[moved] = new
         small[moved] = np.abs(step) < tol.turning_min_step
-        out = np.abs(zf[moved].imag) >= strip
+        out = np.abs(new.imag) >= strip
         for r in moved[out]:
             failed[r] = LeftStrip(f"iterate at z={complex(zf[r])} left |Im z| < {strip}")
         live[idx[~go]] = False

@@ -8,8 +8,9 @@ import scipy.linalg
 
 import zswkb as z
 from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
-                          _seed_batch, _wronskian_batch)
-from zswkb.errors import InsideWell, MissedZerosWarning, NoConvergence, SymmetryRequired
+                          _perimeter, _seed_batch, _wronskian_batch)
+from zswkb.errors import (InsideWell, MissedZerosWarning, NoConvergence, SymmetryMismatch,
+                          SymmetryRequired)
 
 from oracles import matrix_window_eigenvalues
 
@@ -486,11 +487,20 @@ def cells_per_span(problem) -> list:
     return counts
 
 
+def chunking_rows(rows: int) -> np.ndarray:
+    return np.linspace(1.3, 1.7, rows) + 0.1j * np.linspace(-1.0, 1.0, rows) ** 2
+
+
 def odd_tail_rows(problem) -> int:
-    """A batch size whose last chunk on one span holds an odd number (>= 3) of cells."""
+    """A batch size whose last chunk on one span holds an odd number (>= 3) of cells.
+
+    Under a parity pairing the left span shoots the unique rows of the batch
+    and its conjugate, so those rows set its chunks.
+    """
     counts = cells_per_span(problem)
     for rows in range(8, 512):
-        step = _CHUNK_ELEMENTS // rows
+        lams = chunking_rows(rows)
+        step = _CHUNK_ELEMENTS // len(np.unique(np.concatenate([lams, lams.conj()])))
         if any(c > step and c % step >= 3 and c % step % 2 for c in counts):
             return rows
     raise AssertionError(f"no batch size gives an odd partial last chunk for {counts}")
@@ -500,7 +510,7 @@ def odd_tail_rows(problem) -> int:
 def test_wronskian_row_independent_of_chunking(well_problem, layout):
     p = well_problem.with_(eps=0.05)
     rows = _CHUNK_ELEMENTS + 1 if layout == "one_cell_per_chunk" else odd_tail_rows(p)
-    lams = np.linspace(1.3, 1.7, rows) + 0.1j * np.linspace(-1.0, 1.0, rows) ** 2
+    lams = chunking_rows(rows)
     ws, ls = _wronskian_batch(p, lams)
     for j in (0, rows // 3, rows - 1):
         single = z.wronskian(p, lams[j])
@@ -538,3 +548,98 @@ def test_wronskian_abel_identity_across_matching_points(spec, lambda0, delta):
         for shift in (0.2, -0.2):
             moved = z.wronskian(p.with_(matching_point=x_m + shift), lam)
             assert abs(_total_w(moved, ref.log_scale) - ref.w_value) < 1e-9 * abs(ref.w_value)
+
+
+PAIRED = {
+    "well": (z.well_even(), 1.5, 0.2),
+    "tanh": (z.monotone_odd(), 1.0, 0.3),
+    "well-3-2": (z.well_even(3.0, 2.0), 2.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
+@pytest.mark.parametrize("name", sorted(PAIRED))
+def test_reflected_wronskian_matches_two_sided(name, eps, monkeypatch):
+    # the right state reflected from the left one at conj(lambda) gives the W
+    # and the log scale that shooting from the right cut gives
+    spec, lambda0, delta = PAIRED[name]
+    p = z.Problem(spec, lambda0, delta, 0.05, eps)
+    r = np.random.default_rng(11)
+    lams = np.concatenate([np.linspace(lambda0 - delta, lambda0 + delta, 21),
+                           lambda0 + delta * (r.uniform(-1, 1, 12) + 0.5j * r.uniform(-1, 1, 12))])
+    w, ls = _wronskian_batch(p, lams)
+    # an unpaired potential is shot from both cuts
+    monkeypatch.setattr(z.direct, "symmetry_class", lambda problem: z.SymmetryClass.NONE)
+    w_ref, ls_ref = _wronskian_batch(p, lams)
+    assert np.max(np.abs(ls - ls_ref)) < 1e-12
+    full = w * np.exp(ls - ls_ref.max())
+    full_ref = w_ref * np.exp(ls_ref - ls_ref.max())
+    assert np.max(np.abs(full - full_ref)) < 1e-10 * np.max(np.abs(full_ref))
+
+
+CTRL = WINDOWS["ctrl"][0]
+
+
+@pytest.mark.parametrize("variant, shot", [
+    ("paired", [256, 1]),  # the unique rows of a conjugate-closed contour, then the guard row
+    ("ctrl", [256, 256]),
+    ("explicit_cuts", [256, 256]),
+    ("matching_point", [256, 256]),
+])
+def test_count_zeros_integrated_rows(variant, shot, monkeypatch):
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, eps=0.05)
+    p = {"paired": p, "ctrl": p.with_(potential=CTRL),
+         "explicit_cuts": p.with_(x_cut_left=-4.0, x_cut_right=3.6),
+         "matching_point": p.with_(matching_point=0.2)}[variant]
+    rows = []
+
+    def counted(problem, lams, ys, x0, x1):
+        rows.append(len(lams))
+        return _integrate_batch(problem, lams, ys, x0, x1)
+
+    monkeypatch.setattr(z.direct, "_integrate_batch", counted)
+    zc = z.count_zeros(p, z.window_rectangle(p))
+    assert (zc.winding, zc.samples_on_boundary) == (9, 256)
+    assert rows == shot
+
+
+@pytest.mark.parametrize("sym", [z.SymmetryClass.A_EVEN_B_ODD, z.SymmetryClass.A_ODD_B_EVEN])
+def test_reflection_guard_rejects_a_false_pairing(sym, monkeypatch):
+    # the control pairs an even A with an even B: a pairing reported for it
+    # must fail the guard, never reflect into a silent W
+    p = z.Problem(CTRL, 1.5, 0.2, 0.05, eps=0.05)
+    monkeypatch.setattr(z.direct, "symmetry_class", lambda problem: sym)
+    with pytest.raises(SymmetryMismatch, match="reflected right state"):
+        z.count_zeros(p, z.window_rectangle(p))
+    with pytest.raises(SymmetryMismatch):
+        z.wronskian(p, 1.5)
+
+
+def conjugate_closed(lams) -> bool:
+    return np.array_equal(np.sort(lams), np.sort(np.conj(lams)))
+
+
+def test_perimeter_is_conjugate_closed_on_a_real_symmetric_rectangle(well_problem):
+    re0, re1, im0, im1 = z.direct._rectangle_corners(z.window_rectangle(well_problem))
+    assert im0 == -im1
+    coarse = np.arange(0.0, 4.0, 1.0 / 64)
+    mids = coarse + 1.0 / 128  # one refinement round, every gap bisected
+    for ts in (coarse, np.sort(np.concatenate([coarse, mids]))):
+        lams = _perimeter(ts, re0, re1, im0, im1)
+        assert len(np.unique(lams)) == len(ts)
+        assert conjugate_closed(lams)
+
+
+def test_vertical_probe_is_mirror_exact(well_problem, monkeypatch):
+    # the probe lifts the real seeds along vertical lines symmetric about the axis
+    batches = []
+
+    def counted(problem, lams):
+        batches.append(np.array(lams))
+        return _wronskian_batch(problem, lams)
+
+    monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
+    z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
+    probe = batches[1]  # after the eps = 0 scan
+    assert len(probe) % 17 == 0
+    assert conjugate_closed(probe)

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.errors import Collision
+from zswkb.errors import Collision, NoConvergence
 from zswkb.turning import _turning_rows
 
 from conftest import rng
@@ -144,3 +145,15 @@ def test_carried_pairs_match_a_fresh_continuation(name, eps):
     for pair, want in zip(carried, fresh):
         assert abs(pair.alpha - want.alpha) < 2e-12
         assert abs(pair.beta - want.beta) < 2e-12
+
+
+@pytest.mark.parametrize("name", ["well", "tanh"])
+def test_newton_iterate_stops_at_the_cutoff(name):
+    # above sup|A| = 2 the roots of A^2 - 2.5^2 are off the real axis, so the
+    # real Newton iterate runs away along it; it stops before leaving the
+    # A1 cutoff and names it, where it once ran out to |z| ~ 1e10
+    p = HOMOTOPY_PROBLEMS[name].with_(h=0.1)
+    with pytest.raises(NoConvergence, match=f"cutoff={p.cutoff}") as info:
+        z.find_turning_points(p, 2.5)
+    where = complex(re.search(r"z=\(([^)]*)\)", str(info.value)).group(1))
+    assert abs(where.real) <= p.cutoff
