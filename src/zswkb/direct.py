@@ -122,7 +122,7 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     """
     h = problem.h
     rows = len(lams)
-    if x1 == x0:
+    if x1 == x0 or rows == 0:
         return ys.astype(complex), np.zeros(rows)
     # the global error scales like dx^6/h^5: halving dx cuts it 64-fold. At the
     # default rtol = 1e-10, dx = 0.008 at h = 0.1 gives W to about 1e-10 of
@@ -298,8 +298,9 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
         kappa = np.sum(r * v_l[bar] * v_r, axis=1)
         y_l, ls_l = y[own], ls[own]
         y_r, ls_r = kappa[:, None] * r * np.conj(y[bar]), ls[bar]
+        # sliced, so an empty batch has an empty guard with no gap
         y_g, ls_g = _integrate_batch(problem, lams[:1], v_r[:1], x_r, 0.0)
-        gap = np.linalg.norm(y_g[0] - y_r[0]) + abs(ls_g[0] - ls_r[0])
+        gap = np.linalg.norm(y_g - y_r[:1]) + np.sum(np.abs(ls_g - ls_r[:1]))
         if not gap <= _REFLECTION_GUARD:
             raise SymmetryMismatch(
                 f"reflected right state differs from the shot one by {gap:.3e} at "

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import A1Violated
-from .potential import (A1Report, PotentialSpec, SymmetryClass, classify_symmetry,
-                        real_crossings, validate_A1)
+from .potential import (A1Report, PotentialSpec, SymmetryClass, _crossing_grid,
+                        classify_symmetry, real_crossings, validate_A1)
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,58 @@ def symmetry_class(problem: Problem) -> SymmetryClass:
     return classify_symmetry(problem.potential, half_width=problem.cutoff)
 
 
+# a seed's error at a cut decays inward like exp(-2/h * int Re mu dx), so the
+# default cut sits where that integral reaches this many multiples of h
+_DECAY_ACTIONS = 12.0
+
+
 @functools.lru_cache(maxsize=None)
 def domain_cuts(problem: Problem) -> tuple:
     """Boundary cut positions for the shooting solver.
 
-    Default rule: the nearest x beyond the turning interval where |A| -
-    lambda0 reaches half the asymptotic margin, pushed out by 2.0 and capped
-    at the sampling cutoff; a side with no such x is cut at the cutoff. The
-    x are ``real_crossings`` of that level on the A1 report's samples, so a
-    paired potential gets exactly mirrored cuts.
+    Default rule, per side: x_t is the nearest x beyond the turning interval
+    where |A| = lambda0 + delta, the window's top edge, and the cut is the
+    first crossing-grid sample where a trapezoid of sqrt(A^2 - (lambda0 +
+    delta)^2) from x_t reaches _DECAY_ACTIONS*h. It is floored one grid
+    sample beyond the crossing of lambda0 + 2*delta, the farthest real part
+    Newton shoots, and capped at the older rule: the crossing of the level
+    half way to the asymptotic margin, pushed out by 2.0 and capped at the
+    sampling cutoff. A side where lambda0 + 2*delta has no such crossing
+    keeps the capped cut. The crossings are ``real_crossings`` on the A1
+    report's samples, and each side reads the grid outward from 0, so a
+    paired potential gets exactly mirrored cuts. An explicit cut is kept.
     """
     if problem.x_cut_left is not None and problem.x_cut_right is not None:
         return problem.x_cut_left, problem.x_cut_right
     rep = a1_report(problem)
-    target = problem.lambda0 + 0.5 * rep.margin_at_infinity
+    top = problem.lambda0 + problem.delta
+    levels = (problem.lambda0 + 0.5 * rep.margin_at_infinity, top, top + problem.delta)
     # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
-    x, _ = real_crossings(problem.potential, target, problem.cutoff, rep.samples)
-    left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
-    right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
-    return (float(left) if problem.x_cut_left is None else problem.x_cut_left,
-            float(right) if problem.x_cut_right is None else problem.x_cut_right)
+    crossings = [real_crossings(problem.potential, level, problem.cutoff, rep.samples)[0]
+                 for level in levels]
+    # the grid is its own mirror, so the left side is the right one read on
+    # -x: the same s values, |A| reversed
+    s = _crossing_grid(problem.cutoff)
+    cuts = []
+    for sign, turning, given in ((-1.0, rep.alpha0, problem.x_cut_left),
+                                 (1.0, rep.beta0, problem.x_cut_right)):
+        if given is not None:
+            cuts.append(given)
+            continue
+        half, s_t, s_f = (np.min(sign * x[sign * x > sign * turning], initial=np.inf)
+                          for x in crossings)
+        cut = min(half + 2.0, problem.cutoff)
+        if s_f < cut:
+            out = s > s_t
+            a, s_out = (rep.samples if sign > 0 else rep.samples[::-1])[out], s[out]
+            g = np.sqrt(np.maximum(a * a - top * top, 0.0))
+            action = np.cumsum(0.5 * (np.append(0.0, g[:-1]) + g) * np.diff(s_out, prepend=s_t))
+            i = np.searchsorted(action, _DECAY_ACTIONS * problem.h)
+            if i < len(g):
+                floor = s[np.searchsorted(s, s_f, side="right")]
+                cut = min(max(s_out[i], floor), cut)
+        cuts.append(float(sign * cut))
+    return tuple(cuts)
 
 
 def matching_point(problem: Problem) -> float:

@@ -11,6 +11,7 @@ from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newt
                           _perimeter, _seed_batch, _wronskian_batch)
 from zswkb.errors import (InsideWell, MissedZerosWarning, NoConvergence, SymmetryMismatch,
                           SymmetryRequired)
+from zswkb.potential import real_crossings
 
 from oracles import matrix_window_eigenvalues
 
@@ -356,8 +357,19 @@ def test_count_zeros_wronskian_work(monkeypatch):
     sizes = record_batches(monkeypatch)
     zc = z.count_zeros(p, z.window_rectangle(p))
     assert zc.winding == 38
-    assert sizes == [256, 190]
-    assert zc.samples_on_boundary == 446
+    assert sizes == [256, 106]
+    assert zc.samples_on_boundary == 362
+
+
+@pytest.mark.parametrize("spec, lambda0, delta, count", [
+    (z.well_even(), 1.5, 0.2, 76), (z.monotone_odd(), 1.0, 0.3, 56)], ids=["well", "tanh"])
+def test_count_zeros_counts_every_level_of_a_dense_window(spec, lambda0, delta, count):
+    # with the cuts at a fixed distance, the evanescent stretch added about
+    # int Im(mu)/h dx of turning to arg W along the top and bottom sides, and
+    # whole turns aliased away (42 and 48 were counted); the decay-sized cuts
+    # bound that turning whatever h is
+    p = z.Problem(spec, lambda0, delta, 0.00625, eps=0.05)
+    assert z.count_zeros(p, z.window_rectangle(p)).winding == len(z.direct_spectrum_real(p)) == count
 
 
 def test_count_zeros_inflates_off_eigenvalue_on_contour(well_problem, spectra_cache, monkeypatch):
@@ -613,6 +625,54 @@ def test_reflection_guard_rejects_a_false_pairing(sym, monkeypatch):
         z.count_zeros(p, z.window_rectangle(p))
     with pytest.raises(SymmetryMismatch):
         z.wronskian(p, 1.5)
+
+
+@pytest.mark.parametrize("name", ["well", "tanh"])
+def test_default_cuts_clear_the_newton_bound(name):
+    # Newton shoots real parts up to lambda0 + 2*delta, so wherever that level
+    # crosses inside the older cuts, |A| at the default cuts stays above it
+    spec, lambda0, delta = WINDOWS[name]
+    bound = lambda0 + 2 * delta
+    for h in (0.1, 0.05, 0.025, 0.0125, 0.00625):
+        cuts = z.domain_cuts(z.Problem(spec, lambda0, delta, h))
+        assert np.all(np.abs(z.eval_potential(spec, np.array(cuts), 0.0)[0].real) > bound), h
+    # the decay integral alone would cut at -1.392 (well) and -1.036 (tanh)
+    # here, inside that crossing, and this row would raise InsideWell
+    w = z.wronskian(z.Problem(spec, lambda0, delta, 0.0125), bound - 1e-9)
+    assert np.isfinite(w.w_value) and w.w_value != 0
+
+
+def older_cuts(problem) -> dict:
+    """Explicit cuts by the h-blind rule: the half-margin crossing pushed out by 2.0, capped."""
+    rep = z.a1_report(problem)
+    level = problem.lambda0 + 0.5 * rep.margin_at_infinity
+    x, _ = real_crossings(problem.potential, level, problem.cutoff, rep.samples)
+    left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
+    right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
+    return {"x_cut_left": float(left), "x_cut_right": float(right)}
+
+
+# ctrl at eps > 0 is left out: its located count depends on the eps = 0 seeds
+@pytest.mark.parametrize("h", [0.05, 0.0125])
+@pytest.mark.parametrize("name, eps", [("well", 0.0), ("well", 0.05), ("tanh", 0.0),
+                                       ("tanh", 0.05), ("ctrl", 0.0)])
+def test_decay_sized_cuts_leave_the_roots_in_place(name, eps, h):
+    spec, lambda0, delta = WINDOWS[name]
+    p = z.Problem(spec, lambda0, delta, h, eps)
+    wide = p.with_(**older_cuts(p))
+    assert z.domain_cuts(p)[1] < z.domain_cuts(wide)[1]
+    roots = [r.lam for r in z.direct_spectrum_complex(p, certify=False)]
+    wide_roots = [r.lam for r in z.direct_spectrum_complex(wide, certify=False)]
+    assert len(roots) == len(wide_roots) > 0
+    assert max(abs(a - b) for a, b in zip(roots, wide_roots)) < 1e-12
+
+
+@pytest.mark.parametrize("potential", [z.well_even(), CTRL], ids=["reflected", "two_sided"])
+def test_empty_batch_returns_empty_arrays(potential):
+    p = z.Problem(potential, 1.5, 0.2, 0.05, eps=0.05)
+    w, ls = _wronskian_batch(p, np.array([]))
+    assert w.shape == ls.shape == (0,)
+    assert w.dtype == complex and ls.dtype == float
 
 
 def conjugate_closed(lams) -> bool:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
 
 import zswkb as z
 from zswkb.errors import A1Violated, OutOfStrip, ZSWKBError
@@ -333,30 +335,76 @@ def test_custom_strip_default_stays_below_tanh_pole():
     assert np.isfinite(val)
 
 
-@pytest.mark.parametrize("spec, lam0, cutoff", [
-    (z.well_even(), 1.5, 8.0),
-    (z.monotone_odd(), 1.0, 8.0),
-    (CTRL, 1.5, 8.0),
-    (z.well_even(3.0, 2.0), 2.0, 8.0),
+# no pairing: |A| stays below 1.7 on the left and tends to 2.35 on the right
+SKEW = z.custom([("const", 2.0), ("gauss", -1.0), ("tanh", 0.35)], [])
+
+
+def outward_crossing(spec, level, s_turn, sign, s_end):
+    """The nearest outward coordinate s = sign*x past s_turn where |A| = level, or None.
+
+    Found by a fine scan and brentq, independent of the crossing grid.
+    """
+    absa = lambda s: np.abs(potential.eval_A(spec, sign * s)[0].real)
+    s = np.linspace(s_turn, s_end, 20001)
+    above = np.flatnonzero(absa(s) > level)
+    if len(above) == 0:
+        return None
+    i = above[0]
+    return scipy.optimize.brentq(lambda t: absa(t) - level, s[i - 1], s[i], xtol=1e-14)
+
+
+# each case maps h to the rule that sets both cuts, or a (left, right) pair:
+# "decay" where the decay integral sets it, "floor" where that lies inside the
+# crossing of lambda0 + 2*delta, and "cap" where the older cut is kept
+@pytest.mark.parametrize("spec, lam0, delta, cutoff, rules", [
+    pytest.param(z.well_even(), 1.5, 0.2, 8.0, {0.25: "cap", 0.05: "decay", 0.0125: "floor"},
+                 id="spec0-1.5-8.0"),
+    pytest.param(z.monotone_odd(), 1.0, 0.3, 8.0, {0.05: "decay", 0.0125: "floor"},
+                 id="spec1-1.0-8.0"),
+    pytest.param(CTRL, 1.5, 0.2, 8.0, {0.1: "decay"}, id="spec2-1.5-8.0"),
+    pytest.param(z.well_even(3.0, 2.0), 2.0, 0.3, 8.0, {0.05: "decay"}, id="spec3-2.0-8.0"),
     # both turning points lie within 0.01 of the cutoff, so both cuts reach it
-    (z.well_even(), 1.9813, 2.0),
+    pytest.param(z.well_even(), 1.9813, 0.001, 2.0, {0.1: "cap"}, id="spec4-1.9813-2.0"),
+    # lambda0 + 2*delta = 1.7 never crosses on the left
+    pytest.param(SKEW, 1.3, 0.2, 8.0, {0.05: ("cap", "decay")}, id="spec5-1.3-8.0"),
 ])
-def test_domain_cuts_follow_the_crossing_rule(spec, lam0, cutoff):
-    problem = z.Problem(spec, lam0, 0.001, 0.1, cutoff=cutoff)
-    rep = z.a1_report(problem)
-    target = lam0 + 0.5 * rep.margin_at_infinity
-    cuts = z.domain_cuts(problem)
-    # each cut is the nearest crossing of the target level beyond the turning
-    # interval, pushed out by 2.0, unless it is capped at the cutoff
-    for cut, sign, turning in zip(cuts, (-1.0, 1.0), (rep.alpha0, rep.beta0)):
-        if cut == sign * cutoff:
-            continue
-        crossing = cut - sign * 2.0
-        assert abs(abs(potential.eval_A(spec, crossing)[0].real) - target) < 1e-12
-        between = np.linspace(crossing, turning, 20001)[1:-1]
-        assert np.all(np.abs(potential.eval_A(spec, between)[0].real) < target)
-    if cutoff == 2.0:
-        assert cuts == (-2.0, 2.0)
+def test_domain_cuts_follow_the_crossing_rule(spec, lam0, delta, cutoff, rules):
+    top = lam0 + delta
+    bracket = cutoff / 2000  # the crossing grid's spacing
+    for h, rule in rules.items():
+        problem = z.Problem(spec, lam0, delta, h, cutoff=cutoff)
+        rep = z.a1_report(problem)
+        cuts = z.domain_cuts(problem)
+        sides = (rule, rule) if isinstance(rule, str) else rule
+        for cut, sign, turning, expect in zip(cuts, (-1.0, 1.0), (rep.alpha0, rep.beta0), sides):
+            s_turn, s_cut = sign * turning, sign * cut
+            ends = np.abs(potential.eval_A(spec, np.array([-cutoff, cutoff]))[0].real)
+            half = outward_crossing(spec, lam0 + 0.5 * (ends.min() - lam0), s_turn, sign, cutoff)
+            older = cutoff if half is None else min(half + 2.0, cutoff)
+            s_top = outward_crossing(spec, top, s_turn, sign, cutoff)
+            s_floor = outward_crossing(spec, top + delta, s_turn, sign, cutoff)
+
+            def action(s):
+                g = lambda t: math.sqrt(max(potential.eval_A(spec, sign * t)[0].real ** 2
+                                            - top ** 2, 0.0))
+                return scipy.integrate.quad(g, s_top, s, epsabs=1e-12, limit=200)[0]
+
+            if expect == "cap":
+                assert s_floor is None or s_floor >= older or action(older) < 12 * h
+                assert s_cut == pytest.approx(older, abs=1e-9)
+                continue
+            assert s_cut < older
+            s_decay = scipy.optimize.brentq(lambda s: action(s) - 12 * h, s_top, older,
+                                            xtol=1e-12)
+            if expect == "floor":
+                # one grid sample past the crossing, so |A| there clears the level
+                assert s_decay < s_floor < s_cut <= s_floor + bracket
+                assert abs(potential.eval_A(spec, cut)[0].real) > top + delta
+            else:
+                assert s_floor < s_decay
+                assert abs(s_cut - s_decay) <= bracket
+        if cutoff == 2.0:
+            assert cuts == (-2.0, 2.0)
 
 
 def paired_draw(r):
