@@ -15,7 +15,7 @@ from .errors import (BranchAmbiguity, Collision, DegenerateSegment,
                      QuadratureNoConvergence, SymmetryRequired)
 from .potential import SymmetryClass, eval_potential
 from .problem import Problem, symmetry_class
-from .turning import TurningPointPair, _turning_rows
+from .turning import _turning_rows
 
 # relative accuracy the derivative needs: its Newton consumers need ~1e-6
 _DERIVATIVE_BUDGET = 1e-7
@@ -127,24 +127,20 @@ def _doubling(problem: Problem, alpha: np.ndarray, beta: np.ndarray, lam: np.nda
 def _action_rows(problem: Problem, lams, z=None) -> tuple:
     """ActionValue, or the ZSWKBError that stopped it, for each lambda, and the (K, 2) pairs.
 
-    The turning points of all rows come from one call of the array solver,
-    continued from the pairs ``z`` when given; a row whose turning points
-    failed has zeros in the returned pairs.  A Collision of the turning
-    points means no segment exists: DegenerateSegment.
+    The (K, 2) turning points of all rows come from one call of the array
+    solver, continued from the pairs ``z`` when given, and go to the
+    quadrature as they are.  A Collision of the turning points means no
+    segment exists: DegenerateSegment.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    results = _turning_rows(problem, lams, z)
-    for k, pair in enumerate(results):
-        if isinstance(pair, Collision):
-            results[k] = DegenerateSegment(str(pair))
-            results[k].__cause__ = pair
-    live = np.array([k for k, p in enumerate(results) if isinstance(p, TurningPointPair)],
-                    dtype=int)
-    pairs = np.zeros((len(lams), 2), dtype=complex)
-    if live.size:
-        pairs[live] = [(results[k].alpha, results[k].beta) for k in live]
-        for k, act in zip(live, _doubling(problem, pairs[live, 0], pairs[live, 1], lams[live])):
-            results[k] = act
+    pairs, results = _turning_rows(problem, lams, z)
+    for k, err in enumerate(results):
+        if isinstance(err, Collision):
+            results[k] = DegenerateSegment(str(err))
+            results[k].__cause__ = err
+    live = np.flatnonzero([err is None for err in results])
+    for k, act in zip(live, _doubling(problem, pairs[live, 0], pairs[live, 1], lams[live])):
+        results[k] = act
     return results, pairs
 
 

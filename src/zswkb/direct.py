@@ -74,7 +74,6 @@ def _seed_batch(problem: Problem, lams: np.ndarray, x_cut: float, sign: int) -> 
     a_c, _ = eval_potential(problem.potential, x_cut, problem.eps, derivative=False)
     a_c = complex(a_c)
     mu = np.sqrt(a_c * a_c - lams * lams)
-    mu = np.where(mu.real < 0, -mu, mu)
     if np.any(mu.real <= 1e-12 * np.maximum(1.0, np.abs(lams))):
         raise InsideWell(f"no decay margin at x_cut={x_cut}")
     signed = mu if sign > 0 else -mu
@@ -284,6 +283,8 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
     lams = np.asarray(lams, dtype=complex)
     x_l, x_r = domain_cuts(problem)
     x_m = matching_point(problem)
+    if not x_l <= x_m <= x_r:
+        raise ValueError(f"matching point {x_m} lies outside the cuts [{x_l}, {x_r}]")
     sym = symmetry_class(problem)
     if x_m != 0.0 or x_l != -x_r or sym is SymmetryClass.NONE:
         y_l, ls_l = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_l, 1), x_l, x_m)

@@ -62,10 +62,8 @@ def _window_action_range(problem: Problem) -> tuple:
     for act in edges:
         if isinstance(act, Exception):
             raise act
-    i_lo, i_hi = edges[0].value.real, edges[1].value.real
-    if i_lo > i_hi:
-        i_lo, i_hi = i_hi, i_lo
-    return i_lo, i_hi
+    # I depends on lambda^2 and grows with |lambda|, and |lambda0 - delta| < lambda0 + delta
+    return edges[0].value.real, edges[1].value.real
 
 
 def enumerate_indices(problem: Problem) -> list:

@@ -90,15 +90,15 @@ def _newton_stage(problem: Problem, z: np.ndarray, lam: np.ndarray, eps: float,
             errors[r // 2] = failed[r]
 
 
-def _turning_rows(problem: Problem, lams, z=None) -> list:
-    """TurningPointPair, or the ZSWKBError that stopped it, for each lambda.
+def _turning_rows(problem: Problem, lams, z=None) -> tuple:
+    """The (K, 2) turning points (alpha, beta) of each lambda, and per row its error or None.
 
     Without ``z`` every row starts from the A1 report's (alpha0, beta0) at
     (lambda0, eps=0) and follows fixed homotopy stages along
     (lambda0 + t*(mu - lambda0), t*eps) for t = 1/8, ..., 1, where mu is
     lambda or, when Re lambda < 0, -lambda: the roots depend on lambda^2 only.
     A (K, 2) ``z`` holds each row's pair at a nearby lambda, and the row takes
-    one Newton stage from it at its own lambda.
+    one Newton stage from it at its own lambda.  Pairs are ordered by real part.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     errors = [None] * len(lams)
@@ -125,13 +125,7 @@ def _turning_rows(problem: Problem, lams, z=None) -> list:
     ok = alive()
     swap = ok & (z[:, 0].real > z[:, 1].real)
     z[swap] = z[swap][:, ::-1]
-    a, _ = eval_potential(problem.potential, z[ok], problem.eps, derivative=False)
-    res = np.zeros(z.shape)
-    res[ok] = np.abs(a * a - (lams[ok] * lams[ok])[:, None])
-    return [errors[k] if errors[k] is not None else
-            TurningPointPair(complex(z[k, 0]), complex(z[k, 1]), float(res[k, 0]),
-                             float(res[k, 1]), complex(lams[k]), problem.eps)
-            for k in range(len(lams))]
+    return z, errors
 
 
 def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
@@ -141,9 +135,12 @@ def find_turning_points(problem: Problem, lam: complex) -> TurningPointPair:
     (lambda0, eps=0) to the target along one path of fixed homotopy stages
     in lambda and eps together.  A one-row call of the array solver that
     ``action_integral`` and ``wkb_spectrum`` run on many lambda at once; its
-    failure is raised.
+    failure is raised.  Only this probe forms the residuals.
     """
-    (pair,) = _turning_rows(problem, [lam])
-    if isinstance(pair, Exception):
-        raise pair
-    return pair
+    z, (err,) = _turning_rows(problem, [lam])
+    if err is not None:
+        raise err
+    lams = np.array([complex(lam)])  # numpy's complex product may round unlike Python's
+    a, _ = eval_potential(problem.potential, z[0], problem.eps, derivative=False)
+    res = np.abs(a * a - lams * lams)
+    return TurningPointPair(*z[0].tolist(), *res.tolist(), complex(lam), problem.eps)

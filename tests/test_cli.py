@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -180,6 +181,33 @@ def test_compare_matching_is_bijection(tmp_path):
     assert slope is None  # single h cannot support a fit
 
 
+@pytest.mark.parametrize("fault, error", [("drop", "unmatched-wkb"),
+                                          ("extra", "unmatched-direct")])
+def test_compare_writes_unmatched_records(tmp_path, monkeypatch, fault, error):
+    # a WKB root with no direct partner, or a direct root with no WKB partner,
+    # is written as a row of its own, with the other side's columns empty
+    spectrum = z.direct.direct_spectrum_complex
+
+    def faulty(problem, certify=True):
+        recs = spectrum(problem, certify=certify)
+        if fault == "drop":
+            return recs[1:]
+        return recs + [dataclasses.replace(recs[-1], lam=recs[-1].lam + 0.05, k=len(recs))]
+
+    monkeypatch.setattr(z.direct, "direct_spectrum_complex", faulty)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    assert len(rows) > 2
+    odd = [r for r in rows if r["error"]]
+    assert [r["error"] for r in odd] == [error]
+    empty, full = ("direct", "wkb") if fault == "drop" else ("wkb", "direct")
+    assert odd[0][f"re_lambda_{empty}"] == odd[0][f"im_lambda_{empty}"] == ""
+    assert odd[0][f"re_lambda_{full}"] != "" and odd[0]["abs_diff"] == ""
+    assert (odd[0]["k_proxy"] == "") == (fault == "drop")
+
+
 def test_fit_convergence_slope_on_synthetic_rows():
     from zswkb.cli import ComparisonRow, fit_convergence_slope
     rows = []
@@ -236,6 +264,27 @@ def test_cli_exit_codes(tmp_path):
                            lambda0=1.5, delta=0.2, h_list=[10.0])
     broken.write_text(json.dumps(doc))
     assert main(["wkb", "--config", str(broken)]) == 2
+
+
+EVEN_WELL = {"family": "well-even", "params": [2.0, 1.0], "strip_half_width": 10.0}
+
+
+def test_validate_rejects_a_window_above_the_well(tmp_path, capsys):
+    # |A| < 2.5 everywhere, so the level never meets the margin at the cutoff
+    path = write_config(tmp_path, potential=EVEN_WELL, lambda0=2.5, delta=0.2)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: potential fails the simple-well check: ")
+
+
+def test_stokes_failure_exits_2(tmp_path, capsys):
+    # above sup|A| = 2 the turning-point Newton runs out to the cutoff
+    path = write_config(tmp_path, potential=EVEN_WELL, lambda0=1.5, delta=0.2,
+                        eps_list=[0.05])
+    out = tmp_path / "graph.json"
+    assert main(["stokes", "--config", str(path), "--out", str(out), "--lam", "2.5"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: NoConvergence: ")
+    assert not out.exists()
 
 
 def test_stokes_rejects_bad_lam_and_eps(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -404,6 +405,54 @@ def test_complex_spectrum_certifies_an_empty_seed_set(well_problem, monkeypatch)
         assert z.direct_spectrum_complex(well_problem) == []
 
 
+@pytest.mark.parametrize("fault", ["outside", "duplicate"])
+def test_complex_spectrum_drops_roots_outside_the_window_and_duplicates(well_problem,
+                                                                          monkeypatch, fault):
+    # a converged Newton row off the window rectangle, or within
+    # distinct_roots of another root, is not a record
+    p = well_problem.with_(eps=0.05)
+    clean = z.direct_spectrum_complex(p, certify=False)
+
+    def faulty(problem, seeds):
+        lams, resid, failed = _newton_wronskian(problem, seeds)
+        extra = lams[0] + (2 * problem.delta if fault == "outside" else 1e-10)
+        return np.append(lams, extra), np.append(resid, resid[0]), np.append(failed, False)
+
+    monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert z.direct_spectrum_complex(p, certify=False) == clean
+
+
+def test_complex_spectrum_warns_for_diverged_seeds(well_problem, monkeypatch):
+    p = well_problem.with_(eps=0.05)
+    clean = z.direct_spectrum_complex(p, certify=False)
+
+    def faulty(problem, seeds):
+        lams, resid, failed = _newton_wronskian(problem, seeds)
+        failed[0] = True
+        return lams, resid, failed
+
+    monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
+    with pytest.warns(UserWarning, match=r"^1 Newton seed\(s\) diverged$"):
+        recs = z.direct_spectrum_complex(p, certify=False)
+    assert [r.lam for r in recs] == [r.lam for r in clean[1:]]
+
+
+@pytest.mark.parametrize("h, count", [(0.05, 9), (0.025, 19)])
+@pytest.mark.parametrize("eps", [0.01, 0.05, 0.1])
+def test_complex_spectrum_locates_every_root_of_the_control(h, count, eps):
+    # the symmetry-broken control's roots lie off the axis; with the
+    # decay-sized cuts the eps = 0 seeds and the vertical probe reach all of
+    # them at these h, so the winding certifies the located count
+    p = z.Problem(CTRL, 1.5, 0.2, h, eps=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MissedZerosWarning)
+        recs = z.direct_spectrum_complex(p, certify=True)
+    assert len(recs) == count
+    assert max(abs(r.lam.imag) for r in recs) > 1e-3
+
+
 def test_complex_spectrum_symmetric_perturbation_real(well_problem):
     p = well_problem.with_(eps=0.05)
     with warnings.catch_warnings():
@@ -433,6 +482,38 @@ def test_matching_point_shift_invariance(well_problem, spectra_cache):
     assert len(base) == len(shifted)
     for a, b in zip(base, shifted):
         assert abs(a.lam - b.lam) < 1e-9
+
+
+@pytest.mark.parametrize("x_m", [5.0, 3.5, -3.5, 2.6])
+def test_matching_point_outside_the_cuts_is_rejected(x_m):
+    # past a cut one Jost state is integrated the way it decays, so rounding
+    # grows into the other solution and W's zeros are no longer the
+    # eigenvalues; the cuts are +/-2.472 here, and 2.6 lies just outside
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.1, eps=0.05, matching_point=x_m)
+    assert z.domain_cuts(p) == (-2.472, 2.472)
+    message = re.escape(f"matching point {x_m} lies outside the cuts [-2.472, 2.472]")
+    for solve in (lambda: z.direct_spectrum_complex(p, certify=False),
+                  lambda: z.count_zeros(p, z.window_rectangle(p)),
+                  lambda: z.direct_spectrum_real(p.with_(eps=0.0))):
+        with pytest.raises(ValueError, match=message):
+            solve()
+
+
+@pytest.mark.parametrize("side", ["x_cut_left", "x_cut_right"])
+def test_one_sided_explicit_cut_keeps_the_default_other_side(side):
+    # an explicit cut on one side is kept as given; the other side keeps its
+    # default cut, and the wider domain leaves the roots in place
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05)
+    given = -3.0 if side == "x_cut_left" else 3.0
+    one_sided = p.with_(**{side: given})
+    default = z.domain_cuts(p)
+    assert default == pytest.approx((-1.892, 1.892), abs=1e-12)
+    want = (given, default[1]) if side == "x_cut_left" else (default[0], given)
+    assert z.domain_cuts(one_sided) == want
+    roots = [r.lam for r in z.direct_spectrum_real(p)]
+    moved = [r.lam for r in z.direct_spectrum_real(one_sided)]
+    assert len(roots) == len(moved) == 9
+    assert max(abs(a - b) for a, b in zip(roots, moved)) < 1e-12
 
 
 def test_wronskian_batch_matches_scalar(well_problem):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -238,6 +239,46 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
         recs = z.wkb_spectrum(p)
     assert [str(w.message) for w in caught] == [f"quantization failed for k={bad}: injected"]
     assert recs == [r for r in clean if r.k != bad]
+
+
+def test_wkb_spectrum_warns_for_an_iterate_that_leaves_the_window(monkeypatch):
+    # a derivative a billion times too small sends one index's first Newton
+    # step far outside the window; that index warns once, the others settle
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.025, eps=0.05)
+    ks = z.enumerate_indices(p)
+    clean = z.wkb_spectrum(p)
+    bad = ks[len(ks) // 2]
+    action_rows = quantize._action_rows
+    first_round = [True]
+
+    def flattened(problem, lams, *args):
+        acts, pairs = action_rows(problem, lams, *args)
+        if problem.eps > 0 and first_round[0]:
+            first_round[0] = False
+            j = ks.index(bad)
+            acts[j] = dataclasses.replace(acts[j], dvalue_dlambda=1e-9 * acts[j].dvalue_dlambda)
+        return acts, pairs
+
+    monkeypatch.setattr(quantize, "_action_rows", flattened)
+    with pytest.warns(UserWarning) as caught:
+        recs = z.wkb_spectrum(p)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(f"quantization failed for k={bad}: Newton iterate ")
+    assert str(caught[0].message).endswith(" left the spectral window")
+    assert recs == [r for r in clean if r.k != bad]
+
+
+def test_wkb_spectrum_warns_once_per_index_at_the_round_cap(monkeypatch):
+    # no secant seed meets the residual test, so one round leaves every index
+    # unsettled
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, eps=0.05)
+    ks = z.enumerate_indices(p)
+    monkeypatch.setattr(quantize, "_NEWTON_CAP", 1)
+    with pytest.warns(UserWarning) as caught:
+        assert z.wkb_spectrum(p) == []
+    assert [str(w.message) for w in caught] == [
+        f"quantization failed for k={k}: quantization Newton did not converge for k={k}"
+        for k in ks]
 
 
 def test_branch_offset_values():

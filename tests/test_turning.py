@@ -120,12 +120,14 @@ def test_one_homotopy_path_matches_two_stage_reference(name, eps):
     lams = (p.lambda0 + p.delta * r.uniform(-1.0, 1.0, 200)
             + 0.5j * p.delta * r.uniform(-1.0, 1.0, 200))
     ref = two_stage_turning_points(p, lams)
-    for pair, want in zip(_turning_rows(p, lams), ref):
+    pairs, errors = _turning_rows(p, lams)
+    for pair, err, want in zip(pairs, errors, ref):
         if isinstance(want, Exception):
-            assert type(pair) is type(want)
+            assert type(err) is type(want)
         else:
-            assert abs(pair.alpha - want[0]) < 1e-11
-            assert abs(pair.beta - want[1]) < 1e-11
+            assert err is None
+            assert abs(pair[0] - want[0]) < 1e-11
+            assert abs(pair[1] - want[1]) < 1e-11
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
@@ -139,12 +141,11 @@ def test_carried_pairs_match_a_fresh_continuation(name, eps):
     r = rng(8)
     lams = (p.lambda0 + p.delta * r.uniform(-1.0, 1.0, 50)
             + 0.5j * p.delta * r.uniform(-1.0, 1.0, 50) * (np.arange(50) % 2))
-    z_ = [(pair.alpha, pair.beta) for pair in _turning_rows(p, lams)]
-    carried = _turning_rows(p, lams + 1e-3, z_)
-    fresh = _turning_rows(p, lams + 1e-3)
-    for pair, want in zip(carried, fresh):
-        assert abs(pair.alpha - want.alpha) < 2e-12
-        assert abs(pair.beta - want.beta) < 2e-12
+    z_, errors = _turning_rows(p, lams)
+    carried, carried_errors = _turning_rows(p, lams + 1e-3, z_)
+    fresh, fresh_errors = _turning_rows(p, lams + 1e-3)
+    assert errors == carried_errors == fresh_errors == [None] * len(lams)
+    assert np.all(np.abs(carried - fresh) < 2e-12)
 
 
 @pytest.mark.parametrize("name", ["well", "tanh"])
