@@ -1,8 +1,9 @@
 """Batch experiment harness: config ingestion, sweeps, comparison tables, CSV/JSON emission.
 
-Outputs are deterministic: fixed column order, 17 significant digits, rows
-sorted after any parallel execution, and every file carries the config hash
-and the tolerance set that produced it.
+One command table drives the CSV commands: a cell yields rows in its command's
+column order, or the command's failure rows. Outputs are deterministic: fixed
+column order, 17 significant digits, rows sorted after any parallel execution,
+and every file carries the config hash and the tolerance set that produced it.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,13 +32,6 @@ _RECORD_HEADER = ["re_lambda", "im_lambda", "k", "branch", "method", "residual",
 _COMPARE_HEADER = ["h", "eps", "k_proxy", "re_lambda_wkb", "im_lambda_wkb",
                    "re_lambda_direct", "im_lambda_direct", "abs_diff", "branch", "error"]
 _PT_HEADER = ["eps", "h", "max_im_lambda", "symmetry_class", "winding_ok", "n_roots", "error"]
-# CSV command -> (header, default file name, noun of the "wrote" line)
-_OUTPUTS = {
-    "wkb": (_RECORD_HEADER, "wkb.csv", "records"),
-    "direct": (_RECORD_HEADER, "direct.csv", "records"),
-    "compare": (_COMPARE_HEADER, "compare.csv", "rows"),
-    "pt-sweep": (_PT_HEADER, "pt_sweep.csv", "rows"),
-}
 
 
 @dataclass(frozen=True)
@@ -50,18 +45,6 @@ class ExperimentConfig:
     tolerances: Tolerances = Tolerances()
     output_dir: str = "."
     seed_metadata: str = ""
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    h: float
-    eps: float
-    k_proxy: int | None
-    lambda_wkb: complex | None
-    lambda_direct: complex | None
-    abs_diff: float | None
-    branch: str
-    error: str = ""
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -198,24 +181,21 @@ def _match_records(wkb_records, direct_records) -> list:
 
 
 def _compare_rows(problem: Problem) -> list:
-    h, eps = problem.h, problem.eps
     wkb_records = quantize.wkb_spectrum(problem)
     direct_records = direct.direct_spectrum_complex(problem, certify=False)
     pairs, free_w, free_d = _match_records(wkb_records, direct_records)
-    rows = []
-    for i, j in pairs:
-        wr, dr = wkb_records[i], direct_records[j]
-        rows.append(ComparisonRow(h, eps, dr.k, wr.lam, dr.lam, abs(wr.lam - dr.lam),
-                                  wr.branch.value if wr.branch else ""))
-    for i in free_w:
-        wr = wkb_records[i]
-        rows.append(ComparisonRow(h, eps, None, wr.lam, None, None,
-                                  wr.branch.value if wr.branch else "", "unmatched-wkb"))
-    for j in free_d:
-        dr = direct_records[j]
-        rows.append(ComparisonRow(h, eps, dr.k, None, dr.lam, None,
-                                  dr.branch.value if dr.branch else "", "unmatched-direct"))
-    return rows
+
+    def row(wr, dr, error=""):
+        # an unmatched record leaves the other side's columns empty
+        w, d = [(None, None) if r is None else (r.lam.real, r.lam.imag) for r in (wr, dr)]
+        branch = (wr or dr).branch
+        return [problem.h, problem.eps, dr.k if dr else None, *w, *d,
+                abs(wr.lam - dr.lam) if wr and dr else None,
+                branch.value if branch else "", error]
+
+    return ([row(wkb_records[i], direct_records[j]) for i, j in pairs]
+            + [row(wkb_records[i], None, "unmatched-wkb") for i in free_w]
+            + [row(None, direct_records[j], "unmatched-direct") for j in free_d])
 
 
 def _pt_rows(problem: Problem) -> list:
@@ -232,15 +212,30 @@ def _record_rows(records) -> list:
              r.method.value, r.residual, r.h, r.eps] for r in records]
 
 
-# command -> (rows of one cell, rows a failed cell writes with its error message)
-_CELLS = {
-    "wkb": (lambda p: _record_rows(quantize.wkb_spectrum(p)), lambda p, err: []),
-    "direct": (lambda p: _record_rows(direct.direct_spectrum_complex(p, certify=False)),
-               lambda p, err: []),
-    "compare": (_compare_rows,
-                lambda p, err: [ComparisonRow(p.h, p.eps, None, None, None, None, "", err)]),
-    "pt-sweep": (_pt_rows, lambda p, err: [[p.eps, p.h, None, symmetry_class(p).value,
-                                            None, None, err]]),
+class _Command(NamedTuple):
+    header: list
+    file_name: str             # default, in the config's output_dir
+    noun: str                  # of the "wrote" line
+    rows: Callable             # Problem -> rows of one cell, in header order
+    failed_rows: Callable      # (Problem, error) -> rows a failed cell writes
+    with_zero: bool            # eps = 0 is swept whatever eps_list holds
+    key: Callable              # sort key of the rows
+
+
+_COMMANDS = {
+    "wkb": _Command(_RECORD_HEADER, "wkb.csv", "records",
+                    lambda p: _record_rows(quantize.wkb_spectrum(p)), lambda p, err: [],
+                    False, lambda r: (-r[6], r[7], r[0])),
+    "direct": _Command(_RECORD_HEADER, "direct.csv", "records",
+                       lambda p: _record_rows(direct.direct_spectrum_complex(p, certify=False)),
+                       lambda p, err: [], False, lambda r: (-r[6], r[7], r[0])),
+    "compare": _Command(_COMPARE_HEADER, "compare.csv", "rows", _compare_rows,
+                        lambda p, err: [[p.h, p.eps, *[None] * 6, "", err]], True,
+                        lambda r: (-r[0], r[1], 1 << 30 if r[2] is None else r[2], r[9])),
+    "pt-sweep": _Command(_PT_HEADER, "pt_sweep.csv", "rows", _pt_rows,
+                         lambda p, err: [[p.eps, p.h, None, symmetry_class(p).value,
+                                          None, None, err]],
+                         True, lambda r: (-r[0], -r[1])),
 }
 
 
@@ -248,36 +243,37 @@ def _cell(args):
     """One (h, eps) cell of a sweep: its rows, and its failure line or None."""
     command, config, h, eps = args
     problem = make_problem(config, h, eps)
-    rows, failed_rows = _CELLS[command]
+    cmd = _COMMANDS[command]
     try:
-        return rows(problem), None
+        return cmd.rows(problem), None
     except ZSWKBError as exc:
         err = f"{type(exc).__name__}: {exc}"
-        return failed_rows(problem, err), f"h={h} eps={eps}: {err}"
+        return cmd.failed_rows(problem, err), f"h={h} eps={eps}: {err}"
 
 
-def _sweep(command: str, config: ExperimentConfig, eps_values, jobs: int):
-    """Every (h, eps) cell in h-major order, in ``jobs`` processes when jobs > 1."""
+def _sweep(command: str, config: ExperimentConfig, jobs: int):
+    """Every (h, eps) cell of a CSV command, h-major, in ``jobs`` processes when jobs > 1.
+
+    Returns all cells' rows sorted by the command's key, and each failed cell's line.
+    """
+    cmd = _COMMANDS[command]
+    eps_values = sorted({*config.eps_list, 0.0}, reverse=True) if cmd.with_zero else config.eps_list
     cells = [(command, config, h, eps) for h in config.h_list for eps in eps_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_cell, cells))
     else:
         results = [_cell(c) for c in cells]
-    rows = [row for cell_rows, _ in results for row in cell_rows]
+    rows = sorted((row for cell_rows, _ in results for row in cell_rows), key=cmd.key)
     return rows, [err for _, err in results if err is not None]
 
 
-def _with_zero(eps_list) -> list:
-    return sorted(set(eps_list) | {0.0}, reverse=True)
-
-
 def fit_convergence_slope(rows) -> float | None:
-    """Least-squares slope of log(max |wkb - direct|) against log h over eps = 0 rows."""
+    """Least-squares slope of log(max |wkb - direct|) against log h over eps = 0 compare rows."""
     by_h = {}
-    for r in rows:
-        if r.eps == 0.0 and r.abs_diff is not None:
-            by_h.setdefault(r.h, []).append(r.abs_diff)
+    for h, eps, *_, abs_diff, _branch, _error in rows:
+        if eps == 0.0 and abs_diff is not None:
+            by_h.setdefault(h, []).append(abs_diff)
     pts = [(h, max(d)) for h, d in by_h.items() if max(d) > 0]
     if len(pts) < 2:
         return None
@@ -288,25 +284,13 @@ def fit_convergence_slope(rows) -> float | None:
 
 def run_compare(config: ExperimentConfig, jobs: int = 1):
     """Both spectra per (h, eps) cell, matched by nearest lambda; eps = 0 always included."""
-    rows, errors = _sweep("compare", config, _with_zero(config.eps_list), jobs)
-    rows.sort(key=lambda r: (-r.h, r.eps, r.k_proxy if r.k_proxy is not None else 1 << 30,
-                             r.error))
+    rows, errors = _sweep("compare", config, jobs)
     return rows, fit_convergence_slope(rows), errors
-
-
-def compare_rows_to_csv(rows) -> list:
-    def parts(lam):
-        return (None, None) if lam is None else (lam.real, lam.imag)
-
-    return [[r.h, r.eps, r.k_proxy, *parts(r.lambda_wkb), *parts(r.lambda_direct),
-             r.abs_diff, r.branch, r.error] for r in rows]
 
 
 def run_pt_sweep(config: ExperimentConfig, jobs: int = 1):
     """Direct complex spectra per (eps, h) with reality and completeness summaries."""
-    rows, errors = _sweep("pt-sweep", config, _with_zero(config.eps_list), jobs)
-    rows.sort(key=lambda r: (-r[0], -r[1]))
-    return rows, errors
+    return _sweep("pt-sweep", config, jobs)
 
 
 def run_stokes(config: ExperimentConfig, lam: float | None = None,
@@ -341,9 +325,8 @@ def run_stokes(config: ExperimentConfig, lam: float | None = None,
 
 
 def run_spectra(config: ExperimentConfig, which: str, jobs: int = 1):
-    rows, errors = _sweep(which, config, config.eps_list, jobs)
-    rows.sort(key=lambda r: (-r[6], r[7], r[0]))
-    return rows, errors
+    """WKB (``which="wkb"``) or direct (``"direct"``) records per (h, eps) cell."""
+    return _sweep(which, config, jobs)
 
 
 def run_validate(config: ExperimentConfig) -> dict:
@@ -367,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zswkb", description=__doc__)
     p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("validate", "wkb", "direct", "compare", "pt-sweep", "stokes"):
+    for name in ("validate", *_COMMANDS, "stokes"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
@@ -415,17 +398,16 @@ def main(argv=None) -> int:
         meta, note = _meta(config), ""
         if args.command == "compare":
             rows, slope, errors = run_compare(config, jobs=args.jobs)
-            rows = compare_rows_to_csv(rows)
             meta["convergence_slope"] = "" if slope is None else f"{slope:.17g}"
             note = f", convergence slope: {slope}"
         elif args.command == "pt-sweep":
             rows, errors = run_pt_sweep(config, jobs=args.jobs)
         else:
             rows, errors = run_spectra(config, args.command, jobs=args.jobs)
-        header, name, noun = _OUTPUTS[args.command]
-        out = Path(args.out) if args.out else out_dir / name
-        write_csv(out, header, rows, meta)
-        print(f"wrote {out} ({len(rows)} {noun}){note}")
+        cmd = _COMMANDS[args.command]
+        out = Path(args.out) if args.out else out_dir / cmd.file_name
+        write_csv(out, cmd.header, rows, meta)
+        print(f"wrote {out} ({len(rows)} {cmd.noun}){note}")
         for e in errors:
             print(f"cell failed: {e}", file=sys.stderr)
         return 2 if errors else 0

@@ -100,7 +100,8 @@ def domain_cuts(problem: Problem) -> tuple:
     sampling cutoff. A side where lambda0 + 2*delta has no such crossing
     keeps the capped cut. The crossings are ``real_crossings`` on the A1
     report's samples, and each side reads the grid outward from 0, so a
-    paired potential gets exactly mirrored cuts. An explicit cut is kept.
+    paired potential gets exactly mirrored cuts. An explicit cut is kept;
+    ValueError if a lone one does not lie on its side of the other's default.
     """
     if problem.x_cut_left is not None and problem.x_cut_right is not None:
         return problem.x_cut_left, problem.x_cut_right
@@ -132,6 +133,9 @@ def domain_cuts(problem: Problem) -> tuple:
                 floor = s[np.searchsorted(s, s_f, side="right")]
                 cut = min(max(s_out[i], floor), cut)
         cuts.append(float(sign * cut))
+    if not cuts[0] < cuts[1]:
+        # only a lone explicit cut gets here: the Problem checks a given pair
+        raise ValueError(f"x_cut_left={cuts[0]} must lie below x_cut_right={cuts[1]}")
     return tuple(cuts)
 
 

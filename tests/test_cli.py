@@ -5,9 +5,10 @@ import math
 import pytest
 
 import zswkb as z
-from zswkb.cli import (config_from_json, config_hash, load_config, main, make_problem,
-                       run_compare, run_pt_sweep, run_stokes, run_validate)
-from zswkb.errors import BoundaryZero, ConfigError
+from zswkb.cli import (_COMPARE_HEADER, config_from_json, config_hash, fit_convergence_slope,
+                       load_config, main, make_problem, run_compare, run_pt_sweep, run_stokes,
+                       run_validate)
+from zswkb.errors import BoundaryZero, ConfigError, NoConvergence, ZSWKBError
 
 from oracles import assert_graph_document
 
@@ -41,6 +42,8 @@ def test_config_validation_errors(tmp_path):
         config_from_json(base_config_dict(tmp_path, h_list=[0.05, 0.1]))
     with pytest.raises(ConfigError):
         config_from_json(base_config_dict(tmp_path, eps_list=[-0.1]))
+    with pytest.raises(ConfigError, match="eps_list must be sorted descending"):
+        config_from_json(base_config_dict(tmp_path, eps_list=[0.01, 0.05]))
     with pytest.raises(ConfigError):
         config_from_json(base_config_dict(tmp_path, tolerances={"bogus": 1.0}))
     with pytest.raises(ConfigError):
@@ -169,14 +172,18 @@ def test_compare_rows_and_determinism(tmp_path):
         assert abs(lw - ld) == pytest.approx(float(rec["abs_diff"]), rel=1e-12)
 
 
+def compare_row(row: list) -> dict:
+    return dict(zip(_COMPARE_HEADER, row, strict=True))
+
+
 def test_compare_matching_is_bijection(tmp_path):
     cfg = config_from_json(base_config_dict(tmp_path))
     rows, slope, errors = run_compare(cfg)
     assert not errors
-    matched = [r for r in rows if r.error == ""]
-    assert all(r.lambda_wkb is not None and r.lambda_direct is not None
-               for r in matched)
-    k_list = [r.k_proxy for r in matched]
+    matched = [r for r in map(compare_row, rows) if r["error"] == ""]
+    assert all(r[f"{part}_lambda_{side}"] is not None
+               for r in matched for part in ("re", "im") for side in ("wkb", "direct"))
+    k_list = [r["k_proxy"] for r in matched]
     assert len(set(k_list)) == len(k_list)
     assert slope is None  # single h cannot support a fit
 
@@ -209,12 +216,11 @@ def test_compare_writes_unmatched_records(tmp_path, monkeypatch, fault, error):
 
 
 def test_fit_convergence_slope_on_synthetic_rows():
-    from zswkb.cli import ComparisonRow, fit_convergence_slope
     rows = []
     for h in (0.1, 0.05, 0.025):
         for diff in (0.2 * h ** 2, 0.7 * h ** 2):  # max per h is 0.7 h^2
-            rows.append(ComparisonRow(h, 0.0, 0, 1.0 + 0j, 1.0 + diff, diff, "b"))
-        rows.append(ComparisonRow(h, 0.05, 0, 1.0 + 0j, 1.5 + 0j, 0.5, "b"))  # ignored
+            rows.append([h, 0.0, 0, 1.0, 0.0, 1.0 + diff, 0.0, diff, "b", ""])
+        rows.append([h, 0.05, 0, 1.0, 0.0, 1.5, 0.0, 0.5, "b", ""])  # ignored
     assert fit_convergence_slope(rows) == pytest.approx(2.0, abs=1e-12)
     assert fit_convergence_slope(rows[:3]) is None  # single h: no fit
 
@@ -341,6 +347,62 @@ def test_pt_sweep_failed_cell_is_reported_with_its_cell(tmp_path, monkeypatch, c
     assert rows[0]["symmetry_class"] == "A-odd-B-even"
     assert capsys.readouterr().err.splitlines() == [
         "cell failed: h=0.1 eps=0.01: BoundaryZero: zero on the contour"]
+
+
+# lambda0 - delta = 0.9 lies below the floor of the even well, so the window
+# has no turning interval: every WKB cell fails, and the direct ones find none
+BELOW_FLOOR = {"potential": EVEN_WELL, "lambda0": 1.1, "delta": 0.2, "eps_list": [0.05]}
+ERROR_NAMES = {c.__name__ for c in vars(z.errors).values()
+               if isinstance(c, type) and issubclass(c, ZSWKBError)}
+
+
+def csv_dicts(path) -> list:
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+
+def assert_failed_cells(err: str, cells: list) -> None:
+    # one line per cell, naming the cell and a typed error; the messages of
+    # these failures are not pinned
+    lines = err.splitlines()
+    assert [l.split(": ")[:2] for l in lines] == [["cell failed", c] for c in cells]
+    assert all(l.split(": ")[2] in ERROR_NAMES for l in lines)
+
+
+@pytest.mark.parametrize("command, cells", [
+    ("wkb", ["h=0.1 eps=0.05"]),
+    ("compare", ["h=0.1 eps=0.05", "h=0.1 eps=0.0"]),
+])
+def test_failed_wkb_cells_are_reported(tmp_path, capsys, command, cells):
+    path = write_config(tmp_path, **BELOW_FLOOR)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert_failed_cells(capsys.readouterr().err, cells)
+    rows = csv_dicts(out)
+    if command == "wkb":
+        assert rows == []
+        return
+    # compare writes one row per failed cell, with only its cell and error
+    assert [(r["h"], r["eps"]) for r in rows] == [("0.10000000000000001", "0"),
+                                                  ("0.10000000000000001",
+                                                   "0.050000000000000003")]
+    for r in rows:
+        assert {k for k, v in r.items() if v} == {"h", "eps", "error"}
+        assert r["error"].split(": ")[0] in ERROR_NAMES
+
+
+def test_failed_direct_cell_is_reported(tmp_path, monkeypatch, capsys):
+    def failing(problem, certify=True):
+        raise NoConvergence("no root")
+
+    monkeypatch.setattr(z.direct, "direct_spectrum_complex", failing)
+    path = write_config(tmp_path, eps_list=[0.05, 0.01])
+    out = tmp_path / "direct.csv"
+    assert main(["direct", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert_failed_cells(err, ["h=0.1 eps=0.05", "h=0.1 eps=0.01"])
+    assert all(l.endswith(": NoConvergence: no root") for l in err.splitlines())
+    assert csv_dicts(out) == []
 
 
 def test_load_config_roundtrip(tmp_path):

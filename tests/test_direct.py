@@ -10,8 +10,8 @@ import scipy.linalg
 import zswkb as z
 from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
                           _perimeter, _seed_batch, _wronskian_batch)
-from zswkb.errors import (InsideWell, MissedZerosWarning, NoConvergence, SymmetryMismatch,
-                          SymmetryRequired)
+from zswkb.errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
+                          PhaseResolution, SymmetryMismatch, SymmetryRequired)
 from zswkb.potential import real_crossings
 
 from oracles import matrix_window_eigenvalues
@@ -388,6 +388,23 @@ def test_count_zeros_inflates_off_eigenvalue_on_contour(well_problem, spectra_ca
     assert hi == pytest.approx(complex(lam + 0.0303, 0.0204), abs=1e-15)
 
 
+def test_count_zeros_raises_boundary_zero_after_three_inflations(well_problem, monkeypatch):
+    # unit-norm states give |W| <= 1, so every sample is at the bound
+    p = well_problem.with_(tolerances=z.Tolerances(boundary_min_w=1.0))
+    sizes = record_batches(monkeypatch)
+    with pytest.raises(BoundaryZero, match="after 3 inflations"):
+        z.count_zeros(p, z.window_rectangle(p))
+    assert sizes == [256] * 4
+
+
+def test_count_zeros_raises_phase_resolution_past_the_sample_cap(well_problem, monkeypatch):
+    # this count takes 362 samples; a cap of 256 stops the first refinement
+    p = well_problem.with_(h=0.0125, eps=0.05)
+    monkeypatch.setattr(z.direct, "_MAX_BOUNDARY_SAMPLES", 256)
+    with pytest.raises(PhaseResolution, match="exceeded 256 samples"):
+        z.count_zeros(p, z.window_rectangle(p))
+
+
 def test_complex_spectrum_at_eps_zero_reproduces_real(well_problem, spectra_cache):
     real_recs = spectra_cache(("well", 0.1, 0.0, "direct"),
                               lambda: z.direct_spectrum_real(well_problem))
@@ -514,6 +531,31 @@ def test_one_sided_explicit_cut_keeps_the_default_other_side(side):
     moved = [r.lam for r in z.direct_spectrum_real(one_sided)]
     assert len(roots) == len(moved) == 9
     assert max(abs(a - b) for a, b in zip(roots, moved)) < 1e-12
+
+
+@pytest.mark.parametrize("side, given", [("x_cut_left", 3.0), ("x_cut_right", -3.0)])
+def test_lone_cut_beyond_the_default_other_cut_is_rejected(side, given):
+    # a lone cut past the other side's default cut (+/-1.892) leaves no domain;
+    # the error names the cuts, not the matching point that falls between them
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, **{side: given})
+    message = (r"x_cut_left=3\.0 must lie below x_cut_right=1\.89" if given > 0
+               else r"x_cut_left=-1\.89\d* must lie below x_cut_right=-3\.0")
+    with pytest.raises(ValueError, match=message):
+        z.domain_cuts(p)
+    with pytest.raises(ValueError, match=message):
+        z.direct_spectrum_real(p)
+
+
+@pytest.mark.parametrize("h, count", [(0.1, 5), (0.05, 10)])
+def test_real_scan_steps_a_wide_well_by_its_action_derivative(h, count):
+    # a narrow dip in a wide plateau: |I'(lambda0)| ~ 25.9, so the scan step
+    # pi*h/(8|I'|) is about h/66; h/10 is near the level spacing pi*h/|I'|,
+    # and there Newton leaves its bracket (NoConvergence at both h)
+    spec = z.custom([("const", 2), ("gauss", -1, 0.02)], [("xgauss", 1, 0.02)])
+    p = z.Problem(spec, 1.5, 0.03, h, cutoff=20.0)
+    assert abs(z.action_integral(p, 1.5).dvalue_dlambda) > 10 * math.pi / 8
+    roots = z.direct_spectrum_real(p)
+    assert len(roots) == z.count_zeros(p, z.window_rectangle(p)).winding == count
 
 
 def test_wronskian_batch_matches_scalar(well_problem):

@@ -297,6 +297,13 @@ def test_validate_a1_extra_crossings():
     assert exc.value.reason == "extra-crossings"
 
 
+def test_validate_a1_zero_slope():
+    # |A'| at the crossings of the even well is about 0.83, below this bound
+    with pytest.raises(A1Violated) as exc:
+        z.validate_A1(z.well_even(), 1.5, 8.0, slope_tol=10.0)
+    assert exc.value.reason == "zero-slope"
+
+
 def test_spec_json_roundtrip(well_spec):
     doc = z.spec_to_json(well_spec)
     assert doc == {"family": "well-even", "params": [2.0, 1.0], "strip_half_width": 10.0}

@@ -7,7 +7,7 @@ import pytest
 
 import zswkb as z
 from zswkb import potential, quantize
-from zswkb.errors import EmptyWindow, LeftWindow, NoConvergence
+from zswkb.errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
 from zswkb.quantize import Branch, Method, branch_offset, indices_in_range
 
 
@@ -45,6 +45,13 @@ def test_indices_empty_when_h_large():
 def test_enumerate_indices_empty_window(well_problem):
     with pytest.raises(EmptyWindow):
         z.enumerate_indices(well_problem.with_(h=10.0))
+
+
+def test_enumerate_indices_below_the_well_floor(well_problem):
+    # lambda0 - delta = 0.9 lies below min|A| = 1: the window's lower edge has
+    # no turning points, so no action range; the error type is not pinned
+    with pytest.raises(ZSWKBError):
+        z.enumerate_indices(well_problem.with_(lambda0=1.1))
 
 
 def test_solve_quantization_real_monotone(tanh_problem):
