@@ -8,7 +8,7 @@ and every file carries the config hash and the tolerance set that produced it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import hashlib
 import json
 import logging
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import direct, quantize, stokes
 from .errors import A1Violated, ConfigError, ZSWKBError
-from .potential import PotentialSpec, classify_symmetry, spec_from_json, spec_to_json, validate_A1
-from .problem import Problem, Tolerances, symmetry_class, window_rectangle
+from .potential import PotentialSpec, spec_from_json, spec_to_json
+from .problem import Problem, Tolerances, a1_report, symmetry_class, window_rectangle
 
 log = logging.getLogger("zswkb")
 
@@ -48,10 +48,11 @@ class ExperimentConfig:
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
+    """Parse an experiment config; ConfigError on a bad shape or value.
+
+    Each value is checked by the type that holds it, each cell's Problem included.
+    """
     try:
-        spec = spec_from_json(obj["potential"])
-        h_list = tuple(float(h) for h in obj["h_list"])
-        eps_list = tuple(float(e) for e in obj["eps_list"])
         tol_overrides = obj.get("tolerances", {})
         if not isinstance(tol_overrides, dict):
             raise ConfigError("tolerances must be a JSON object of name: value")
@@ -62,50 +63,31 @@ def config_from_json(obj: dict) -> ExperimentConfig:
                    pot["strip_half_width"])
         if any(isinstance(v, bool) for v in numbers):
             raise ConfigError("a boolean is not a number in an experiment config")
-        known = set(Tolerances.__dataclass_fields__)
-        unknown = set(tol_overrides) - known
+        unknown = set(tol_overrides) - set(Tolerances.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
         cfg = ExperimentConfig(
-            potential=spec,
+            potential=spec_from_json(pot),
             lambda0=float(obj["lambda0"]),
             delta=float(obj["delta"]),
-            h_list=h_list,
-            eps_list=eps_list,
+            h_list=tuple(float(h) for h in obj["h_list"]),
+            eps_list=tuple(float(e) for e in obj["eps_list"]),
             cutoff=float(obj.get("cutoff", 8.0)),
-            tolerances=dataclasses.replace(Tolerances(), **tol_overrides),
+            tolerances=Tolerances(**tol_overrides),
             output_dir=str(obj.get("output_dir", ".")),
             seed_metadata=str(obj.get("seed_metadata", "")),
         )
-        # tolerances are checked, never coerced, so a valid config hashes as
-        # written; a non-number among them raises TypeError here
-        if not cfg.h_list or not all(_positive(h) for h in cfg.h_list):
-            raise ConfigError("h_list must be nonempty, finite and positive")
-        if list(cfg.h_list) != sorted(cfg.h_list, reverse=True):
-            raise ConfigError("h_list must be sorted descending")
-        if not cfg.eps_list or not all(math.isfinite(e) and e >= 0 for e in cfg.eps_list):
-            raise ConfigError("eps_list must be nonempty, finite and non-negative")
-        if list(cfg.eps_list) != sorted(cfg.eps_list, reverse=True):
-            raise ConfigError("eps_list must be sorted descending")
-        if not all(_positive(v) for v in (cfg.lambda0, cfg.delta, cfg.cutoff)):
-            raise ConfigError("lambda0, delta and cutoff must be finite and positive")
-        tols = cfg.tolerances.as_dict()
-        if not all(_positive(v) for v in tols.values()):
-            raise ConfigError("all tolerances must be finite and positive")
-        if not all(float(tols[k]).is_integer() for k in ("quad_min_nodes", "quad_max_nodes")):
-            raise ConfigError("quad_min_nodes and quad_max_nodes must be integers")
-        if tols["quad_max_nodes"] < 2 * tols["quad_min_nodes"]:
-            # the node doubling could never run, so every action quadrature would fail
-            raise ConfigError("quad_max_nodes must be at least 2 * quad_min_nodes")
+        for name, values in (("h_list", cfg.h_list), ("eps_list", cfg.eps_list)):
+            if not values or list(values) != sorted(values, reverse=True):
+                raise ConfigError(f"{name} must be sorted descending and nonempty")
+        for h in cfg.h_list:
+            for eps in cfg.eps_list:
+                make_problem(cfg, h, eps)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     return cfg
-
-
-def _positive(v) -> bool:
-    return math.isfinite(v) and v > 0
 
 
 def load_config(path) -> ExperimentConfig:
@@ -137,8 +119,8 @@ def make_problem(config: ExperimentConfig, h: float, eps: float) -> Problem:
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
-        return "" if x is None else str(x)
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -149,11 +131,12 @@ def _fmt(x) -> str:
 def write_csv(path, header, rows, meta: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as f:
+        # the metadata lines stay raw: the tolerance JSON holds commas and quotes
+        f.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _meta(config: ExperimentConfig) -> dict:
@@ -305,9 +288,10 @@ def run_stokes(config: ExperimentConfig, lam: float | None = None,
         eps = config.eps_list[0]
     if not math.isfinite(lam):
         raise ConfigError(f"stokes lambda must be finite, got {lam}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ConfigError(f"stokes eps must be finite and non-negative, got {eps}")
-    problem = make_problem(config, config.h_list[0], eps)
+    try:
+        problem = make_problem(config, config.h_list[0], eps)
+    except ValueError as exc:
+        raise ConfigError(f"stokes eps={eps}: {exc}") from exc
     graph = stokes.build_graph(problem, complex(lam))
     doc = {"meta": {**_meta(config), "lambda": lam, "eps": eps}}
     doc.update(stokes.graph_to_json(graph))
@@ -330,9 +314,8 @@ def run_spectra(config: ExperimentConfig, which: str, jobs: int = 1):
 
 
 def run_validate(config: ExperimentConfig) -> dict:
-    report = validate_A1(config.potential, config.lambda0, config.cutoff,
-                         slope_tol=config.tolerances.slope_degeneracy)
-    sym = classify_symmetry(config.potential, half_width=config.cutoff)
+    problem = make_problem(config, config.h_list[0], config.eps_list[0])
+    report, sym = a1_report(problem), symmetry_class(problem)
     return {
         "config_sha256": config_hash(config),
         "family": config.potential.family,
@@ -354,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--jobs", type=int, default=1)
+        if name in _COMMANDS:
+            sp.add_argument("--jobs", type=int, default=1)
         if name == "stokes":
             sp.add_argument("--lam", type=float, default=None)
             sp.add_argument("--eps", type=float, default=None)
@@ -395,15 +379,12 @@ def main(argv=None) -> int:
                 return 1
             print(f"wrote {out} ({len(doc['curves'])} curves)")
             return 0
+        rows, errors = _sweep(args.command, config, args.jobs)
         meta, note = _meta(config), ""
         if args.command == "compare":
-            rows, slope, errors = run_compare(config, jobs=args.jobs)
+            slope = fit_convergence_slope(rows)
             meta["convergence_slope"] = "" if slope is None else f"{slope:.17g}"
             note = f", convergence slope: {slope}"
-        elif args.command == "pt-sweep":
-            rows, errors = run_pt_sweep(config, jobs=args.jobs)
-        else:
-            rows, errors = run_spectra(config, args.command, jobs=args.jobs)
         cmd = _COMMANDS[args.command]
         out = Path(args.out) if args.out else out_dir / cmd.file_name
         write_csv(out, cmd.header, rows, meta)

@@ -80,14 +80,15 @@ class PotentialSpec:
                 if t not in (TARGET_A, TARGET_B) or k not in _TERM_NAMES.values():
                     raise ValueError(f"bad custom term codes ({t:g}, {k:g}): target must be "
                                      f"0 or 1 and kind 0, 1, 2 or 3")
-                if k != TERM_CONST and not s > 0:
-                    raise ValueError("custom term scale must be positive")
-                # tanh(s*z) has poles at Im z = pi/(2s); the strip must stop short
-                if k == TERM_TANH and self.strip_half_width >= np.pi / (2 * s):
-                    raise ValueError(
-                        f"strip_half_width {self.strip_half_width} reaches the "
-                        f"tanh pole at {np.pi / (2 * s):.4f}")
                 terms.append((int(t), int(k), c, s))
+        for _, k, _, s in terms:
+            if k != TERM_CONST and not s > 0:
+                raise ValueError("term scale must be positive")
+            # tanh(s*z) has poles at Im z = pi/(2s); the strip must stop short
+            if k == TERM_TANH and self.strip_half_width >= np.pi / (2 * s):
+                raise ValueError(
+                    f"strip_half_width {self.strip_half_width} reaches the "
+                    f"tanh pole at {np.pi / (2 * s):.4f}")
         # checked last, so a NaN term code is still reported as a bad code
         if not np.all(np.isfinite(self.params)):
             raise ValueError("potential params must be finite")

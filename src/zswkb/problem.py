@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +15,12 @@ from .potential import (A1Report, PotentialSpec, SymmetryClass, _crossing_grid,
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Named numerical tolerances; defaults are the module contracts."""
+    """Named numerical tolerances; defaults are the module contracts.
+
+    ValueError unless every field is finite and positive, both node counts are
+    integers (64.0 is refused, not coerced, so a config hashes as written) and
+    quad_max_nodes >= 2 * quad_min_nodes.
+    """
 
     turning_residual: float = 1e-12      # |A_eps^2 - lam^2| < this * max(1, |lam|^2)
     turning_min_step: float = 1e-14
@@ -30,6 +36,17 @@ class Tolerances:
     distinct_roots: float = 1e-9
     winding_guard: float = 0.1           # max deviation of winding from integer
     slope_degeneracy: float = 1e-8
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name}={value!r} must be finite and positive")
+        nodes = (self.quad_min_nodes, self.quad_max_nodes)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in nodes):
+            raise ValueError("quad_min_nodes and quad_max_nodes must be integers")
+        if self.quad_max_nodes < 2 * self.quad_min_nodes:
+            # the node doubling could never run, so every action quadrature would fail
+            raise ValueError("quad_max_nodes must be at least 2 * quad_min_nodes")
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

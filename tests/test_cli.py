@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -52,7 +53,8 @@ def test_config_validation_errors(tmp_path):
         config_from_json({})
     nan = float("nan")
     for bad in ({"tolerances": {"quad_rel": "abc"}}, {"tolerances": {"quad_rel": nan}},
-                {"tolerances": {"quad_min_nodes": 32.5}}, {"cutoff": 0.0}, {"cutoff": -1.0},
+                {"tolerances": {"quad_min_nodes": 32.5}}, {"tolerances": {"quad_min_nodes": 64.0}},
+                {"cutoff": 0.0}, {"cutoff": -1.0},
                 {"h_list": [nan]}, {"eps_list": [nan]}, {"lambda0": nan}, {"delta": nan},
                 {"tolerances": {"quad_max_nodes": 32}},
                 {"tolerances": {"quad_min_nodes": 64, "quad_max_nodes": 96}}):
@@ -65,6 +67,23 @@ def test_config_validation_errors(tmp_path):
                 {"potential": {**pot, "strip_half_width": True}}):
         with pytest.raises(ConfigError, match="boolean"):
             config_from_json(base_config_dict(tmp_path, **bad))
+
+
+def test_float_node_count_is_a_config_error(tmp_path, capsys):
+    # 64.0 once passed the check as an integer, then failed the action
+    # quadrature with a TypeError traceback on a slice index
+    config_path = write_config(tmp_path, tolerances={"quad_min_nodes": 64.0})
+    assert main(["wkb", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "wkb.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "stokes"])
+def test_jobs_is_an_option_of_the_csv_commands_only(tmp_path, command):
+    config_path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config_path), "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("tolerances", [[1], "x", 5])
@@ -273,6 +292,23 @@ def test_cli_exit_codes(tmp_path):
 
 
 EVEN_WELL = {"family": "well-even", "params": [2.0, 1.0], "strip_half_width": 10.0}
+
+
+def test_csv_quotes_an_error_that_holds_a_comma(tmp_path):
+    # at h = 10 the window holds no quantization target, and the message
+    # names the action range as "[lo, hi]"
+    path = write_config(tmp_path, potential=EVEN_WELL, lambda0=1.5, delta=0.2, h_list=[10.0])
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    with pytest.raises(ZSWKBError) as exc:
+        z.wkb_spectrum(make_problem(load_config(path), 10.0, 0.0))
+    message = f"{type(exc.value).__name__}: {exc.value}"
+    assert "," in message
+    with out.open(newline="") as f:
+        rows = list(csv.reader(line for line in f if not line.startswith("#")))
+    assert rows[0] == _COMPARE_HEADER
+    assert rows[1:] and all(len(row) == len(_COMPARE_HEADER) for row in rows[1:])
+    assert all(row[-1] == message for row in rows[1:])
 
 
 def test_validate_rejects_a_window_above_the_well(tmp_path, capsys):

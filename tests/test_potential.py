@@ -92,6 +92,36 @@ def test_problem_rejects_bad_set_up_fields(well_spec, set_up):
         z.Problem(well_spec, 1.5, 0.2, 0.1, **set_up)
 
 
+@pytest.mark.parametrize("bad", [
+    {"ode_rtol": 0.0}, {"ode_rtol": -1e-10}, {"ode_rtol": math.nan},
+    {"winding_guard": math.nan}, {"boundary_min_w": -1.0},
+    {"quad_min_nodes": 0}, {"quad_min_nodes": 32.5}, {"quad_min_nodes": 64.0},
+    {"quad_min_nodes": True}, {"quad_min_nodes": 64, "quad_max_nodes": 96}])
+def test_tolerances_reject_bad_values_when_built(bad):
+    # each once reached the solvers: a NaN guard passed any winding, a negative
+    # boundary_min_w switched off inflation, a bad ode_rtol failed untyped
+    # inside the propagator and a float node count as a slice index
+    with pytest.raises(ValueError):
+        z.Tolerances(**bad)
+
+
+def test_tolerances_accept_integer_node_counts():
+    tol = z.Tolerances(quad_min_nodes=np.int64(64), quad_max_nodes=128)
+    assert (tol.quad_min_nodes, tol.quad_max_nodes) == (64, 128)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z.monotone_odd(strip_half_width=2.0),
+    lambda: z.spec_from_json({"family": "monotone-odd", "params": [2.0],
+                              "strip_half_width": 2.0}),
+    lambda: z.custom([("tanh", 2.0)], [], strip_half_width=2.0)])
+def test_preset_strip_must_stop_short_of_the_tanh_pole(make):
+    # the monotone-odd preset once took a strip past i*pi/2, where
+    # eval_potential returned about 3e16 instead of raising OutOfStrip
+    with pytest.raises(ValueError, match="reaches the tanh pole"):
+        make()
+
+
 @pytest.mark.parametrize("spec_fn", [
     lambda: z.well_even(),
     lambda: z.monotone_odd(),
