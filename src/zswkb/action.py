@@ -160,14 +160,12 @@ def action_integral(problem: Problem, lam: complex) -> ActionValue:
     return act
 
 
-def check_schwarz_symmetry(problem: Problem, lam: complex,
-                           require_symmetry: bool = True) -> float:
+def check_schwarz_symmetry(problem: Problem, lam: complex) -> float:
     """|conj(I(conj lambda, eps)) - I(lambda, eps)|, zero under PT-like symmetry.
 
-    With ``require_symmetry`` the call refuses potentials without a parity
-    pairing; pass False to measure the defect of an asymmetric control.
+    SymmetryRequired for a potential pair without a parity pairing.
     """
-    if require_symmetry and symmetry_class(problem) is SymmetryClass.NONE:
+    if symmetry_class(problem) is SymmetryClass.NONE:
         raise SymmetryRequired("potential pair has no PT-like parity pairing")
     lam = complex(lam)
     left = action_integral(problem, lam.conjugate()).value.conjugate()

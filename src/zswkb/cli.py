@@ -36,6 +36,8 @@ _PT_HEADER = ["eps", "h", "max_im_lambda", "symmetry_class", "winding_ok", "n_ro
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep; ValueError on an empty or ascending h/eps list or an invalid cell Problem."""
+
     potential: PotentialSpec
     lambda0: float
     delta: float
@@ -45,6 +47,14 @@ class ExperimentConfig:
     tolerances: Tolerances = Tolerances()
     output_dir: str = "."
     seed_metadata: str = ""
+
+    def __post_init__(self):
+        for name, values in (("h_list", self.h_list), ("eps_list", self.eps_list)):
+            if not values or list(values) != sorted(values, reverse=True):
+                raise ValueError(f"{name} must be sorted descending and nonempty")
+        for h in self.h_list:
+            for eps in self.eps_list:
+                make_problem(self, h, eps)
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -77,12 +87,6 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             output_dir=str(obj.get("output_dir", ".")),
             seed_metadata=str(obj.get("seed_metadata", "")),
         )
-        for name, values in (("h_list", cfg.h_list), ("eps_list", cfg.eps_list)):
-            if not values or list(values) != sorted(values, reverse=True):
-                raise ConfigError(f"{name} must be sorted descending and nonempty")
-        for h in cfg.h_list:
-            for eps in cfg.eps_list:
-                make_problem(cfg, h, eps)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

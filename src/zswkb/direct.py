@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import action_integral
 from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
                      PhaseResolution, SymmetryMismatch, SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
-from .potential import SymmetryClass, axis_blend_callable, eval_potential  # noqa: F401
+from .potential import (SymmetryClass, _crossing_grid, axis_blend_callable,  # noqa: F401
+                        eval_A, eval_potential)
 from .problem import (Problem, a1_report, domain_cuts, matching_point, symmetry_class,
                       window_rectangle)
 from .quantize import EigenvalueRecord, Method, select_branch
@@ -363,15 +363,16 @@ def _scan(problem: Problem) -> tuple:
 
     ``_line_factor``'s c puts W on the real axis: at eps = 0 by self-adjointness,
     at eps > 0 by the parity pairing, and SymmetryRequired where there is none.
+    Levels lie about pi*h/S apart, S >= 0 the window's mean slope of the eps = 0
+    action int sqrt(max(lam^2 - A^2, 0)) dx summed on the crossing grid, so the
+    step is h/max(10, 8*S/pi), eight samples a level, from no WKB call.
     """
-    try:
-        base = problem.with_(eps=0.0)
-        ip = action_integral(base, problem.lambda0).dvalue_dlambda.real
-        step = min(problem.h / 10, np.pi * problem.h / (8 * abs(ip)))
-    except ZSWKBError:
-        step = problem.h / 10
     lo_edge = problem.lambda0 - problem.delta
     hi_edge = problem.lambda0 + problem.delta
+    x = _crossing_grid(problem.cutoff)
+    a2 = eval_A(problem.potential, x)[0].real ** 2
+    i_lo, i_hi = (np.sum(np.sqrt(np.maximum(lam * lam - a2, 0.0))) for lam in (lo_edge, hi_edge))
+    step = problem.h / max(10.0, 4.0 * (i_hi - i_lo) * (x[1] - x[0]) / (problem.delta * np.pi))
     n = int(np.ceil((hi_edge - lo_edge) / step)) + 1
     lams = np.linspace(lo_edge, hi_edge, n)
     f = (_line_factor(problem, lams) * _wronskian_batch(problem, lams)[0]).real

@@ -7,7 +7,7 @@ never from numerical differentiation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -251,8 +251,6 @@ class A1Report:
     slopes: tuple
     well_type: WellType
     margin_at_infinity: float
-    # Re A on the crossing grid, which brackets the real crossings of any level
-    samples: np.ndarray = field(compare=False, repr=False)
 
 
 def _crossing_grid(cutoff: float) -> np.ndarray:
@@ -319,8 +317,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
     a, _ = eval_A(spec, _crossing_grid(cutoff))
     if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
         raise ValueError("A(x) is not real-valued on the real axis")
-    # a copy, so a cached report does not keep the complex samples alive
-    a = a.real.copy()
+    a = a.real
     roots, done = real_crossings(spec, lambda0, cutoff, a)
     if not done.all():
         raise NoConvergence(f"real crossings of |A| = {lambda0} did not settle near "
@@ -340,5 +337,4 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise A1Violated("zero-slope", f"|A'| at a crossing is below {slope_tol}")
     prod = v[0].real.item() * v[1].real.item()
     well = WellType.SIMPLE_WELL if prod > 0 else WellType.MONOTONIC
-    return A1Report(float(alpha0), float(beta0), float(lambda0), slopes, well, float(margin),
-                    a)
+    return A1Report(float(alpha0), float(beta0), float(lambda0), slopes, well, float(margin))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import A1Violated
 from .potential import (A1Report, PotentialSpec, SymmetryClass, _crossing_grid,
-                        classify_symmetry, real_crossings, validate_A1)
+                        classify_symmetry, eval_A, real_crossings, validate_A1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def domain_cuts(problem: Problem) -> tuple:
     Newton shoots, and capped at the older rule: the crossing of the level
     half way to the asymptotic margin, pushed out by 2.0 and capped at the
     sampling cutoff. A side where lambda0 + 2*delta has no such crossing
-    keeps the capped cut. The crossings are ``real_crossings`` on the A1
-    report's samples, and each side reads the grid outward from 0, so a
-    paired potential gets exactly mirrored cuts. An explicit cut is kept;
+    keeps the capped cut. The crossings are ``real_crossings`` on Re A
+    sampled on the crossing grid, and each side reads the grid outward from
+    0, so a paired potential gets exactly mirrored cuts. An explicit cut is kept;
     ValueError if a lone one does not lie on its side of the other's default.
     """
     if problem.x_cut_left is not None and problem.x_cut_right is not None:
@@ -125,12 +125,13 @@ def domain_cuts(problem: Problem) -> tuple:
     rep = a1_report(problem)
     top = problem.lambda0 + problem.delta
     levels = (problem.lambda0 + 0.5 * rep.margin_at_infinity, top, top + problem.delta)
-    # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
-    crossings = [real_crossings(problem.potential, level, problem.cutoff, rep.samples)[0]
-                 for level in levels]
     # the grid is its own mirror, so the left side is the right one read on
     # -x: the same s values, |A| reversed
     s = _crossing_grid(problem.cutoff)
+    samples = eval_A(problem.potential, s)[0].real
+    # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
+    crossings = [real_crossings(problem.potential, level, problem.cutoff, samples)[0]
+                 for level in levels]
     cuts = []
     for sign, turning, given in ((-1.0, rep.alpha0, problem.x_cut_left),
                                  (1.0, rep.beta0, problem.x_cut_right)):
@@ -142,7 +143,7 @@ def domain_cuts(problem: Problem) -> tuple:
         cut = min(half + 2.0, problem.cutoff)
         if s_f < cut:
             out = s > s_t
-            a, s_out = (rep.samples if sign > 0 else rep.samples[::-1])[out], s[out]
+            a, s_out = (samples if sign > 0 else samples[::-1])[out], s[out]
             g = np.sqrt(np.maximum(a * a - top * top, 0.0))
             action = np.cumsum(0.5 * (np.append(0.0, g[:-1]) + g) * np.diff(s_out, prepend=s_t))
             i = np.searchsorted(action, _DECAY_ACTIONS * problem.h)

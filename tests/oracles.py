@@ -12,7 +12,7 @@ import numpy as np
 
 import zswkb as z
 from zswkb.errors import Collision, NoConvergence
-from zswkb.potential import eval_potential, real_crossings
+from zswkb.potential import _crossing_grid, eval_A, eval_potential, real_crossings
 from zswkb.turning import _HOMOTOPY_STEPS, _newton_stage
 
 
@@ -67,9 +67,10 @@ def two_stage_turning_points(problem, lams) -> list:
     lams = np.asarray(lams, dtype=complex)
     errors = [None] * len(lams)
     rep = z.a1_report(problem)
+    a = eval_A(problem.potential, _crossing_grid(problem.cutoff))[0].real
     z_ = np.zeros((len(lams), 2), dtype=complex)
     for k, lam in enumerate(lams):
-        t, done = real_crossings(problem.potential, abs(lam.real), problem.cutoff, rep.samples)
+        t, done = real_crossings(problem.potential, abs(lam.real), problem.cutoff, a)
         if len(t) < 2 or not done.all():
             errors[k] = NoConvergence(f"no settled real seeds at lambda={lam}")
         else:

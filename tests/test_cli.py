@@ -69,6 +69,22 @@ def test_config_validation_errors(tmp_path):
             config_from_json(base_config_dict(tmp_path, **bad))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"h_list": ()}, "h_list must be sorted descending and nonempty"),
+    ({"eps_list": ()}, "eps_list must be sorted descending and nonempty"),
+    ({"h_list": (0.05, 0.1)}, "h_list must be sorted descending"),
+    ({"lambda0": -1.5}, "lambda0, delta and h must be positive"),
+], ids=["empty_h", "empty_eps", "ascending_h", "negative_lambda0"])
+def test_experiment_config_checks_its_lists_and_cells_when_built(fields, message):
+    # a library caller that builds the config without config_from_json gets
+    # the same checks: no empty sweep, no IndexError from run_stokes, no
+    # ValueError from the middle of a sweep
+    given = {"potential": z.well_even(), "lambda0": 1.5, "delta": 0.2, "h_list": (0.1,),
+             "eps_list": (0.05,), **fields}
+    with pytest.raises(ValueError, match=message):
+        z.cli.ExperimentConfig(**given)
+
+
 def test_float_node_count_is_a_config_error(tmp_path, capsys):
     # 64.0 once passed the check as an integer, then failed the action
     # quadrature with a TypeError traceback on a slice index

@@ -12,7 +12,7 @@ from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newt
                           _perimeter, _seed_batch, _wronskian_batch)
 from zswkb.errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
                           PhaseResolution, SymmetryMismatch, SymmetryRequired)
-from zswkb.potential import real_crossings
+from zswkb.potential import _crossing_grid, eval_A, real_crossings
 
 from oracles import matrix_window_eigenvalues
 
@@ -549,12 +549,30 @@ def test_lone_cut_beyond_the_default_other_cut_is_rejected(side, given):
 @pytest.mark.parametrize("h, count", [(0.1, 5), (0.05, 10)])
 def test_real_scan_steps_a_wide_well_by_its_action_derivative(h, count):
     # a narrow dip in a wide plateau: |I'(lambda0)| ~ 25.9, so the scan step
-    # pi*h/(8|I'|) is about h/66; h/10 is near the level spacing pi*h/|I'|,
-    # and there Newton leaves its bracket (NoConvergence at both h)
+    # pi*h/(8*S), S the window's mean slope of I, is about h/66; h/10 is near
+    # the level spacing pi*h/|I'|, and there Newton leaves its bracket
+    # (NoConvergence at both h)
     spec = z.custom([("const", 2), ("gauss", -1, 0.02)], [("xgauss", 1, 0.02)])
     p = z.Problem(spec, 1.5, 0.03, h, cutoff=20.0)
     assert abs(z.action_integral(p, 1.5).dvalue_dlambda) > 10 * math.pi / 8
     roots = z.direct_spectrum_real(p)
+    assert len(roots) == z.count_zeros(p, z.window_rectangle(p)).winding == count
+
+
+@pytest.mark.parametrize("h, count, scan_rows", [(0.1, 5, 41), (0.05, 10, 81)])
+def test_real_scan_needs_no_wkb_action(monkeypatch, h, count, scan_rows):
+    # the direct solver is an independent check on the WKB one: with every
+    # action quadrature failing, the wide well's scan still steps by its
+    # sampled action slope and finds every root the winding counts
+    def broken(*args, **kwargs):
+        raise NoConvergence("action quadrature disabled")
+
+    monkeypatch.setattr(z.action, "_action_rows", broken)
+    sizes = record_batches(monkeypatch)
+    spec = z.custom([("const", 2), ("gauss", -1, 0.02)], [("xgauss", 1, 0.02)])
+    p = z.Problem(spec, 1.5, 0.03, h, cutoff=20.0)
+    roots = z.direct_spectrum_real(p)
+    assert sizes[0] == scan_rows
     assert len(roots) == z.count_zeros(p, z.window_rectangle(p)).winding == count
 
 
@@ -769,7 +787,8 @@ def older_cuts(problem) -> dict:
     """Explicit cuts by the h-blind rule: the half-margin crossing pushed out by 2.0, capped."""
     rep = z.a1_report(problem)
     level = problem.lambda0 + 0.5 * rep.margin_at_infinity
-    x, _ = real_crossings(problem.potential, level, problem.cutoff, rep.samples)
+    a = eval_A(problem.potential, _crossing_grid(problem.cutoff))[0].real
+    x, _ = real_crossings(problem.potential, level, problem.cutoff, a)
     left = max(np.max(x[x < rep.alpha0], initial=-np.inf) - 2.0, -problem.cutoff)
     right = min(np.min(x[x > rep.beta0], initial=np.inf) + 2.0, problem.cutoff)
     return {"x_cut_left": float(left), "x_cut_right": float(right)}

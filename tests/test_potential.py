@@ -508,7 +508,7 @@ def test_paired_potentials_get_a_mirror_exact_set_up():
             assert cuts[0] == -cuts[1], (spec, lam0)
             checked += 1
     finally:
-        # each cached report keeps its 4001 samples; drop the thousand drawn
+        # drop the thousand cached reports and cuts drawn here
         z.a1_report.cache_clear()
         z.domain_cuts.cache_clear()
     assert checked > 500
