@@ -152,19 +152,21 @@ def _meta(config: ExperimentConfig) -> dict:
     }
 
 
-def _match_records(wkb_records, direct_records) -> list:
-    """Greedy nearest-lambda matching; a bijection when the counts agree."""
-    pairs = []
-    free_w = list(range(len(wkb_records)))
-    free_d = list(range(len(direct_records)))
-    while free_w and free_d:
-        best = min(((abs(wkb_records[i].lam - direct_records[j].lam), i, j)
-                    for i in free_w for j in free_d))
-        _, i, j = best
-        pairs.append((i, j))
-        free_w.remove(i)
-        free_d.remove(j)
-    return pairs, free_w, free_d
+def _match_records(wkb_records, direct_records) -> tuple:
+    """Greedy nearest-lambda matching; a bijection when the counts agree.
+
+    The (distance, i, j) triples are sorted once, and each whose two indices
+    are still free is taken: the pairs, ties included, that repeatedly taking
+    the nearest free pair gives.
+    """
+    pairs, free_w, free_d = [], set(range(len(wkb_records))), set(range(len(direct_records)))
+    for _, i, j in sorted((abs(w.lam - d.lam), i, j) for i, w in enumerate(wkb_records)
+                          for j, d in enumerate(direct_records)):
+        if i in free_w and j in free_d:
+            pairs.append((i, j))
+            free_w.remove(i)
+            free_d.remove(j)
+    return pairs, sorted(free_w), sorted(free_d)
 
 
 def _compare_rows(problem: Problem) -> list:

@@ -12,9 +12,9 @@ batch of spectral parameters on one grid, and ``wronskian`` is its public
 one-lambda probe. Under a PT-like parity pairing, with mirror cuts and the
 matching point at 0, the right state is the reflection of the left one at
 conj(lambda), so a batch shoots only its rows and their conjugates from the
-left cut, plus one guard row from the right cut that must agree with its
-reflection (SymmetryMismatch otherwise); every other problem is shot from
-both cuts. The window contour and the vertical probe sample conjugate-closed
+left cut; every other problem is shot from both cuts. The pairing is read
+exactly off the potential's terms, so the reflection needs no check at run
+time. The window contour and the vertical probe sample conjugate-closed
 sets, so their batches shoot each row once.
 
 Every root-finding stage is array code over such batches, and
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
-                     PhaseResolution, SymmetryMismatch, SymmetryRequired, ZSWKBError)
+                     PhaseResolution, SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
 from .potential import (SymmetryClass, _crossing_grid, axis_blend_callable,  # noqa: F401
                         eval_A, eval_potential)
@@ -47,8 +47,11 @@ _MAX_BOUNDARY_SAMPLES = 2 ** 16
 _CHUNK_ELEMENTS = 4096
 _GAUSS3 = np.sqrt(15.0) / 10.0  # outer Gauss-Legendre nodes at mid -/+ _GAUSS3 * dx
 _TINY = np.finfo(float).tiny
-# relative gap allowed between the reflected and the shot right state
-_REFLECTION_GUARD = 1e-9
+# per parity pairing, the diagonal of the reflection R with
+# u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))), and the phase that puts
+# W/kappa on the real axis
+_REFLECTIONS = {SymmetryClass.A_EVEN_B_ODD: (np.array([1.0, -1.0]), 1.0),
+                SymmetryClass.A_ODD_B_EVEN: (np.array([1.0, 1.0]), -1j)}
 
 
 @dataclass(frozen=True)
@@ -264,48 +267,34 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
     - reflected, when the potential has a parity pairing, the cuts are exact
       mirrors (x_l == -x_r) and the matching point is 0.0: the right state is
       the reflection u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))), with
-      R = sigma_z (A even, B odd) or I (A odd, B even). Only the unique rows
-      of lams and conj(lams) are shot, from the left cut to 0; each right
-      state is kappa*R*conj(y_l(0; conj(lam))) with log scale
-      ls_l(conj(lam)), and kappa, of modulus 1, is the overlap of the right
-      seed with R*conj of the left seed at conj(lam). A conjugate-closed batch
-      (a real scan, a window contour) shoots half the rows of the two-sided
-      route, plus the guard row.
-
-    The reflected route rests on ``classify_symmetry``'s sampled test, so on
-    every call a guard shoots the first row from the right cut as well. The
-    shot and the reflected right state must agree to _REFLECTION_GUARD
-    relative to the state's norm, measured to first order as the gap of the
-    unit states plus the gap of the log scales, or SymmetryMismatch is
-    raised. Unit states give |W| <= 1, so that bounds the row's W error by
-    1e-9 of the largest |W| unit states can give.
+      R = sigma_z (A even, B odd) or I (A odd, B even) from ``_REFLECTIONS``.
+      Only the unique rows of lams and conj(lams) are shot, from the left cut
+      to 0; each right state is kappa*R*conj(y_l(0; conj(lam))) with log
+      scale ls_l(conj(lam)), and kappa, of modulus 1, is the overlap of the
+      right seed with R*conj of the left seed at conj(lam). A
+      conjugate-closed batch (a real scan, a window contour) shoots half the
+      rows of the two-sided route. The pairing is exact, read off the terms
+      by ``classify_symmetry``, so nothing is shot from the right cut.
     """
     lams = np.asarray(lams, dtype=complex)
     x_l, x_r = domain_cuts(problem)
     x_m = matching_point(problem)
     if not x_l <= x_m <= x_r:
         raise ValueError(f"matching point {x_m} lies outside the cuts [{x_l}, {x_r}]")
-    sym = symmetry_class(problem)
-    if x_m != 0.0 or x_l != -x_r or sym is SymmetryClass.NONE:
+    reflection = _REFLECTIONS.get(symmetry_class(problem))
+    if x_m != 0.0 or x_l != -x_r or reflection is None:
         y_l, ls_l = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_l, 1), x_l, x_m)
         y_r, ls_r = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_r, -1), x_r, x_m)
     else:
+        r, _ = reflection
         rows, inverse = np.unique(np.concatenate([lams, lams.conj()]), return_inverse=True)
         own, bar = np.split(inverse, 2)
         v_l = _seed_batch(problem, rows, x_l, 1)
         v_r = _seed_batch(problem, lams, x_r, -1)
         y, ls = _integrate_batch(problem, rows, v_l, x_l, 0.0)
-        r = np.array([1.0, -1.0]) if sym is SymmetryClass.A_EVEN_B_ODD else np.ones(2)
         kappa = np.sum(r * v_l[bar] * v_r, axis=1)
         y_l, ls_l = y[own], ls[own]
         y_r, ls_r = kappa[:, None] * r * np.conj(y[bar]), ls[bar]
-        # sliced, so an empty batch has an empty guard with no gap
-        y_g, ls_g = _integrate_batch(problem, lams[:1], v_r[:1], x_r, 0.0)
-        gap = np.linalg.norm(y_g - y_r[:1]) + np.sum(np.abs(ls_g - ls_r[:1]))
-        if not gap <= _REFLECTION_GUARD:
-            raise SymmetryMismatch(
-                f"reflected right state differs from the shot one by {gap:.3e} at "
-                f"lambda={complex(lams[0])} ({sym.value} pairing, cuts +/-{x_r})")
     w = y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0]
     return w, ls_l + ls_r
 
@@ -325,10 +314,10 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
     A > 0 at the cut, left with A < 0), so the ratio is first scaled by
     t = side*sign(A), to real part mu/|A| > 0, and sqrt(t) is carried apart.
     eps > 0: a parity pairing reflects the states, u_r(x) = kappa*R*conj(u_l(-x))
-    with R = sigma_z (A even, B odd) or I (A odd, B even), kappa the overlap of
-    the right seed with the reflected left one, and W/kappa is real or
-    imaginary; exactly so for mirror cuts, as the default cuts of every
-    paired potential are. Without a pairing there is no line: SymmetryRequired.
+    with R and the phase from ``_REFLECTIONS``, kappa the overlap of the right
+    seed with the reflected left one, and phase*W/kappa is real; exactly so
+    for mirror cuts, as the default cuts of every paired potential are.
+    Without a pairing there is no line: SymmetryRequired.
     """
     x_l, x_r = domain_cuts(problem)
     v_l = _seed_batch(problem, lams, x_l, 1)
@@ -339,12 +328,11 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
             t = side * np.sign(v[0, 0].real)  # the seed's first entry is A at the cut
             c = c * np.sqrt(complex(t)) * np.sqrt(t * np.conj(v[:, 1]) / v[:, 0])
         return c
-    sym = symmetry_class(problem)
-    if sym is SymmetryClass.NONE:
+    reflection = _REFLECTIONS.get(symmetry_class(problem))
+    if reflection is None:
         raise SymmetryRequired("at eps > 0 the real scan needs a PT-like parity pairing")
-    if sym is SymmetryClass.A_EVEN_B_ODD:
-        return np.conj(v_l[:, 0] * v_r[:, 0] - v_l[:, 1] * v_r[:, 1])
-    return -1j * np.conj(v_l[:, 0] * v_r[:, 0] + v_l[:, 1] * v_r[:, 1])
+    r, phase = reflection
+    return phase * np.conj(np.sum(r * v_l * v_r, axis=1))
 
 
 def _records(problem: Problem, roots) -> list:

@@ -79,10 +79,6 @@ class PhaseResolution(ZSWKBError):
     """Contour phase increments could not be resolved below pi/2."""
 
 
-class SymmetryMismatch(ZSWKBError):
-    """The right Jost state reflected from the left one differs from its direct integration."""
-
-
 class MissedZerosWarning(UserWarning):
     """Winding number differs from the number of roots located by Newton seeding."""
 

@@ -7,6 +7,7 @@ never from numerical differentiation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,6 +24,8 @@ TARGET_A, TARGET_B = 0, 1
 TERM_CONST, TERM_TANH, TERM_GAUSS, TERM_XGAUSS = 0, 1, 2, 3
 _TERM_NAMES = {"const": TERM_CONST, "tanh": TERM_TANH,
                "gauss": TERM_GAUSS, "xgauss": TERM_XGAUSS}
+# each kind's parity on the real axis: +1 even, -1 odd, for every scale
+_TERM_PARITY = {TERM_CONST: 1, TERM_TANH: -1, TERM_GAUSS: 1, TERM_XGAUSS: -1}
 
 # Newton on a real crossing stops once its step is below this share of
 # max(1, |x|); the step it then takes leaves an error of order its square.
@@ -32,8 +35,6 @@ _TERM_NAMES = {"const": TERM_CONST, "tanh": TERM_TANH,
 _CROSSING_XTOL = 1e-10
 _CROSSING_NEWTON_CAP = 64
 _CROSSING_SAMPLES = 4001         # odd: the crossing grid holds 0 and mirrors about it
-_SYMMETRY_SAMPLES = 101          # symmetric grid of the parity test
-_SYMMETRY_REL_TOL = 1e-12
 
 
 class SymmetryClass(Enum):
@@ -223,20 +224,23 @@ def axis_blend_callable(spec: PotentialSpec, eps: float):
     return lambda x: complex(eval_potential(spec, x, eps)[0])
 
 
-def classify_symmetry(spec: PotentialSpec, half_width: float = 8.0) -> SymmetryClass:
-    """Detect the parity pairing of (A, B) on a fixed symmetric sample grid."""
-    x = np.linspace(-half_width, half_width, _SYMMETRY_SAMPLES)
-    (a, _), (b, _) = _sum_terms(spec, [x, -x], (TARGET_A, TARGET_B), derivative=False)
-    (a_p, a_m), (b_p, b_m) = a.real, b.real
-    scale = max(1.0, np.max(np.abs(a_p)), np.max(np.abs(b_p)))
-    tol = _SYMMETRY_REL_TOL * scale
-    a_even = np.max(np.abs(a_p - a_m)) < tol
-    a_odd = np.max(np.abs(a_p + a_m)) < tol
-    b_even = np.max(np.abs(b_p - b_m)) < tol
-    b_odd = np.max(np.abs(b_p + b_m)) < tol
-    if a_even and b_odd:
+def classify_symmetry(spec: PotentialSpec) -> SymmetryClass:
+    """The parity pairing of (A, B), read exactly off the spec's terms.
+
+    Each term kind has one parity on the real axis (``_TERM_PARITY``), and
+    terms of different (kind, scale) are linearly independent, so a target is
+    even exactly when the coefficients of each of its odd (kind, scale) groups
+    sum to zero, and odd when those of each even group do.  All const terms
+    form one group whatever their scale.  No potential is evaluated.
+    """
+    groups = {}
+    for t, k, c, s in spec.terms:
+        groups.setdefault((t, k, 0.0 if k == TERM_CONST else s), []).append(c)
+    # a group whose coefficients do not cancel rules out the opposite parity
+    broken = {(t, -_TERM_PARITY[k]) for (t, k, _), cs in groups.items() if math.fsum(cs) != 0.0}
+    if (TARGET_A, 1) not in broken and (TARGET_B, -1) not in broken:
         return SymmetryClass.A_EVEN_B_ODD
-    if a_odd and b_even:
+    if (TARGET_A, -1) not in broken and (TARGET_B, 1) not in broken:
         return SymmetryClass.A_ODD_B_EVEN
     return SymmetryClass.NONE
 

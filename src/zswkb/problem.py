@@ -95,7 +95,7 @@ def a1_report(problem: Problem) -> A1Report:
 
 @functools.lru_cache(maxsize=None)
 def symmetry_class(problem: Problem) -> SymmetryClass:
-    return classify_symmetry(problem.potential, half_width=problem.cutoff)
+    return classify_symmetry(problem.potential)
 
 
 # a seed's error at a cut decays inward like exp(-2/h * int Re mu dx), so the

@@ -10,8 +10,8 @@ import numpy as np
 
 from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
-from .potential import A1Report, WellType
-from .problem import Problem, a1_report
+from .potential import A1Report, SymmetryClass, WellType
+from .problem import Problem, a1_report, symmetry_class
 
 _NEWTON_CAP = 50
 
@@ -56,8 +56,14 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
 
 
 def _window_action_range(problem: Problem) -> tuple:
-    """Action at the real window edges for the eps = 0 reference problem."""
-    edges, _ = _action_rows(problem.with_(eps=0.0),
+    """Action at the real window edges, at the problem's eps under a parity pairing.
+
+    A pairing keeps I(lambda, eps) real for real lambda, so a level that eps
+    moves across an edge moves its target across that edge's action too.
+    Without one the edges are taken for the eps = 0 reference problem.
+    """
+    paired = symmetry_class(problem) is not SymmetryClass.NONE
+    edges, _ = _action_rows(problem if paired else problem.with_(eps=0.0),
                             [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
     for act in edges:
         if isinstance(act, Exception):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.action import _continued_sqrt
-from zswkb.errors import DegenerateSegment, QuadratureNoConvergence, SymmetryRequired
+from zswkb.action import _continued_sqrt, _doubling
+from zswkb.errors import (BranchAmbiguity, DegenerateSegment, QuadratureNoConvergence,
+                          SymmetryRequired)
 
 from conftest import rng
 
@@ -153,3 +154,12 @@ def test_derivative_doubling_stops_at_its_budget():
     assert abs(act.value - 1.036373843832112) < 1e-14
     ref = 2.0702913829432 - 5.216513276024959e-19j
     assert abs(act.dvalue_dlambda - ref) < 1e-9 * abs(ref)
+
+
+def test_quadrature_reports_an_ambiguous_branch():
+    # [-2, 2] runs past both turning points (+/-0.83 at lambda = 1.5), so
+    # lambda^2 - A^2 changes sign on the segment and its root turns by a
+    # right angle between two nodes
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05)
+    (err,) = _doubling(p, np.array([-2.0 + 0j]), np.array([2.0 + 0j]), np.array([1.5 + 0j]))
+    assert isinstance(err, BranchAmbiguity)

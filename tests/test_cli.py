@@ -3,12 +3,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.cli import (_COMPARE_HEADER, config_from_json, config_hash, fit_convergence_slope,
-                       load_config, main, make_problem, run_compare, run_pt_sweep, run_stokes,
-                       run_validate)
+from zswkb.cli import (_COMPARE_HEADER, _match_records, config_from_json, config_hash,
+                       fit_convergence_slope, load_config, main, make_problem, run_compare,
+                       run_pt_sweep, run_stokes, run_validate)
 from zswkb.errors import BoundaryZero, ConfigError, NoConvergence, ZSWKBError
 
 from oracles import assert_graph_document
@@ -463,3 +464,30 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.potential.family == "monotone-odd"
     assert cfg.h_list == (0.1,)
     assert cfg.seed_metadata == "test-run"
+
+
+def test_match_records_takes_the_nearest_free_pair_first():
+    # the nearest pair overall, (1, 0), comes before (0, 1) in neither index;
+    # a tie in distance goes to the lower wkb index, then the lower direct one
+    def recs(*lams):
+        return [z.EigenvalueRecord(complex(lam), k, None, z.Method.WKB, 0.0, 0.1, 0.0)
+                for k, lam in enumerate(lams)]
+
+    assert _match_records(recs(1.0, 2.0, 3.0), recs(2.0625, 0.875, 3.25, 5.0)) == \
+        ([(1, 0), (0, 1), (2, 2)], [], [3])
+    assert _match_records(recs(1.0, 1.5), recs(1.25)) == ([(0, 0)], [1], [])
+    assert _match_records(recs(1.25), recs(1.5, 1.0)) == ([(0, 0)], [], [1])
+
+    def rescanning(wkb, direct):  # the reference: the least free triple, found afresh each time
+        pairs, free_w, free_d = [], list(range(len(wkb))), list(range(len(direct)))
+        while free_w and free_d:
+            _, i, j = min((abs(wkb[i].lam - direct[j].lam), i, j) for i in free_w for j in free_d)
+            pairs.append((i, j))
+            free_w.remove(i)
+            free_d.remove(j)
+        return pairs, free_w, free_d
+
+    r = np.random.default_rng(5)
+    for _ in range(200):  # lambdas on a coarse grid, so many distances tie
+        wkb, direct = (recs(*(r.integers(0, 8, r.integers(0, 10)) / 4.0)) for _ in range(2))
+        assert _match_records(wkb, direct) == rescanning(wkb, direct)

@@ -11,7 +11,7 @@ import zswkb as z
 from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
                           _perimeter, _seed_batch, _wronskian_batch)
 from zswkb.errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
-                          PhaseResolution, SymmetryMismatch, SymmetryRequired)
+                          PhaseResolution, SymmetryRequired)
 from zswkb.potential import _crossing_grid, eval_A, real_crossings
 
 from oracles import matrix_window_eigenvalues
@@ -707,6 +707,13 @@ PAIRED = {
     "well": (z.well_even(), 1.5, 0.2),
     "tanh": (z.monotone_odd(), 1.0, 0.3),
     "well-3-2": (z.well_even(3.0, 2.0), 2.0, 0.3),
+    # custom pairings over several scales, read off their terms
+    "even-multiscale": (
+        z.custom([("const", 2.5), ("gauss", -0.7, 0.5), ("gauss", -0.6, 2.0)],
+                 [("xgauss", 0.8, 0.5), ("tanh", 0.3, 2.0), ("xgauss", -0.4, 3.0)]), 1.8, 0.3),
+    "odd-multiscale": (
+        z.custom([("tanh", 1.5), ("tanh", 0.5, 2.0), ("xgauss", 0.2, 0.5)],
+                 [("gauss", 0.6), ("gauss", 0.4, 3.0), ("const", 0.1)]), 1.0, 0.3),
 }
 
 
@@ -717,6 +724,9 @@ def test_reflected_wronskian_matches_two_sided(name, eps, monkeypatch):
     # and the log scale that shooting from the right cut gives
     spec, lambda0, delta = PAIRED[name]
     p = z.Problem(spec, lambda0, delta, 0.05, eps)
+    x_l, x_r = z.domain_cuts(p)  # the conditions of the reflected route
+    assert z.symmetry_class(p) is not z.SymmetryClass.NONE
+    assert x_l == -x_r and z.problem.matching_point(p) == 0.0
     r = np.random.default_rng(11)
     lams = np.concatenate([np.linspace(lambda0 - delta, lambda0 + delta, 21),
                            lambda0 + delta * (r.uniform(-1, 1, 12) + 0.5j * r.uniform(-1, 1, 12))])
@@ -734,7 +744,7 @@ CTRL = WINDOWS["ctrl"][0]
 
 
 @pytest.mark.parametrize("variant, shot", [
-    ("paired", [256, 1]),  # the unique rows of a conjugate-closed contour, then the guard row
+    ("paired", [256]),  # the unique rows of a conjugate-closed contour, from the left cut only
     ("ctrl", [256, 256]),
     ("explicit_cuts", [256, 256]),
     ("matching_point", [256, 256]),
@@ -754,18 +764,6 @@ def test_count_zeros_integrated_rows(variant, shot, monkeypatch):
     zc = z.count_zeros(p, z.window_rectangle(p))
     assert (zc.winding, zc.samples_on_boundary) == (9, 256)
     assert rows == shot
-
-
-@pytest.mark.parametrize("sym", [z.SymmetryClass.A_EVEN_B_ODD, z.SymmetryClass.A_ODD_B_EVEN])
-def test_reflection_guard_rejects_a_false_pairing(sym, monkeypatch):
-    # the control pairs an even A with an even B: a pairing reported for it
-    # must fail the guard, never reflect into a silent W
-    p = z.Problem(CTRL, 1.5, 0.2, 0.05, eps=0.05)
-    monkeypatch.setattr(z.direct, "symmetry_class", lambda problem: sym)
-    with pytest.raises(SymmetryMismatch, match="reflected right state"):
-        z.count_zeros(p, z.window_rectangle(p))
-    with pytest.raises(SymmetryMismatch):
-        z.wronskian(p, 1.5)
 
 
 @pytest.mark.parametrize("name", ["well", "tanh"])
@@ -845,3 +843,11 @@ def test_vertical_probe_is_mirror_exact(well_problem, monkeypatch):
     probe = batches[1]  # after the eps = 0 scan
     assert len(probe) % 17 == 0
     assert conjugate_closed(probe)
+
+
+def test_count_zeros_raises_phase_resolution_for_a_negative_winding(well_problem, monkeypatch):
+    # a pole inside the window winds arg W once clockwise
+    monkeypatch.setattr(z.direct, "_wronskian_batch",
+                        lambda problem, lams: (1.0 / (lams - 1.5), np.zeros(len(lams))))
+    with pytest.raises(PhaseResolution, match=r"winding -1\.0000 is not close"):
+        z.count_zeros(well_problem, z.window_rectangle(well_problem))

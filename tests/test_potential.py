@@ -284,6 +284,52 @@ def test_classify_symmetry_invariant_under_scaling():
             is z.SymmetryClass.A_ODD_B_EVEN
 
 
+def test_every_term_kind_has_a_parity_that_holds_at_mirror_points():
+    # classify_symmetry trusts these parities for every scale
+    r = rng(13)
+    x = r.uniform(-4.0, 4.0, 64)
+    for name, kind in potential._TERM_NAMES.items():
+        parity = potential._TERM_PARITY[kind]
+        for s in r.uniform(0.1, 4.0, 8):
+            spec = z.custom([(name, r.uniform(0.5, 2.0), s)], [])
+            (plus, _), (minus, _) = (z.eval_potential(spec, v, 0.0) for v in (x, -x))
+            assert np.max(np.abs(minus - parity * plus)) <= 4e-16 * max(1.0, np.max(np.abs(plus)))
+
+
+EVEN_ODD, ODD_EVEN, NONE = (z.SymmetryClass.A_EVEN_B_ODD, z.SymmetryClass.A_ODD_B_EVEN,
+                            z.SymmetryClass.NONE)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (z.well_even(), EVEN_ODD),
+    (z.monotone_odd(), ODD_EVEN),
+    (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), NONE),  # the control
+    # odd terms of A that cancel exactly within their (kind, scale) group
+    (z.custom([("const", 2.0), ("tanh", 0.3, 2.0), ("gauss", -1.0), ("tanh", -0.3, 2.0)],
+              [("xgauss", 1.0)]), EVEN_ODD),
+    # ... but not across scales, where the functions are independent
+    (z.custom([("const", 2.0), ("tanh", 0.3, 2.0), ("gauss", -1.0), ("tanh", -0.3, 1.0)],
+              [("xgauss", 1.0)]), NONE),
+    # even terms of A that cancel: const terms form one group whatever their scale
+    (z.custom([("tanh", 2.0), ("const", 0.5, 1.0), ("gauss", 0.2, 0.5), ("const", -0.5, 3.0),
+               ("gauss", -0.2, 0.5)], [("gauss", 1.0)]), ODD_EVEN),
+    (z.custom([("tanh", 2.0)], [("gauss", 1.0), ("xgauss", 0.4, 2.0), ("xgauss", -0.4, 2.0)]),
+     ODD_EVEN),
+    (z.custom([("tanh", 2.0)], [("gauss", 1.0), ("xgauss", 0.4, 2.0), ("xgauss", -0.4, 1.0)]),
+     NONE),
+    # a B that is identically zero is both even and odd: an even A pairs first
+    (z.custom([("const", 2.0), ("gauss", -1.0)], [("xgauss", 1.0), ("xgauss", -1.0)]), EVEN_ODD),
+    (z.custom([("tanh", 2.0)], []), ODD_EVEN),
+    (z.custom([("const", 2.0), ("tanh", 1.0)], []), NONE),
+])
+def test_classify_symmetry_reads_the_terms(spec, expected, monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("classify_symmetry evaluated the potential")
+
+    monkeypatch.setattr(potential, "_sum_terms", no_evaluation)
+    assert z.classify_symmetry(spec) is expected
+
+
 def test_validate_a1_well(well_spec):
     rep = z.validate_A1(well_spec, 1.5, 8.0)
     assert rep.alpha0 == pytest.approx(-SQRT_LN2, abs=1e-10)

@@ -7,7 +7,7 @@ import pytest
 
 import zswkb as z
 from zswkb import potential, quantize
-from zswkb.errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
+from zswkb.errors import EmptyWindow, LeftStrip, LeftWindow, NoConvergence, ZSWKBError
 from zswkb.quantize import Branch, Method, branch_offset, indices_in_range
 
 
@@ -136,6 +136,26 @@ def test_wkb_spectrum_action_calls_per_root(monkeypatch, spec, lambda0, delta, e
     assert sum(rows) <= 10 * len(recs)
 
 
+@pytest.mark.parametrize("spec, lambda0, delta, h, eps, count", [
+    # the eps = 0 level at 1.199983 lies just below the window; eps moves it in
+    (z.well_even(), 1.5, 0.3, 0.0125, 0.05, 59),
+    (z.monotone_odd(), 1.0, 0.3, 0.1, 0.5, 4),
+], ids=["well", "tanh"])
+def test_wkb_spectrum_keeps_a_level_that_eps_moves_into_the_window(spec, lambda0, delta, h,
+                                                                   eps, count):
+    # under a pairing I(lambda, eps) is real on the real axis, so the index
+    # range comes from the window's edge actions at the problem's own eps
+    p = z.Problem(spec, lambda0, delta, h, eps=eps)
+    assert len(z.wkb_spectrum(p)) == len(z.direct_spectrum_real(p)) == count
+
+
+def test_wkb_spectrum_raises_where_the_edge_action_fails():
+    # at eps = 1.2 the lower edge's turning points leave the tanh strip: the
+    # range, and so the spectrum, fails with the action's own error
+    with pytest.raises(LeftStrip):
+        z.wkb_spectrum(z.Problem(z.monotone_odd(), 1.0, 0.3, 0.1, eps=1.2))
+
+
 def test_wkb_spectrum_potential_calls_do_not_scale_with_roots(monkeypatch):
     # a Newton round is one array potential call per turning-point iteration
     # and per node count for all indices, so four times the roots cost about
@@ -158,14 +178,15 @@ def test_wkb_spectrum_potential_calls_do_not_scale_with_roots(monkeypatch):
     assert counts[0.0125][1] <= 1.5 * counts[0.05][1]
 
 
-@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 2)])
+# a paired problem takes its window's edge actions at its own eps, so at
+# eps > 0 no eps = 0 base problem is set up either
+@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 1)])
 @pytest.mark.parametrize("spec, lambda0, delta", [
     (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
 def test_wkb_spectrum_samples_the_crossing_grid_once_per_problem(monkeypatch, spec, lambda0,
                                                                  delta, eps, cold):
     # the real turning-point seeds are bracketed on the samples a1_report
-    # keeps: a cold call samples A once per Problem, at eps > 0 also for its
-    # eps = 0 base, and a repeat call not at all
+    # keeps: a cold call samples A once per Problem, and a repeat call not at all
     grid = []
     eval_a = potential.eval_A
 
@@ -184,7 +205,7 @@ def test_wkb_spectrum_samples_the_crossing_grid_once_per_problem(monkeypatch, sp
     assert sum(grid) == 0
 
 
-@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 2)])
+@pytest.mark.parametrize("eps, cold", [(0.0, 1), (0.05, 1)])
 @pytest.mark.parametrize("spec, lambda0, delta", [
     (z.well_even(), 1.5, 0.2), (z.monotone_odd(), 1.0, 0.3)], ids=["well", "tanh"])
 def test_wkb_spectrum_searches_real_crossings_only_for_a1(monkeypatch, spec, lambda0, delta,
@@ -225,6 +246,17 @@ def test_wkb_spectrum_equals_one_index_solves(name, eps):
         assert rec.residual < p.tolerances.quantize_residual
 
 
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_PROBLEMS))
+def test_window_action_range_follows_eps_only_under_a_pairing(name):
+    # without a pairing I(lambda, eps) is complex on the real axis, and the
+    # edges stay at eps = 0
+    p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.05, eps=0.05)
+    paired = z.symmetry_class(p) is not z.SymmetryClass.NONE
+    assert paired is (name != "ctrl")
+    base = quantize._window_action_range(p.with_(eps=0.0))
+    assert (quantize._window_action_range(p) != base) is paired
+
+
 def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     p = z.Problem(z.well_even(), 1.5, 0.2, 0.025, eps=0.05)
     ks = z.enumerate_indices(p)
@@ -235,8 +267,9 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
 
     def failing(problem, lams, *args):
         acts, pairs = action_rows(problem, lams, *args)
-        if problem.eps > 0 and first_round[0]:
-            # every index is live in the first Newton round, in index order
+        if len(lams) == len(ks) and first_round[0]:
+            # the 2-row calls of the window's edges come first; every index
+            # is live in the first Newton round, in index order
             first_round[0] = False
             acts[ks.index(bad)] = NoConvergence("injected")
         return acts, pairs
@@ -260,7 +293,7 @@ def test_wkb_spectrum_warns_for_an_iterate_that_leaves_the_window(monkeypatch):
 
     def flattened(problem, lams, *args):
         acts, pairs = action_rows(problem, lams, *args)
-        if problem.eps > 0 and first_round[0]:
+        if len(lams) == len(ks) and first_round[0]:  # the first Newton round, not the edges
             first_round[0] = False
             j = ks.index(bad)
             acts[j] = dataclasses.replace(acts[j], dvalue_dlambda=1e-9 * acts[j].dvalue_dlambda)

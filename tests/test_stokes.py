@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.errors import DegenerateTurningPoint
+from zswkb.errors import DegenerateTurningPoint, StepFailure
 from zswkb.stokes import Termination
 
 from oracles import assert_graph_document, independent_level_drift
@@ -208,3 +208,17 @@ def test_symmetry_broken_graph_stays_on_the_level_set():
     for curve in graph.curves:
         assert independent_level_drift(problem, problem.lambda0, curve) < 1e-8
 
+
+def test_trace_refuses_a_double_turning_point():
+    # at lambda = 1.5 on the well, z = 0 is not a turning point and A' = 0
+    # there, so no Stokes line starts from it
+    with pytest.raises(DegenerateTurningPoint, match="not simple"):
+        z.trace_stokes_line(z.Problem(z.well_even(), 1.5, 0.2, 0.05), 1.5, 0.0, 0.0)
+
+
+def test_trace_refuses_a_first_hop_out_of_the_strip():
+    # the tanh strip ends at |Im z| = 0.5; a start at Im z = 0.495 heading
+    # straight up leaves it on the first hop
+    p = z.Problem(z.monotone_odd(), 1.0, 0.3, 0.1, 0.05)
+    with pytest.raises(StepFailure, match="first hop"):
+        z.trace_stokes_line(p, 1.0, 0.55 + 0.495j, math.pi / 2)

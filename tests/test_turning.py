@@ -158,3 +158,20 @@ def test_newton_iterate_stops_at_the_cutoff(name):
         z.find_turning_points(p, 2.5)
     where = complex(re.search(r"z=\(([^)]*)\)", str(info.value)).group(1))
     assert abs(where.real) <= p.cutoff
+
+
+def test_turning_newton_reports_a_stall():
+    # a residual bound below rounding is never met, so the steps shrink below
+    # turning_min_step with the residual still too large
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05,
+                  tolerances=z.Tolerances(turning_residual=1e-30))
+    with pytest.raises(NoConvergence, match="turning-point Newton stalled"):
+        z.find_turning_points(p, 1.55)
+
+
+def test_turning_newton_reports_a_vanishing_derivative():
+    # A' = 0 at the well's bottom x = 0, so Newton cannot step from there
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05)
+    _, (err,) = _turning_rows(p, [1.5], z=np.zeros((1, 2)))
+    assert isinstance(err, NoConvergence)
+    assert str(err).startswith("vanishing derivative at z=")
