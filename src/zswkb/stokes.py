@@ -13,6 +13,14 @@ increment and Simpson's rule on the two vertex roots and the middle GL3 node.
 A step longer than _STEP that meets a termination event is retried shorter,
 so only a step of at most _STEP ends a curve, as the fixed step of _STEP did.
 
+A curve ends at the strip's edge, near a turning point, at its maximum length,
+or where the level condition stops being resolvable: once |s| * |z| times ten
+machine epsilons exceeds _TOL, the rounding of z moves the phase by more than
+a tenth of the step bound.  On entire potentials |s| grows super-exponentially up
+the strip, so the gaussian families end there, well inside a wide strip; both
+ends are reported as ``strip-boundary``, the edge of the strip the tracer
+resolves.
+
 All curves of one call advance in lockstep iterations, one step attempt per
 curve: each RK4 stage after the first is one array potential call over every
 curve, and so are the new vertices together with their panel nodes. The first
@@ -45,10 +53,12 @@ _FIRST_HOP = 1e-2
 _MAX_ARC = 20.0
 _NEAR_TP = 1e-3
 _PROJECT_EVERY = 10
-# for entire potentials |sqrt(f)| grows super-exponentially up the strip; past
-# this wall the level condition Re integral = 0 drowns in roundoff and panel
-# truncation, so the numerically valid strip ends here
-_SQRT_MAGNITUDE_WALL = 1e6
+# a curve ends where |s| * |z| * _RESOLUTION exceeds _TOL: rounding a vertex to
+# a double moves its phase by up to |s| * |z| * eps_mach, and that shift enters
+# each step's increment and the drift the projection corrects; ten times it
+# stays an order below _TOL, so steps are accepted on their truncation error,
+# not on rounding (on the well the wall falls at |s| ~ 1.4e4, |z| ~ 3.2)
+_RESOLUTION = 10 * np.finfo(float).eps
 _HISTORY_ROWS = 1024             # first size of the vertex buffer; it doubles when full
 
 # Gauss-Legendre panels for the running phase integral, as chord fractions
@@ -215,7 +225,8 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         # increment's quadrature error against the fourth-order rule
         error = np.maximum(np.abs(increment.real), np.abs(increment - simpson))
         size = np.abs(s_new)
-        live &= (size >= 1e-12) & (size <= _SQRT_MAGNITUDE_WALL) & np.isfinite(error)
+        blurred = size * np.abs(z_new) * _RESOLUTION > _TOL
+        live &= (size >= 1e-12) & ~blurred & np.isfinite(error)
         # an event ends a curve only on a step of at most _STEP; a longer step
         # is retried at a quarter of its length, but not below _STEP
         event = running & ~live
@@ -257,7 +268,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
                       (~np.isfinite(z_try), Termination.STEP_FAILURE),
                       (np.abs(z_try.imag) >= strip, Termination.STRIP_BOUNDARY),
                       (size < 1e-12, Termination.STEP_FAILURE),
-                      (size > _SQRT_MAGNITUDE_WALL, Termination.STRIP_BOUNDARY),
+                      (blurred, Termination.STRIP_BOUNDARY),
                       (~np.isfinite(error), Termination.STEP_FAILURE)]
             checks = [(mask & final, end) for mask, end in checks] + [
                 (far, Termination.STEP_FAILURE), (close, Termination.NEAR_TURNING_POINT),
