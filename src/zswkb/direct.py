@@ -9,13 +9,16 @@ magnitude accumulates in a log scale; overflow cannot occur.
 
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
-one-lambda probe. Under a PT-like parity pairing, with mirror cuts and the
-matching point at 0, the right state is the reflection of the left one at
-conj(lambda), so a batch shoots only its rows and their conjugates from the
-left cut; every other problem is shot from both cuts. The pairing is read
-exactly off the potential's terms, so the reflection needs no check at run
-time. The window contour and the vertical probe sample conjugate-closed
-sets, so their batches shoot each row once.
+one-lambda probe. With mirror cuts and the matching point at 0 the right
+state is often a reflection of the left one: under a PT-like parity pairing
+the reflection at conj(lambda), so a batch shoots its rows and their
+conjugates from the left cut, and where A_eps itself is even or odd (the
+symmetry-broken control, or any even or odd A at eps = 0) the reflection at
+the same lambda, so a batch shoots only its own rows. Every other problem is
+shot from both cuts. The parities are read exactly off the potential's
+terms, so the reflection needs no check at run time. The window contour and
+the vertical probe sample conjugate-closed sets, so their batches shoot each
+row once.
 
 Every root-finding stage is array code over such batches, and
 ``_newton_wronskian`` is the one root polisher. ``_scan`` brackets the sign
@@ -35,8 +38,8 @@ import numpy as np
 from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
                      PhaseResolution, SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
-from .potential import (SymmetryClass, _crossing_grid, axis_blend_callable,  # noqa: F401
-                        eval_A, eval_potential)
+from .potential import (SymmetryClass, _crossing_grid, _parities,  # noqa: F401
+                        axis_blend_callable, eval_A, eval_potential)
 from .problem import (Problem, a1_report, domain_cuts, matching_point, symmetry_class,
                       window_rectangle)
 from .quantize import EigenvalueRecord, Method, select_branch
@@ -47,11 +50,17 @@ _MAX_BOUNDARY_SAMPLES = 2 ** 16
 _CHUNK_ELEMENTS = 4096
 _GAUSS3 = np.sqrt(15.0) / 10.0  # outer Gauss-Legendre nodes at mid -/+ _GAUSS3 * dx
 _TINY = np.finfo(float).tiny
-# per parity pairing, the diagonal of the reflection R with
-# u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))), and the phase that puts
-# W/kappa on the real axis
-_REFLECTIONS = {SymmetryClass.A_EVEN_B_ODD: (np.array([1.0, -1.0]), 1.0),
-                SymmetryClass.A_ODD_B_EVEN: (np.array([1.0, 1.0]), -1j)}
+# the reflections R*y = signs*y[::step] that map the left Jost state onto the
+# right one for mirror cuts, as (step, signs, conjugate, phase). Under a
+# PT-like pairing A_eps(-x) = +/-conj(A_eps(x)), u_r(x; lam) =
+# kappa*R*conj(u_l(-x; conj(lam))) with R = sigma_z (A even, B odd) or I (A odd,
+# B even), and the phase puts W/kappa on the real axis. Where A_eps itself is
+# even (key 1) or odd (key -1), u_r(x; lam) = kappa*R*u_l(-x; lam) with
+# R = i*sigma_y or sigma_x
+_REFLECTIONS = {SymmetryClass.A_EVEN_B_ODD: (1, np.array([1.0, -1.0]), True, 1.0),
+                SymmetryClass.A_ODD_B_EVEN: (1, np.array([1.0, 1.0]), True, -1j),
+                1: (-1, np.array([1.0, -1.0]), False, None),
+                -1: (-1, np.array([1.0, 1.0]), False, None)}
 
 
 @dataclass(frozen=True)
@@ -256,6 +265,21 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     return y.T, log_scales
 
 
+def _reflection(problem: Problem):
+    """The ``_REFLECTIONS`` entry that holds for the problem's A_eps, or None.
+
+    A PT-like pairing (``symmetry_class``) comes first; otherwise A_eps has
+    parity s when A has it and, at eps > 0, B too, read off the terms by
+    ``_parities`` as the pairing is.
+    """
+    pairing = _REFLECTIONS.get(symmetry_class(problem))
+    if pairing is not None:
+        return pairing
+    a, b = _parities(problem.potential)
+    return next((_REFLECTIONS[s] for s in (1, -1) if s in a and (problem.eps == 0.0 or s in b)),
+                None)
+
+
 def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
     """det(u_left, u_right) at the matching point for every lambda in the batch.
 
@@ -264,37 +288,47 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
 
     - two-sided: each row is shot from the left cut and from the right cut to
       the matching point;
-    - reflected, when the potential has a parity pairing, the cuts are exact
-      mirrors (x_l == -x_r) and the matching point is 0.0: the right state is
-      the reflection u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))), with
-      R = sigma_z (A even, B odd) or I (A odd, B even) from ``_REFLECTIONS``.
-      Only the unique rows of lams and conj(lams) are shot, from the left cut
-      to 0; each right state is kappa*R*conj(y_l(0; conj(lam))) with log
-      scale ls_l(conj(lam)), and kappa, of modulus 1, is the overlap of the
-      right seed with R*conj of the left seed at conj(lam). A
-      conjugate-closed batch (a real scan, a window contour) shoots half the
-      rows of the two-sided route. The pairing is exact, read off the terms
-      by ``classify_symmetry``, so nothing is shot from the right cut.
+    - reflected, when a reflection R of ``_REFLECTIONS`` maps the left Jost
+      state onto the right one (``_reflection``), the cuts are exact mirrors
+      (x_l == -x_r) and the matching point is 0.0. Under a PT-like pairing
+      u_r(x; lam) = kappa*R*conj(u_l(-x; conj(lam))) with R = sigma_z (A even,
+      B odd) or I (A odd, B even), and the unique rows of lams and conj(lams)
+      are shot; under a plain parity of A_eps, u_r(x; lam) = kappa*R*u_l(-x; lam)
+      with R = i*sigma_y (even) or sigma_x (odd), and only the unique rows of
+      lams are shot. Either way the rows go from the left cut to 0, each right
+      state is kappa*R*y_l(0), conjugated under a pairing, with the log scale
+      of the row it reflects, and kappa, of modulus 1, is the overlap of the
+      right seed with the seed reflected the same way. A conjugate-closed
+      batch (a real scan, a window contour) of a paired problem, and any batch
+      of a plain-parity one, shoots half the rows of the two-sided route. The
+      parities are exact, read off the terms, so nothing is shot from the
+      right cut.
     """
     lams = np.asarray(lams, dtype=complex)
     x_l, x_r = domain_cuts(problem)
     x_m = matching_point(problem)
     if not x_l <= x_m <= x_r:
         raise ValueError(f"matching point {x_m} lies outside the cuts [{x_l}, {x_r}]")
-    reflection = _REFLECTIONS.get(symmetry_class(problem))
-    if x_m != 0.0 or x_l != -x_r or reflection is None:
+    reflection = None if x_m != 0.0 or x_l != -x_r else _reflection(problem)
+    if reflection is None:
         y_l, ls_l = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_l, 1), x_l, x_m)
         y_r, ls_r = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_r, -1), x_r, x_m)
     else:
-        r, _ = reflection
-        rows, inverse = np.unique(np.concatenate([lams, lams.conj()]), return_inverse=True)
+        step, r, conjugate, _ = reflection
+        rows, inverse = np.unique(np.concatenate([lams, lams.conj() if conjugate else lams]),
+                                  return_inverse=True)
         own, bar = np.split(inverse, 2)
         v_l = _seed_batch(problem, rows, x_l, 1)
         v_r = _seed_batch(problem, lams, x_r, -1)
         y, ls = _integrate_batch(problem, rows, v_l, x_l, 0.0)
-        kappa = np.sum(r * v_l[bar] * v_r, axis=1)
+
+        def mirrored(v):  # the rows R reflects, components in R's order, conjugated under a pairing
+            v = v[bar][:, ::step]
+            return np.conj(v) if conjugate else v
+
+        kappa = np.sum(r * np.conj(mirrored(v_l)) * v_r, axis=1)
         y_l, ls_l = y[own], ls[own]
-        y_r, ls_r = kappa[:, None] * r * np.conj(y[bar]), ls[bar]
+        y_r, ls_r = kappa[:, None] * r * mirrored(y), ls[bar]
     w = y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0]
     return w, ls_l + ls_r
 
@@ -331,7 +365,7 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
     reflection = _REFLECTIONS.get(symmetry_class(problem))
     if reflection is None:
         raise SymmetryRequired("at eps > 0 the real scan needs a PT-like parity pairing")
-    r, phase = reflection
+    _, r, _, phase = reflection
     return phase * np.conj(np.sum(r * v_l * v_r, axis=1))
 
 

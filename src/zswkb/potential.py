@@ -224,23 +224,31 @@ def axis_blend_callable(spec: PotentialSpec, eps: float):
     return lambda x: complex(eval_potential(spec, x, eps)[0])
 
 
-def classify_symmetry(spec: PotentialSpec) -> SymmetryClass:
-    """The parity pairing of (A, B), read exactly off the spec's terms.
+def _parities(spec: PotentialSpec) -> tuple:
+    """The parities (1 even, -1 odd) that A and B each have, read exactly off the spec's terms.
 
     Each term kind has one parity on the real axis (``_TERM_PARITY``), and
     terms of different (kind, scale) are linearly independent, so a target is
     even exactly when the coefficients of each of its odd (kind, scale) groups
     sum to zero, and odd when those of each even group do.  All const terms
-    form one group whatever their scale.  No potential is evaluated.
+    form one group whatever their scale.  A target that vanishes identically
+    has both parities, one of no parity neither.  No potential is evaluated.
     """
     groups = {}
     for t, k, c, s in spec.terms:
         groups.setdefault((t, k, 0.0 if k == TERM_CONST else s), []).append(c)
     # a group whose coefficients do not cancel rules out the opposite parity
     broken = {(t, -_TERM_PARITY[k]) for (t, k, _), cs in groups.items() if math.fsum(cs) != 0.0}
-    if (TARGET_A, 1) not in broken and (TARGET_B, -1) not in broken:
+    return tuple(frozenset(p for p in (1, -1) if (t, p) not in broken)
+                 for t in (TARGET_A, TARGET_B))
+
+
+def classify_symmetry(spec: PotentialSpec) -> SymmetryClass:
+    """The PT-like parity pairing of (A, B): A even and B odd, or A odd and B even (``_parities``)."""
+    a, b = _parities(spec)
+    if 1 in a and -1 in b:
         return SymmetryClass.A_EVEN_B_ODD
-    if (TARGET_A, -1) not in broken and (TARGET_B, 1) not in broken:
+    if -1 in a and 1 in b:
         return SymmetryClass.A_ODD_B_EVEN
     return SymmetryClass.NONE
 

@@ -88,9 +88,19 @@ class Problem:
 
 
 @functools.lru_cache(maxsize=None)
+def _a1_report(potential: PotentialSpec, lambda0: float, cutoff: float,
+               slope_tol: float) -> A1Report:
+    return validate_A1(potential, lambda0, cutoff, slope_tol=slope_tol)
+
+
 def a1_report(problem: Problem) -> A1Report:
-    return validate_A1(problem.potential, problem.lambda0, problem.cutoff,
-                       slope_tol=problem.tolerances.slope_degeneracy)
+    """The A1 report of the problem, cached on the four inputs it reads, not on h or eps."""
+    return _a1_report(problem.potential, problem.lambda0, problem.cutoff,
+                      problem.tolerances.slope_degeneracy)
+
+
+# the reports live in _a1_report's cache, and clearing a1_report clears them
+a1_report.cache_clear = _a1_report.cache_clear
 
 
 @functools.lru_cache(maxsize=None)

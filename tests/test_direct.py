@@ -717,9 +717,35 @@ PAIRED = {
 }
 
 
+def two_sided_wronskian(p, lams) -> tuple:
+    """W and its log scale shot from both cuts to the matching point, with no reflection."""
+    x_l, x_r = z.domain_cuts(p)
+    x_m = z.problem.matching_point(p)
+    y_l, ls_l = _integrate_batch(p, lams, _seed_batch(p, lams, x_l, 1), x_l, x_m)
+    y_r, ls_r = _integrate_batch(p, lams, _seed_batch(p, lams, x_r, -1), x_r, x_m)
+    return y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0], ls_l + ls_r
+
+
+def window_rows(lambda0, delta) -> np.ndarray:
+    """21 real rows across the window and 12 random rows off the axis."""
+    r = np.random.default_rng(11)
+    return np.concatenate([np.linspace(lambda0 - delta, lambda0 + delta, 21),
+                           lambda0 + delta * (r.uniform(-1, 1, 12) + 0.5j * r.uniform(-1, 1, 12))])
+
+
+def reflection_error(p, lams) -> tuple:
+    """max |W*e^ls - reference| over max |reference|, and max |ls - reference ls|."""
+    w, ls = _wronskian_batch(p, lams)
+    w_ref, ls_ref = two_sided_wronskian(p, lams)
+    full = w * np.exp(ls - ls_ref.max())
+    full_ref = w_ref * np.exp(ls_ref - ls_ref.max())
+    return (np.max(np.abs(full - full_ref)) / np.max(np.abs(full_ref)),
+            np.max(np.abs(ls - ls_ref)))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5])
 @pytest.mark.parametrize("name", sorted(PAIRED))
-def test_reflected_wronskian_matches_two_sided(name, eps, monkeypatch):
+def test_reflected_wronskian_matches_two_sided(name, eps):
     # the right state reflected from the left one at conj(lambda) gives the W
     # and the log scale that shooting from the right cut gives
     spec, lambda0, delta = PAIRED[name]
@@ -727,43 +753,88 @@ def test_reflected_wronskian_matches_two_sided(name, eps, monkeypatch):
     x_l, x_r = z.domain_cuts(p)  # the conditions of the reflected route
     assert z.symmetry_class(p) is not z.SymmetryClass.NONE
     assert x_l == -x_r and z.problem.matching_point(p) == 0.0
-    r = np.random.default_rng(11)
-    lams = np.concatenate([np.linspace(lambda0 - delta, lambda0 + delta, 21),
-                           lambda0 + delta * (r.uniform(-1, 1, 12) + 0.5j * r.uniform(-1, 1, 12))])
-    w, ls = _wronskian_batch(p, lams)
-    # an unpaired potential is shot from both cuts
-    monkeypatch.setattr(z.direct, "symmetry_class", lambda problem: z.SymmetryClass.NONE)
-    w_ref, ls_ref = _wronskian_batch(p, lams)
-    assert np.max(np.abs(ls - ls_ref)) < 1e-12
-    full = w * np.exp(ls - ls_ref.max())
-    full_ref = w_ref * np.exp(ls_ref - ls_ref.max())
-    assert np.max(np.abs(full - full_ref)) < 1e-10 * np.max(np.abs(full_ref))
+    w_err, ls_err = reflection_error(p, window_rows(lambda0, delta))
+    assert ls_err < 1e-12
+    assert w_err < 1e-10
 
 
 CTRL = WINDOWS["ctrl"][0]
+# potentials with no PT-like pairing whose A_eps may have a parity of its own
+PARITY = {
+    "ctrl": (CTRL, 1.5, 0.2),  # A and B even: i*sigma_y
+    "odd_odd": (z.custom([("tanh", 2.0)], [("xgauss", 1.0)]), 1.0, 0.3),  # A and B odd: sigma_x
+    # B is neither even nor odd, so A_eps has A's parity only at eps = 0
+    "mixed_b": (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0), ("xgauss", 0.5)]),
+                1.5, 0.2),
+}
+
+
+def record_starts(monkeypatch) -> list:
+    """(rows, start) of every batch the propagator integrates, in call order."""
+    starts = []
+
+    def counted(problem, lams, ys, x0, x1):
+        starts.append((len(lams), x0))
+        return _integrate_batch(problem, lams, ys, x0, x1)
+
+    monkeypatch.setattr(z.direct, "_integrate_batch", counted)
+    return starts
+
+
+@pytest.mark.parametrize("name, h, eps", [
+    ("ctrl", 0.1, 0.0), ("ctrl", 0.1, 0.05), ("ctrl", 0.0125, 0.0), ("ctrl", 0.0125, 0.05),
+    ("odd_odd", 0.1, 0.0), ("odd_odd", 0.1, 0.05), ("mixed_b", 0.1, 0.0)])
+def test_parity_reflected_wronskian_matches_two_sided(name, h, eps, monkeypatch):
+    # with A_eps even or odd, R*u_l(-x; lambda) is the right state at the same
+    # lambda: one batch from the left cut gives the two-sided W and log scale
+    spec, lambda0, delta = PARITY[name]
+    p = z.Problem(spec, lambda0, delta, h, eps)
+    x_l, x_r = z.domain_cuts(p)
+    assert z.symmetry_class(p) is z.SymmetryClass.NONE
+    assert x_l == -x_r and z.problem.matching_point(p) == 0.0
+    lams = window_rows(lambda0, delta)
+    starts = record_starts(monkeypatch)
+    _wronskian_batch(p, lams)
+    assert starts == [(len(lams), x_l)]
+    monkeypatch.undo()
+    w_err, ls_err = reflection_error(p, lams)
+    assert ls_err < 1e-12
+    assert w_err < 1e-12
 
 
 @pytest.mark.parametrize("variant, shot", [
     ("paired", [256]),  # the unique rows of a conjugate-closed contour, from the left cut only
-    ("ctrl", [256, 256]),
+    ("ctrl", [256]),  # A_eps even: every row once, from the left cut only
     ("explicit_cuts", [256, 256]),
     ("matching_point", [256, 256]),
+    ("odd_odd", [256]),  # A_eps odd
+    ("mixed_b", [256, 256]),  # no parity at eps > 0: both cuts
 ])
 def test_count_zeros_integrated_rows(variant, shot, monkeypatch):
+    # pins the work a count does, not its accuracy
     p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, eps=0.05)
-    p = {"paired": p, "ctrl": p.with_(potential=CTRL),
-         "explicit_cuts": p.with_(x_cut_left=-4.0, x_cut_right=3.6),
-         "matching_point": p.with_(matching_point=0.2)}[variant]
-    rows = []
-
-    def counted(problem, lams, ys, x0, x1):
-        rows.append(len(lams))
-        return _integrate_batch(problem, lams, ys, x0, x1)
-
-    monkeypatch.setattr(z.direct, "_integrate_batch", counted)
+    spec, lambda0, delta = PARITY["odd_odd"]
+    p, winding = {"paired": (p, 9), "ctrl": (p.with_(potential=CTRL), 9),
+                  "explicit_cuts": (p.with_(x_cut_left=-4.0, x_cut_right=3.6), 9),
+                  "matching_point": (p.with_(matching_point=0.2), 9),
+                  "odd_odd": (z.Problem(spec, lambda0, delta, 0.05, eps=0.05), 7),
+                  "mixed_b": (p.with_(potential=PARITY["mixed_b"][0]), 9)}[variant]
+    starts = record_starts(monkeypatch)
     zc = z.count_zeros(p, z.window_rectangle(p))
-    assert (zc.winding, zc.samples_on_boundary) == (9, 256)
-    assert rows == shot
+    assert (zc.winding, zc.samples_on_boundary) == (winding, 256)
+    assert [rows for rows, _ in starts] == shot
+
+
+def test_complex_newton_round_on_the_control_shoots_from_one_cut(monkeypatch):
+    # the stack (lambda, lambda + s, lambda - s) of m roots is 3m rows, each
+    # shot once from the left cut: the parity needs no conjugate partners
+    p = z.Problem(CTRL, 1.5, 0.2, 0.05, eps=0.05)
+    seeds = np.array([r.lam for r in z.direct_spectrum_complex(p, certify=False)])
+    x_l = z.domain_cuts(p)[0]
+    starts = record_starts(monkeypatch)
+    _newton_wronskian(p, seeds)
+    assert len(seeds) == 9 and starts[0] == (3 * len(seeds), x_l)
+    assert {x0 for _, x0 in starts} == {x_l}
 
 
 @pytest.mark.parametrize("name", ["well", "tanh"])
@@ -807,7 +878,8 @@ def test_decay_sized_cuts_leave_the_roots_in_place(name, eps, h):
     assert max(abs(a - b) for a, b in zip(roots, wide_roots)) < 1e-12
 
 
-@pytest.mark.parametrize("potential", [z.well_even(), CTRL], ids=["reflected", "two_sided"])
+@pytest.mark.parametrize("potential", [z.well_even(), PARITY["mixed_b"][0], CTRL],
+                         ids=["reflected", "two_sided", "parity"])
 def test_empty_batch_returns_empty_arrays(potential):
     p = z.Problem(potential, 1.5, 0.2, 0.05, eps=0.05)
     w, ls = _wronskian_batch(p, np.array([]))

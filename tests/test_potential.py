@@ -330,6 +330,76 @@ def test_classify_symmetry_reads_the_terms(spec, expected, monkeypatch):
     assert z.classify_symmetry(spec) is expected
 
 
+EVEN, ODD, BOTH = frozenset({1}), frozenset({-1}), frozenset({1, -1})
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (z.well_even(), (EVEN, ODD)),
+    (z.monotone_odd(), (ODD, EVEN)),
+    (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]), (EVEN, EVEN)),  # the control
+    (z.custom([("tanh", 2.0)], [("xgauss", 1.0)]), (ODD, ODD)),
+    (z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0), ("xgauss", 0.5)]),
+     (EVEN, frozenset())),
+    # B vanishes by cancellation inside each of its groups, over several scales
+    (z.custom([("const", 2.0), ("gauss", -0.5, 0.5), ("gauss", -0.5, 2.0)],
+              [("xgauss", 0.3, 2.0), ("gauss", 0.7, 0.5), ("xgauss", -0.3, 2.0),
+               ("gauss", -0.7, 0.5)]), (EVEN, BOTH)),
+    (z.custom([("tanh", 2.0)], []), (ODD, BOTH)),
+    # groups of one kind at two scales are independent and do not cancel
+    (z.custom([("const", 2.0), ("tanh", 1.0, 1.0), ("tanh", -1.0, 2.0)], [("gauss", 1.0)]),
+     (frozenset(), EVEN)),
+])
+def test_parities_read_the_term_groups(spec, expected, monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("_parities evaluated the potential")
+
+    monkeypatch.setattr(potential, "_sum_terms", no_evaluation)
+    assert potential._parities(spec) == expected
+
+
+def sampled_parities(spec, x) -> tuple:
+    """The parities A and B show at mirror points, each to 1e-12 of its size."""
+    out = []
+    for target in (potential.TARGET_A, potential.TARGET_B):
+        (plus, _), = potential._sum_terms(spec, x, (target,), derivative=False)
+        (minus, _), = potential._sum_terms(spec, -x, (target,), derivative=False)
+        size = max(1.0, np.max(np.abs(plus)))
+        out.append(frozenset(p for p in (1, -1)
+                             if np.max(np.abs(minus - p * plus)) <= 1e-12 * size))
+    return tuple(out)
+
+
+def test_parities_and_pairing_match_mirror_samples_on_random_terms():
+    # random sums over every kind at several scales, with dyadic coefficients
+    # so that a group either cancels exactly or leaves at least 0.5
+    r = rng(29)
+    x = np.linspace(0.05, 3.0, 60)
+    kinds = list(potential._TERM_NAMES)
+    specs = [z.well_even(), z.monotone_odd(),
+             z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])]
+    for _ in range(60):
+        terms = []
+        for _ in range(2):
+            target = []
+            for _ in range(r.integers(0, 4)):
+                term = (kinds[r.integers(4)], r.choice([-1.0, -0.5, 0.5, 1.0]),
+                        r.choice([0.5, 1.0, 2.0]))
+                target.append(term)
+                if r.uniform() < 0.3:  # a partner that cancels the term in its group
+                    target.append((term[0], -term[1], term[2]))
+            terms.append(target)
+        specs.append(z.custom(*terms))
+    pairings = []
+    for spec in specs:
+        a, b = sampled_parities(spec, x)
+        assert potential._parities(spec) == (a, b), spec.params
+        expected = (z.SymmetryClass.A_EVEN_B_ODD if 1 in a and -1 in b else
+                    z.SymmetryClass.A_ODD_B_EVEN if -1 in a and 1 in b else z.SymmetryClass.NONE)
+        assert z.classify_symmetry(spec) is expected, spec.params
+        pairings.append(expected)
+    assert len(set(pairings)) == 3  # the draw reaches every class
+
+
 def test_validate_a1_well(well_spec):
     rep = z.validate_A1(well_spec, 1.5, 8.0)
     assert rep.alpha0 == pytest.approx(-SQRT_LN2, abs=1e-10)
@@ -533,6 +603,31 @@ def test_matching_point_without_a1_reraises_the_report_error(monkeypatch, cuts):
     assert exc.value.__context__ is None
     both = problem.with_(x_cut_left=-3.0, x_cut_right=3.0)
     assert matching_point(both) == 0.0
+
+
+def test_a1_report_is_cached_on_the_inputs_it_reads(monkeypatch):
+    # validate_A1 reads the potential, lambda0, the cutoff and the slope
+    # tolerance; h, eps, delta, the cuts and the matching point share a report
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return potential.validate_A1(*args, **kwargs)
+
+    monkeypatch.setattr(z.problem, "validate_A1", counted)
+    z.a1_report.cache_clear()
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.1)
+    reports = {z.a1_report(p.with_(h=h, eps=eps, delta=delta, matching_point=x_m))
+               for h in (0.1, 0.05) for eps in (0.0, 0.05) for delta in (0.2, 0.3)
+               for x_m in (None, 0.2)}
+    assert len(reports) == 1 and len(calls) == 1
+    for changed in (p.with_(lambda0=1.4), p.with_(cutoff=7.0),
+                    p.with_(tolerances=z.Tolerances(slope_degeneracy=1e-7))):
+        z.a1_report(changed)
+    assert len(calls) == 4
+    z.a1_report.cache_clear()  # empties the cache that holds the reports
+    z.a1_report(p)
+    assert len(calls) == 5
 
 
 def test_paired_potentials_get_a_mirror_exact_set_up():
