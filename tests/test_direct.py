@@ -813,11 +813,10 @@ def test_parity_reflected_wronskian_matches_two_sided(name, h, eps, monkeypatch)
 def test_count_zeros_integrated_rows(variant, shot, monkeypatch):
     # pins the work a count does, not its accuracy
     p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, eps=0.05)
-    spec, lambda0, delta = PARITY["odd_odd"]
     p, winding = {"paired": (p, 9), "ctrl": (p.with_(potential=CTRL), 9),
                   "explicit_cuts": (p.with_(x_cut_left=-4.0, x_cut_right=3.6), 9),
                   "matching_point": (p.with_(matching_point=0.2), 9),
-                  "odd_odd": (z.Problem(spec, lambda0, delta, 0.05, eps=0.05), 7),
+                  "odd_odd": (z.Problem(*PARITY["odd_odd"], 0.05, eps=0.05), 7),
                   "mixed_b": (p.with_(potential=PARITY["mixed_b"][0]), 9)}[variant]
     starts = record_starts(monkeypatch)
     zc = z.count_zeros(p, z.window_rectangle(p))
