@@ -9,16 +9,21 @@ magnitude accumulates in a log scale; overflow cannot occur.
 
 ``_wronskian_batch`` is the one way into the propagator: it evaluates W for a
 batch of spectral parameters on one grid, and ``wronskian`` is its public
-one-lambda probe. With mirror cuts and the matching point at 0 the right
-state is often a reflection of the left one: under a PT-like parity pairing
-the reflection at conj(lambda), so a batch shoots its rows and their
-conjugates from the left cut, and where A_eps itself is even or odd (the
-symmetry-broken control, or any even or odd A at eps = 0) the reflection at
+one-lambda probe. Each public call builds one ``_Shooting`` set-up (the cuts,
+the route, and A_eps sampled at every cell's Gauss points and at the cuts)
+and hands it to all its batches, so a solve samples the potential once per
+eps. With mirror cuts and the matching point at 0 the right state is often a
+reflection of the left one: at eps > 0, under a PT-like parity pairing, the
+reflection at conj(lambda), so a batch shoots its rows and their conjugates
+from the left cut; where A_eps itself is even or odd (the symmetry-broken
+control, or at eps = 0 any even or odd A, paired or not) the reflection at
 the same lambda, so a batch shoots only its own rows. Every other problem is
 shot from both cuts. The parities are read exactly off the potential's
-terms, so the reflection needs no check at run time. The window contour and
-the vertical probe sample conjugate-closed sets, so their batches shoot each
-row once.
+terms, so the reflection needs no check at run time. At eps = 0, A is real
+and W at conj(lambda) follows from W at lambda, so on every route a batch
+shoots one row per conjugate pair. The window contour and the vertical probe
+sample conjugate-closed sets: a contour shoots 129 of its 256 rows at eps = 0
+and all 256 at eps > 0.
 
 Every root-finding stage is array code over such batches, and
 ``_newton_wronskian`` is the one root polisher. ``_scan`` brackets the sign
@@ -77,14 +82,105 @@ class ZeroCount:
     samples_on_boundary: int
 
 
-def _seed_batch(problem: Problem, lams: np.ndarray, x_cut: float, sign: int) -> np.ndarray:
-    """Unit eigenvectors of M(x_cut) for sign*sqrt(A_eps^2 - lam^2), Re sqrt > 0, per lambda.
+@dataclass(frozen=True)
+class _Span:
+    """The cells of one integration from x0 to x1, as the (3, cells, 1) coefficients k0 and k1."""
+    x0: float
+    x1: float
+    k0: np.ndarray
+    k1: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Shooting:
+    """What every Wronskian batch of one solve shares, built once by ``_shooting``.
+
+    ``cuts`` are the left and right cut and ``a_cuts`` A_eps there, for the
+    seeds. ``reflection`` is the ``_REFLECTIONS`` entry of the reflected
+    route, or None for the two-sided one. ``spans`` holds the span from the
+    left cut to the matching point and, on the two-sided route, the one from
+    the right cut.
+    """
+    problem: Problem
+    cuts: tuple
+    a_cuts: tuple
+    reflection: tuple | None
+    spans: tuple
+
+
+def _spans(problem: Problem, ends, points=()) -> tuple:
+    """The _Span of each (x0, x1) in ends, and A_eps at the points, from one eval_potential call.
+
+    The cells are those of the lattice dx*Z between x0 and x1; anchoring it at
+    the origin gives overlapping integrations the same cells. Each cell takes
+    A_eps at its three Gauss points, mid + (-1, 0, 1)*_GAUSS3*dx in the
+    direction of travel, and ``_integrate_batch`` reads the six per-cell
+    coefficients formed here from them.
+    """
+    h = problem.h
+    # the global error scales like dx^6/h^5: halving dx cuts it 64-fold. At the
+    # default rtol = 1e-10, dx = 0.008 at h = 0.1 gives W to about 1e-10 of
+    # max|W|, and the h^(3/4) factor keeps it below 1e-9 down to h = 0.0125
+    dx = 0.008 * (problem.tolerances.ode_rtol / 1e-10) ** (1 / 6) * min(1.0, h / 0.1) ** 0.75
+    widths, nodes = [], []
+    for x0, x1 in ends:
+        lo, hi = sorted((x0, x1))
+        edges = np.concatenate([[lo], np.arange(np.floor(lo / dx) + 1, np.ceil(hi / dx)) * dx, [hi]])
+        if x1 < x0:
+            edges = edges[::-1]
+        dx_h = np.diff(edges) / h  # signed cell widths over h
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        offset = _GAUSS3 * h * dx_h
+        widths.append(dx_h)
+        nodes += [mids - offset, mids, mids + offset]
+    a, _ = eval_potential(problem.potential, np.concatenate([*nodes, points]), problem.eps,
+                          derivative=False)
+    spans = []
+    for (x0, x1), dx_h in zip(ends, widths):
+        a1, a2, a3, a = np.split(a, np.arange(1, 4) * len(dx_h))
+        # u parts of alpha1, alpha2, alpha3; alpha1 also has p = P
+        u1 = dx_h * a2
+        u2 = np.sqrt(15.0) / 3.0 * dx_h * (a3 - a1)
+        u3 = 10.0 / 3.0 * dx_h * (a3 - 2.0 * a2 + a1)
+        s = 20.0 * u1 + u3
+        c1 = 1.0 + u2 * u2 / 60.0 - s * u3 / 1800.0
+        c3 = -u2 * u2 / 900.0
+        e0 = u1 + u3 / 12.0
+        e2 = (10.0 * u3 - u1 * u2 * u2) / 900.0
+        f1 = u2 * (s * u1 / 1800.0 - 1.0 / 6.0)
+        f3 = u2 / 90.0
+        # with d = -i*lam and P = dx_h*d, (p, u, v) = (d, 1, d)*(k0 + k1*d^2): one
+        # column of k0 and of k1 per cell
+        dx_h2 = dx_h * dx_h
+        spans.append(_Span(x0, x1, np.stack([dx_h * c1, e0, dx_h * f1])[:, :, None],
+                           np.stack([dx_h * dx_h2 * c3, dx_h2 * e2, dx_h * dx_h2 * f3])[:, :, None]))
+    return spans, a
+
+
+def _shooting(problem: Problem) -> _Shooting:
+    """The problem's cuts, route, spans and A_eps at the cuts, from one sampling of A_eps.
+
+    ValueError when the matching point lies outside the cuts: one state would
+    be integrated the way it decays.
+    """
+    x_l, x_r = domain_cuts(problem)
+    x_m = matching_point(problem)
+    if not x_l <= x_m <= x_r:
+        raise ValueError(f"matching point {x_m} lies outside the cuts [{x_l}, {x_r}]")
+    reflection = None if x_m != 0.0 or x_l != -x_r else _reflection(problem)
+    ends = [(x_l, x_m)] if reflection is not None else [(x_l, x_m), (x_r, x_m)]
+    spans, a_cuts = _spans(problem, ends, [x_l, x_r])
+    return _Shooting(problem, (x_l, x_r), tuple(map(complex, a_cuts)), reflection, tuple(spans))
+
+
+def _seed_batch(shooting: _Shooting, lams: np.ndarray, sign: int) -> np.ndarray:
+    """Unit eigenvectors of M at a cut for sign*sqrt(A_eps^2 - lam^2), Re sqrt > 0, per lambda.
 
     sign = +1 at the left cut and -1 at the right cut select the solution that
     decays away from the domain; InsideWell is raised when a row cannot decay.
     """
-    a_c, _ = eval_potential(problem.potential, x_cut, problem.eps, derivative=False)
-    a_c = complex(a_c)
+    side = 0 if sign > 0 else 1
+    x_cut, a_c = shooting.cuts[side], shooting.a_cuts[side]
     mu = np.sqrt(a_c * a_c - lams * lams)
     if np.any(mu.real <= 1e-12 * np.maximum(1.0, np.abs(lams))):
         raise InsideWell(f"no decay margin at x_cut={x_cut}")
@@ -94,12 +190,10 @@ def _seed_batch(problem: Problem, lams: np.ndarray, x_cut: float, sign: int) -> 
     return v
 
 
-def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
-                     x0: float, x1: float) -> tuple:
+def _integrate_batch(span: _Span, lams: np.ndarray, ys: np.ndarray) -> tuple:
     """Fixed-grid sixth-order Magnus propagator for the whole batch; returns (ys, log_scales).
 
-    The cells are those of the lattice dx*Z between x0 and x1; anchoring it at
-    the origin gives overlapping integrations the same cells. A cell uses the
+    The span's cells (``_spans``) are taken from x0 to x1. A cell uses the
     three-Gauss-point Magnus-6 scheme of Blanes, Casas and Ros (BIT 40, 2000).
     With G1, G2, G3 the generator M/h at mid + (-1, 0, 1)*_GAUSS3*dx in the
     direction of travel,
@@ -131,44 +225,15 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     buffers. The product is applied to the states, which are then
     renormalized to unit norm.
     """
-    h = problem.h
     rows = len(lams)
-    if x1 == x0 or rows == 0:
+    if span.x1 == span.x0 or rows == 0:
         return ys.astype(complex), np.zeros(rows)
-    # the global error scales like dx^6/h^5: halving dx cuts it 64-fold. At the
-    # default rtol = 1e-10, dx = 0.008 at h = 0.1 gives W to about 1e-10 of
-    # max|W|, and the h^(3/4) factor keeps it below 1e-9 down to h = 0.0125
-    dx = 0.008 * (problem.tolerances.ode_rtol / 1e-10) ** (1 / 6) * min(1.0, h / 0.1) ** 0.75
-    lo, hi = sorted((x0, x1))
-    edges = np.concatenate([[lo], np.arange(np.floor(lo / dx) + 1, np.ceil(hi / dx)) * dx, [hi]])
-    if x1 < x0:
-        edges = edges[::-1]
-    dx_h = np.diff(edges) / h  # signed cell widths over h
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    offset = _GAUSS3 * h * dx_h
-    a, _ = eval_potential(problem.potential, np.concatenate([mids - offset, mids, mids + offset]),
-                          problem.eps, derivative=False)
-    a1, a2, a3 = np.split(a, 3)
-    # u parts of alpha1, alpha2, alpha3; alpha1 also has p = P
-    u1 = dx_h * a2
-    u2 = np.sqrt(15.0) / 3.0 * dx_h * (a3 - a1)
-    u3 = 10.0 / 3.0 * dx_h * (a3 - 2.0 * a2 + a1)
-    s = 20.0 * u1 + u3
-    c1 = 1.0 + u2 * u2 / 60.0 - s * u3 / 1800.0
-    c3 = -u2 * u2 / 900.0
-    e0 = u1 + u3 / 12.0
-    e2 = (10.0 * u3 - u1 * u2 * u2) / 900.0
-    f1 = u2 * (s * u1 / 1800.0 - 1.0 / 6.0)
-    f3 = u2 / 90.0
-    # with d = -i*lam and P = dx_h*d, (p, u, v) = (d, 1, d)*(k0 + k1*d^2): one
-    # column of k0 and of k1 per cell
-    dx_h2 = dx_h * dx_h
-    k0 = np.stack([dx_h * c1, e0, dx_h * f1])[:, :, None]
-    k1 = np.stack([dx_h * dx_h2 * c3, dx_h2 * e2, dx_h * dx_h2 * f3])[:, :, None]
+    k0, k1 = span.k0, span.k1
+    n_cells = k0.shape[1]
     d = -1j * lams
     d2 = d * d
 
-    step = min(len(dx_h), max(1, _CHUNK_ELEMENTS // rows))
+    step = min(n_cells, max(1, _CHUNK_ELEMENTS // rows))
     # one block of (step, rows) slots per call. Slots 0-3 hold the chunk's
     # cell matrices as (cells, 2, 2, rows) and, until those are written, the
     # kernel's real scratch; slots 4-10 hold p, u/q2, v/tmp, u+v, u-v, cosh,
@@ -182,9 +247,9 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
     y_next, y_tmp = np.empty((2, 2, rows), dtype=complex)
     norms = np.empty((2, rows))
     log_scales = np.zeros(rows)
-    for k in range(0, len(dx_h), step):
+    for k in range(0, n_cells, step):
         cells = slice(k, k + step)
-        n = len(dx_h[cells])
+        n = min(step, n_cells - k)
         slots = block[:, :n]
         puv, uv = slots[4:7], slots[7:9]  # (p, u, v) and (u + v, u - v)
         p, cosh, sinhc = slots[4], slots[9], slots[10]
@@ -268,23 +333,22 @@ def _integrate_batch(problem: Problem, lams: np.ndarray, ys: np.ndarray,
 def _reflection(problem: Problem):
     """The ``_REFLECTIONS`` entry that holds for the problem's A_eps, or None.
 
-    A PT-like pairing (``symmetry_class``) comes first; otherwise A_eps has
-    parity s when A has it and, at eps > 0, B too, read off the terms by
-    ``_parities`` as the pairing is.
+    At eps > 0 a PT-like pairing (``symmetry_class``) comes first. Otherwise
+    A_eps has parity s when A has it and, at eps > 0, B too, read off the
+    terms by ``_parities`` as the pairing is. At eps = 0 that is the parity
+    of A, which every paired potential has, so no eps = 0 route conjugates.
     """
-    pairing = _REFLECTIONS.get(symmetry_class(problem))
-    if pairing is not None:
-        return pairing
+    if problem.eps > 0.0:
+        pairing = _REFLECTIONS.get(symmetry_class(problem))
+        if pairing is not None:
+            return pairing
     a, b = _parities(problem.potential)
     return next((_REFLECTIONS[s] for s in (1, -1) if s in a and (problem.eps == 0.0 or s in b)),
                 None)
 
 
-def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
-    """det(u_left, u_right) at the matching point for every lambda in the batch.
-
-    Returns the determinant of the unit-norm states and the sum of their log
-    scales. Two routes give the same W to rounding:
+def _shoot(shooting: _Shooting, lams: np.ndarray) -> tuple:
+    """det(u_left, u_right) at the matching point and the summed log scales, by the set-up's route.
 
     - two-sided: each row is shot from the left cut and from the right cut to
       the matching point;
@@ -298,29 +362,21 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
       lams are shot. Either way the rows go from the left cut to 0, each right
       state is kappa*R*y_l(0), conjugated under a pairing, with the log scale
       of the row it reflects, and kappa, of modulus 1, is the overlap of the
-      right seed with the seed reflected the same way. A conjugate-closed
-      batch (a real scan, a window contour) of a paired problem, and any batch
-      of a plain-parity one, shoots half the rows of the two-sided route. The
-      parities are exact, read off the terms, so nothing is shot from the
-      right cut.
+      right seed with the seed reflected the same way. The parities are exact,
+      read off the terms, so nothing is shot from the right cut.
     """
-    lams = np.asarray(lams, dtype=complex)
-    x_l, x_r = domain_cuts(problem)
-    x_m = matching_point(problem)
-    if not x_l <= x_m <= x_r:
-        raise ValueError(f"matching point {x_m} lies outside the cuts [{x_l}, {x_r}]")
-    reflection = None if x_m != 0.0 or x_l != -x_r else _reflection(problem)
-    if reflection is None:
-        y_l, ls_l = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_l, 1), x_l, x_m)
-        y_r, ls_r = _integrate_batch(problem, lams, _seed_batch(problem, lams, x_r, -1), x_r, x_m)
+    spans = shooting.spans
+    if shooting.reflection is None:
+        y_l, ls_l = _integrate_batch(spans[0], lams, _seed_batch(shooting, lams, 1))
+        y_r, ls_r = _integrate_batch(spans[1], lams, _seed_batch(shooting, lams, -1))
     else:
-        step, r, conjugate, _ = reflection
+        step, r, conjugate, _ = shooting.reflection
         rows, inverse = np.unique(np.concatenate([lams, lams.conj() if conjugate else lams]),
                                   return_inverse=True)
         own, bar = np.split(inverse, 2)
-        v_l = _seed_batch(problem, rows, x_l, 1)
-        v_r = _seed_batch(problem, lams, x_r, -1)
-        y, ls = _integrate_batch(problem, rows, v_l, x_l, 0.0)
+        v_l = _seed_batch(shooting, rows, 1)
+        v_r = _seed_batch(shooting, lams, -1)
+        y, ls = _integrate_batch(spans[0], rows, v_l)
 
         def mirrored(v):  # the rows R reflects, components in R's order, conjugated under a pairing
             v = v[bar][:, ::step]
@@ -333,13 +389,44 @@ def _wronskian_batch(problem: Problem, lams: np.ndarray) -> tuple:
     return w, ls_l + ls_r
 
 
+def _wronskian_batch(shooting: _Shooting, lams: np.ndarray) -> tuple:
+    """det(u_left, u_right) at the matching point for every lambda in the batch.
+
+    Returns the determinant of the unit-norm states and the sum of their log
+    scales. At eps > 0 every row goes through ``_shoot``'s route. At eps = 0
+    A is real, so sigma_x*conj maps the Jost states at lam onto those at
+    conj(lam): on each side u(x; conj(lam)) = c*sigma_x*conj(u(x; lam)) with
+    the unit factor c = v1(lam)*v0(conj(lam)) + v0(lam)*v1(conj(lam)) read
+    off the two seeds, and W(conj(lam)) = -c_l*c_r*conj(W(lam)) at the same
+    log scale. The batch is folded onto Im lam >= 0, its unique rows are
+    shot by any route, two-sided or reflected, and the rows below the axis
+    are unfolded: a conjugate-closed window contour shoots 129 of its 256
+    rows, and an eps = 0 Newton iterate that drifts off the axis shoots no
+    conjugate row.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    if shooting.problem.eps != 0.0:
+        return _shoot(shooting, lams)
+    below = lams.imag < 0
+    rows, inverse = np.unique(np.where(below, lams.conj(), lams), return_inverse=True)
+    w, ls = (v[inverse] for v in _shoot(shooting, rows))
+    if np.any(below):
+        low = lams[below]
+        c = -1.0
+        for sign in (1, -1):
+            v, v_bar = _seed_batch(shooting, low.conj(), sign), _seed_batch(shooting, low, sign)
+            c = c * (v[:, 1] * v_bar[:, 0] + v[:, 0] * v_bar[:, 1])
+        w[below] = c * np.conj(w[below])
+    return w, ls
+
+
 def wronskian(problem: Problem, lam: complex) -> WronskianSample:
     """Wronskian W(u_left, u_right); zeros of W are the eigenvalues."""
-    w, ls = _wronskian_batch(problem, np.asarray([complex(lam)]))
+    w, ls = _wronskian_batch(_shooting(problem), np.asarray([complex(lam)]))
     return WronskianSample(complex(lam), complex(w[0]), float(ls[0]))
 
 
-def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
+def _line_factor(shooting: _Shooting, lams: np.ndarray) -> np.ndarray:
     """Unit factor c per real lambda of a scan such that c*W is real up to rounding.
 
     eps = 0: sigma_x*conj(u) solves the system with u, so a unit seed v times
@@ -353,9 +440,9 @@ def _line_factor(problem: Problem, lams: np.ndarray) -> np.ndarray:
     for mirror cuts, as the default cuts of every paired potential are.
     Without a pairing there is no line: SymmetryRequired.
     """
-    x_l, x_r = domain_cuts(problem)
-    v_l = _seed_batch(problem, lams, x_l, 1)
-    v_r = _seed_batch(problem, lams, x_r, -1)
+    problem = shooting.problem
+    v_l = _seed_batch(shooting, lams, 1)
+    v_r = _seed_batch(shooting, lams, -1)
     if problem.eps == 0.0:
         c = -1j
         for v, side in ((v_l, 1.0), (v_r, -1.0)):
@@ -380,7 +467,7 @@ def _records(problem: Problem, roots) -> list:
             for k, (lam, r) in enumerate(roots)]
 
 
-def _scan(problem: Problem) -> tuple:
+def _scan(shooting: _Shooting) -> tuple:
     """Sign-change brackets (a, b) of f = Re(c*W) on the real window, and their secant points.
 
     ``_line_factor``'s c puts W on the real axis: at eps = 0 by self-adjointness,
@@ -389,6 +476,7 @@ def _scan(problem: Problem) -> tuple:
     action int sqrt(max(lam^2 - A^2, 0)) dx summed on the crossing grid, so the
     step is h/max(10, 8*S/pi), eight samples a level, from no WKB call.
     """
+    problem = shooting.problem
     lo_edge = problem.lambda0 - problem.delta
     hi_edge = problem.lambda0 + problem.delta
     x = _crossing_grid(problem.cutoff)
@@ -397,7 +485,7 @@ def _scan(problem: Problem) -> tuple:
     step = problem.h / max(10.0, 4.0 * (i_hi - i_lo) * (x[1] - x[0]) / (problem.delta * np.pi))
     n = int(np.ceil((hi_edge - lo_edge) / step)) + 1
     lams = np.linspace(lo_edge, hi_edge, n)
-    f = (_line_factor(problem, lams) * _wronskian_batch(problem, lams)[0]).real
+    f = (_line_factor(shooting, lams) * _wronskian_batch(shooting, lams)[0]).real
     keep = np.flatnonzero(f)  # a sample with f = 0 exactly is bracketed by its neighbours
     flip = np.flatnonzero(np.sign(f[keep[:-1]]) != np.sign(f[keep[1:]]))
     i_a, i_b = keep[flip], keep[flip + 1]
@@ -414,10 +502,11 @@ def direct_spectrum_real(problem: Problem) -> list:
     real parts kept. A row that Newton flags failed, or whose root leaves its
     own bracket, raises NoConvergence naming the bracket.
     """
-    a, b, seeds = _scan(problem)
+    shooting = _shooting(problem)
+    a, b, seeds = _scan(shooting)
     if len(seeds) == 0:
         return []
-    roots, resid, failed = _newton_wronskian(problem, seeds)
+    roots, resid, failed = _newton_wronskian(shooting, seeds)
     roots = roots.real
     bad = failed | (roots < a - 1e-12) | (roots > b + 1e-12)
     if np.any(bad):
@@ -459,10 +548,11 @@ def count_zeros(problem: Problem, rectangle) -> ZeroCount:
     after three such inflations BoundaryZero is raised.
     """
     tol = problem.tolerances
+    shooting = _shooting(problem)
     re0, re1, im0, im1 = _rectangle_corners(rectangle)
     for _ in range(4):
         ts = np.arange(0.0, 4.0, 1.0 / 64)
-        ws, _ = _wronskian_batch(problem, _perimeter(ts, re0, re1, im0, im1))
+        ws, _ = _wronskian_batch(shooting, _perimeter(ts, re0, re1, im0, im1))
         while np.min(np.abs(ws)) > tol.boundary_min_w:
             if len(ts) > _MAX_BOUNDARY_SAMPLES:
                 raise PhaseResolution(
@@ -477,7 +567,7 @@ def count_zeros(problem: Problem, rectangle) -> ZeroCount:
                 return ZeroCount((complex(re0, im0), complex(re1, im1)),
                                  int(round(winding)), len(ts))
             mids = 0.5 * (ts + np.append(ts[1:], ts[0] + 4.0))[bad] % 4.0
-            new_ws, _ = _wronskian_batch(problem, _perimeter(mids, re0, re1, im0, im1))
+            new_ws, _ = _wronskian_batch(shooting, _perimeter(mids, re0, re1, im0, im1))
             ts, first = np.unique(np.concatenate([ts, mids]), return_index=True)
             ws = np.concatenate([ws, new_ws])[first]
         # a zero is close to the contour: inflate
@@ -486,7 +576,7 @@ def count_zeros(problem: Problem, rectangle) -> ZeroCount:
     raise BoundaryZero("Wronskian zero on the counting contour after 3 inflations")
 
 
-def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
+def _newton_wronskian(shooting: _Shooting, seeds: np.ndarray) -> tuple:
     """Batched complex Newton on W with a central-difference derivative.
 
     Returns (lams, resid, failed). A row stops when its step falls below
@@ -496,6 +586,7 @@ def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
     above delta), when its step is not finite, or when it is still stepping
     after 40 rounds.
     """
+    problem = shooting.problem
     lams = np.array(seeds, dtype=complex)
     n = len(lams)
     resid = np.full(n, np.inf)
@@ -507,7 +598,7 @@ def _newton_wronskian(problem: Problem, seeds: np.ndarray) -> tuple:
             break
         idx = np.where(active)[0]
         stack = np.concatenate([lams[idx], lams[idx] + s, lams[idx] - s])
-        w, ls = _wronskian_batch(problem, stack)
+        w, ls = _wronskian_batch(shooting, stack)
         m = len(idx)
         ref = np.max(ls.reshape(3, m), axis=0)
         w0 = w[:m] * np.exp(ls[:m] - ref)
@@ -555,16 +646,17 @@ def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
         records = direct_spectrum_real(problem)
     else:
         records = []
-        seeds = _scan(problem.with_(eps=0.0))[2].astype(complex)
+        seeds = _scan(_shooting(problem.with_(eps=0.0)))[2].astype(complex)
         if len(seeds):
+            shooting = _shooting(problem)
             # zeros lift off the real axis under the perturbation; probe each
             # seed along a vertical line and start Newton from the minimum of
             # |W|, log scale included, so it begins in the right basin
             t = 0.5 * problem.delta * np.linspace(-1.0, 1.0, 17)  # mirror-exact
             probe = (seeds[:, None] + 1j * t[None, :]).ravel()
-            w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(problem, probe))
+            w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(shooting, probe))
             picks = np.argmin(np.abs(w) * np.exp(ls - ls.max(axis=1, keepdims=True)), axis=1)
-            lams, resid, failed = _newton_wronskian(problem, seeds + 1j * t[picks])
+            lams, resid, failed = _newton_wronskian(shooting, seeds + 1j * t[picks])
             if np.any(failed):
                 warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
             records = _records(problem, _collect_roots(problem, lams, resid, failed))

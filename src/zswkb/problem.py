@@ -113,9 +113,8 @@ def symmetry_class(problem: Problem) -> SymmetryClass:
 _DECAY_ACTIONS = 12.0
 
 
-@functools.lru_cache(maxsize=None)
 def domain_cuts(problem: Problem) -> tuple:
-    """Boundary cut positions for the shooting solver.
+    """Boundary cut positions for the shooting solver, cached on the inputs they read, not on eps.
 
     Default rule, per side: x_t is the nearest x beyond the turning interval
     where |A| = lambda0 + delta, the window's top edge, and the cut is the
@@ -130,33 +129,40 @@ def domain_cuts(problem: Problem) -> tuple:
     0, so a paired potential gets exactly mirrored cuts. An explicit cut is kept;
     ValueError if a lone one does not lie on its side of the other's default.
     """
-    if problem.x_cut_left is not None and problem.x_cut_right is not None:
-        return problem.x_cut_left, problem.x_cut_right
-    rep = a1_report(problem)
-    top = problem.lambda0 + problem.delta
-    levels = (problem.lambda0 + 0.5 * rep.margin_at_infinity, top, top + problem.delta)
+    return _domain_cuts(problem.potential, problem.lambda0, problem.delta, problem.h,
+                        problem.cutoff, problem.x_cut_left, problem.x_cut_right,
+                        problem.tolerances.slope_degeneracy)
+
+
+@functools.lru_cache(maxsize=None)
+def _domain_cuts(potential: PotentialSpec, lambda0: float, delta: float, h: float, cutoff: float,
+                 x_cut_left: float | None, x_cut_right: float | None, slope_tol: float) -> tuple:
+    if x_cut_left is not None and x_cut_right is not None:
+        return x_cut_left, x_cut_right
+    rep = _a1_report(potential, lambda0, cutoff, slope_tol)
+    top = lambda0 + delta
+    levels = (lambda0 + 0.5 * rep.margin_at_infinity, top, top + delta)
     # the grid is its own mirror, so the left side is the right one read on
     # -x: the same s values, |A| reversed
-    s = _crossing_grid(problem.cutoff)
-    samples = eval_A(problem.potential, s)[0].real
+    s = _crossing_grid(cutoff)
+    samples = eval_A(potential, s)[0].real
     # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
-    crossings = [real_crossings(problem.potential, level, problem.cutoff, samples)[0]
-                 for level in levels]
+    crossings = [real_crossings(potential, level, cutoff, samples)[0] for level in levels]
     cuts = []
-    for sign, turning, given in ((-1.0, rep.alpha0, problem.x_cut_left),
-                                 (1.0, rep.beta0, problem.x_cut_right)):
+    for sign, turning, given in ((-1.0, rep.alpha0, x_cut_left),
+                                 (1.0, rep.beta0, x_cut_right)):
         if given is not None:
             cuts.append(given)
             continue
         half, s_t, s_f = (np.min(sign * x[sign * x > sign * turning], initial=np.inf)
                           for x in crossings)
-        cut = min(half + 2.0, problem.cutoff)
+        cut = min(half + 2.0, cutoff)
         if s_f < cut:
             out = s > s_t
             a, s_out = (samples if sign > 0 else samples[::-1])[out], s[out]
             g = np.sqrt(np.maximum(a * a - top * top, 0.0))
             action = np.cumsum(0.5 * (np.append(0.0, g[:-1]) + g) * np.diff(s_out, prepend=s_t))
-            i = np.searchsorted(action, _DECAY_ACTIONS * problem.h)
+            i = np.searchsorted(action, _DECAY_ACTIONS * h)
             if i < len(g):
                 floor = s[np.searchsorted(s, s_f, side="right")]
                 cut = min(max(s_out[i], floor), cut)
@@ -165,6 +171,10 @@ def domain_cuts(problem: Problem) -> tuple:
         # only a lone explicit cut gets here: the Problem checks a given pair
         raise ValueError(f"x_cut_left={cuts[0]} must lie below x_cut_right={cuts[1]}")
     return tuple(cuts)
+
+
+# the cuts live in _domain_cuts's cache, and clearing domain_cuts clears them
+domain_cuts.cache_clear = _domain_cuts.cache_clear
 
 
 def matching_point(problem: Problem) -> float:

@@ -9,7 +9,7 @@ import scipy.linalg
 
 import zswkb as z
 from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
-                          _perimeter, _seed_batch, _wronskian_batch)
+                          _perimeter, _seed_batch, _shooting, _spans, _wronskian_batch)
 from zswkb.errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
                           PhaseResolution, SymmetryRequired)
 from zswkb.potential import _crossing_grid, eval_A, real_crossings
@@ -32,10 +32,15 @@ def one(lam) -> np.ndarray:
     return np.asarray([complex(lam)])
 
 
+def span(problem, x0, x1):
+    """The propagator's cells from x0 to x1, as a solve's set-up builds them."""
+    return _spans(problem, [(x0, x1)])[0][0]
+
+
 def test_boundary_seed_matches_eigendecomposition(const_problem):
     lam = 1.0
-    for x_cut, sign in ((-5.0, 1), (5.0, -1)):
-        seed = _seed_batch(const_problem, one(lam), x_cut, sign)[0]
+    for sign in (1, -1):  # at the cuts -5 and 5
+        seed = _seed_batch(_shooting(const_problem), one(lam), sign)[0]
         m = system_matrix(2.0, lam, const_problem.h)
         evals, evecs = np.linalg.eig(m)
         mu = math.sqrt(4.0 - lam * lam) / const_problem.h
@@ -48,18 +53,18 @@ def test_boundary_seed_matches_eigendecomposition(const_problem):
 
 def test_boundary_seed_inside_well_raises(const_problem):
     with pytest.raises(InsideWell):
-        _seed_batch(const_problem, one(2.0), -5.0, 1)  # |A| = lambda
+        _seed_batch(_shooting(const_problem), one(2.0), 1)  # |A| = lambda
     with pytest.raises(InsideWell):
-        _seed_batch(const_problem, np.asarray([1.0, 2.5 + 0j]), -5.0, 1)  # |A| < lambda in one row
+        _seed_batch(_shooting(const_problem), np.asarray([1.0, 2.5 + 0j]), 1)  # |A| < lambda in one row
 
 
 def test_seeds_related_by_conjugation_symmetry(well_problem):
     # for even A, eps = 0, real lambda: conjugating the left seed and flipping
     # the sign of its second component gives the right seed up to a phase,
     # and each seed is itself swap-conjugate invariant up to a phase
-    x_l, x_r = z.domain_cuts(well_problem)
-    left = _seed_batch(well_problem, one(1.5), x_l, 1)[0]
-    right = _seed_batch(well_problem, one(1.5), x_r, -1)[0]
+    shooting = _shooting(well_problem)
+    left = _seed_batch(shooting, one(1.5), 1)[0]
+    right = _seed_batch(shooting, one(1.5), -1)[0]
     mapped = np.conj(left) * np.array([1.0, -1.0])
     assert abs(np.vdot(right, mapped)) == pytest.approx(1.0, abs=1e-12)
     swapped = np.conj(left[::-1])
@@ -90,17 +95,18 @@ def test_real_scan_wronskian_lies_on_its_symmetry_line(name, eps):
         for p in (problem, problem.with_(matching_point=x_m + 0.2),
                   problem.with_(matching_point=x_m - 0.2),
                   problem.with_(x_cut_left=1.25 * x_l, x_cut_right=1.25 * x_r)):
-            c = _line_factor(p, lams)
+            shooting = _shooting(p)
+            c = _line_factor(shooting, lams)
             assert np.max(np.abs(np.abs(c) - 1.0)) < 1e-12
-            w, ls = _wronskian_batch(p, lams)
+            w, ls = _wronskian_batch(shooting, lams)
             g = c * w * np.exp(ls - ls.max())
             assert np.max(np.abs(g.imag)) <= 1e-11 * np.max(np.abs(g)), (h, p)
 
 
 def test_integrate_matches_matrix_exponential(const_problem):
     lam = 1.0
-    seed = _seed_batch(const_problem, one(lam), -5.0, 1)
-    vec, ls = _integrate_batch(const_problem, one(lam), seed, -5.0, 0.0)
+    seed = _seed_batch(_shooting(const_problem), one(lam), 1)
+    vec, ls = _integrate_batch(span(const_problem, -5.0, 0.0), one(lam), seed)
     m = system_matrix(2.0, lam, const_problem.h)
     exact = scipy.linalg.expm(m * 5.0) @ seed[0]
     exact_ls = math.log(np.linalg.norm(exact))
@@ -122,7 +128,7 @@ def test_integrate_kernel_edge_cases_match_matrix_exponential(const_problem):
     seed = np.tile([0.6, 0.8j], (len(lams), 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vecs, ls = _integrate_batch(const_problem, lams, seed, -5.0, 0.0)
+        vecs, ls = _integrate_batch(span(const_problem, -5.0, 0.0), lams, seed)
     for lam, vec, log_scale in zip(lams, vecs, ls):
         exact = scipy.linalg.expm(system_matrix(2.0, lam, const_problem.h) * 5.0) @ seed[0]
         assert off_direction(exact, vec) < 1e-10, lam
@@ -136,7 +142,7 @@ def test_integrate_matches_ode_solver_on_varying_potential(well_problem):
     x0, x1 = -1.2, -0.4
     lams = np.array([1.42 + 0.03j, 1.55 - 0.02j, 1.66 + 0.05j])
     seed = np.tile([0.8, 0.6], (len(lams), 1)).astype(complex)
-    vecs, ls = _integrate_batch(p, lams, seed, x0, x1)
+    vecs, ls = _integrate_batch(span(p, x0, x1), lams, seed)
     for lam, vec, log_scale in zip(lams, vecs, ls):
         def rhs(x, u, lam=lam):
             a = complex(z.eval_potential(p.potential, x, p.eps)[0])
@@ -150,8 +156,8 @@ def test_integrate_matches_ode_solver_on_varying_potential(well_problem):
 
 
 def test_integrate_zero_length_is_identity(const_problem):
-    seed = _seed_batch(const_problem, one(1.0), -5.0, 1)
-    vec, ls = _integrate_batch(const_problem, one(1.0), seed, -5.0, -5.0)
+    seed = _seed_batch(_shooting(const_problem), one(1.0), 1)
+    vec, ls = _integrate_batch(span(const_problem, -5.0, -5.0), one(1.0), seed)
     assert np.array_equal(vec, seed)
     assert ls[0] == 0.0
 
@@ -161,10 +167,10 @@ def test_integrate_reversibility(well_problem):
     # reversing through a growth region is exponentially ill-conditioned
     lams = one(1.5)
     x_l, _ = z.domain_cuts(well_problem)
-    start, _ = _integrate_batch(well_problem, lams, _seed_batch(well_problem, lams, x_l, 1),
-                                x_l, -0.5)
-    fwd, ls_f = _integrate_batch(well_problem, lams, start, -0.5, 0.5)
-    back, ls_b = _integrate_batch(well_problem, lams, fwd, 0.5, -0.5)
+    start, _ = _integrate_batch(span(well_problem, x_l, -0.5), lams,
+                                _seed_batch(_shooting(well_problem), lams, 1))
+    fwd, ls_f = _integrate_batch(span(well_problem, -0.5, 0.5), lams, start)
+    back, ls_b = _integrate_batch(span(well_problem, 0.5, -0.5), lams, fwd)
     assert off_direction(start[0], back[0]) < 1e-8
     assert ls_f[0] + ls_b[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -286,9 +292,9 @@ def record_batches(monkeypatch) -> list:
     """Sizes of the Wronskian batches the direct solver evaluates, in call order."""
     sizes = []
 
-    def counted(problem, lams):
+    def counted(shooting, lams):
         sizes.append(len(lams))
-        return _wronskian_batch(problem, lams)
+        return _wronskian_batch(shooting, lams)
 
     monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
     return sizes
@@ -306,9 +312,9 @@ def test_complex_spectrum_seeds_from_the_eps_zero_scan_alone(well_problem, monke
     # are lifted as they are, with no eps = 0 Newton polish
     batches = []
 
-    def counted(problem, lams):
-        batches.append((problem.eps, len(lams)))
-        return _wronskian_batch(problem, lams)
+    def counted(shooting, lams):
+        batches.append((shooting.problem.eps, len(lams)))
+        return _wronskian_batch(shooting, lams)
 
     monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
     recs = z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
@@ -320,8 +326,8 @@ def test_complex_spectrum_seeds_from_the_eps_zero_scan_alone(well_problem, monke
 def test_direct_spectrum_real_rejects_unpolished_root(well_problem, monkeypatch, fault):
     # a Newton row that fails, or lands outside its own bracket, is an error,
     # never a reported eigenvalue
-    def faulty(problem, seeds):
-        lams, resid, failed = _newton_wronskian(problem, seeds)
+    def faulty(shooting, seeds):
+        lams, resid, failed = _newton_wronskian(shooting, seeds)
         if fault == "outside":
             lams[1] = lams[2]  # a true root, but the next bracket's
         else:
@@ -336,20 +342,20 @@ def test_direct_spectrum_real_rejects_unpolished_root(well_problem, monkeypatch,
 def patch_wronskian(monkeypatch, w_of_lam):
     """Replace the propagator by a closed-form W with unit log scales."""
     monkeypatch.setattr(z.direct, "_wronskian_batch",
-                        lambda problem, lams: (w_of_lam(np.asarray(lams)), np.zeros(len(lams))))
+                        lambda shooting, lams: (w_of_lam(np.asarray(lams)), np.zeros(len(lams))))
 
 
 def test_newton_wronskian_flags_a_two_cycle(well_problem, monkeypatch):
     # Newton on u^3 - 2u + 2 from u = 0 cycles 0 -> 1 -> 0 and never converges
     patch_wronskian(monkeypatch, lambda lam: ((lam - 1.5) / 0.1) ** 3 - 2 * (lam - 1.5) / 0.1 + 2)
-    lams, resid, failed = _newton_wronskian(well_problem, one(1.5))
+    lams, resid, failed = _newton_wronskian(_shooting(well_problem), one(1.5))
     assert failed[0]
 
 
 def test_newton_wronskian_flags_a_flat_wronskian(well_problem, monkeypatch):
     # W' = 0 gives no finite Newton step
     patch_wronskian(monkeypatch, lambda lam: np.full(len(lam), 1.0 + 0j))
-    lams, resid, failed = _newton_wronskian(well_problem, one(1.5))
+    lams, resid, failed = _newton_wronskian(_shooting(well_problem), one(1.5))
     assert failed[0]
 
 
@@ -430,9 +436,9 @@ def test_complex_spectrum_drops_roots_outside_the_window_and_duplicates(well_pro
     p = well_problem.with_(eps=0.05)
     clean = z.direct_spectrum_complex(p, certify=False)
 
-    def faulty(problem, seeds):
-        lams, resid, failed = _newton_wronskian(problem, seeds)
-        extra = lams[0] + (2 * problem.delta if fault == "outside" else 1e-10)
+    def faulty(shooting, seeds):
+        lams, resid, failed = _newton_wronskian(shooting, seeds)
+        extra = lams[0] + (2 * shooting.problem.delta if fault == "outside" else 1e-10)
         return np.append(lams, extra), np.append(resid, resid[0]), np.append(failed, False)
 
     monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
@@ -445,8 +451,8 @@ def test_complex_spectrum_warns_for_diverged_seeds(well_problem, monkeypatch):
     p = well_problem.with_(eps=0.05)
     clean = z.direct_spectrum_complex(p, certify=False)
 
-    def faulty(problem, seeds):
-        lams, resid, failed = _newton_wronskian(problem, seeds)
+    def faulty(shooting, seeds):
+        lams, resid, failed = _newton_wronskian(shooting, seeds)
         failed[0] = True
         return lams, resid, failed
 
@@ -578,7 +584,7 @@ def test_real_scan_needs_no_wkb_action(monkeypatch, h, count, scan_rows):
 
 def test_wronskian_batch_matches_scalar(well_problem):
     lams = np.array([1.42 + 0.0j, 1.55 + 0.01j])
-    ws, ls = _wronskian_batch(well_problem, lams)
+    ws, ls = _wronskian_batch(_shooting(well_problem), lams)
     for lam, w_b, ls_b in zip(lams, ws, ls):
         single = z.wronskian(well_problem, lam)
         total_b = w_b * np.exp(ls_b - single.log_scale)
@@ -609,8 +615,9 @@ def test_default_cell_width_accuracy(spec, lambda0, delta, h):
     p = z.Problem(spec, lambda0, delta, h, eps=0.05)
     rng = np.random.default_rng(2024)
     lams = lambda0 + delta * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64))
-    w, ls = _wronskian_batch(p, lams)
-    w_ref, ls_ref = _wronskian_batch(p.with_(tolerances=z.Tolerances(ode_rtol=1e-16)), lams)
+    w, ls = _wronskian_batch(_shooting(p), lams)
+    w_ref, ls_ref = _wronskian_batch(_shooting(p.with_(tolerances=z.Tolerances(ode_rtol=1e-16))),
+                                     lams)
     err = np.max(np.abs(w - w_ref * np.exp(ls_ref - ls))) / np.max(np.abs(w_ref))
     assert err < 1e-9
 
@@ -618,7 +625,7 @@ def test_default_cell_width_accuracy(spec, lambda0, delta, h):
 def test_wronskian_row_independent_of_batch(well_problem):
     p = well_problem.with_(eps=0.05)
     lams = np.linspace(1.3, 1.7, 256) + 0.1j * np.linspace(-1.0, 1.0, 256) ** 2
-    ws, ls = _wronskian_batch(p, lams)
+    ws, ls = _wronskian_batch(_shooting(p), lams)
     for j in (0, 97, 255):
         single = z.wronskian(p, lams[j])
         in_batch = ws[j] * math.exp(ls[j] - single.log_scale)
@@ -626,18 +633,8 @@ def test_wronskian_row_independent_of_batch(well_problem):
 
 
 def cells_per_span(problem) -> list:
-    """Cell counts of the two integrations of one Wronskian row."""
-    counts = []
-
-    def spy(spec, x, eps, **kwargs):
-        if np.ndim(x):
-            counts.append(len(x) // 3)  # three Gauss points per cell
-        return z.eval_potential(spec, x, eps, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(z.direct, "eval_potential", spy)
-        _wronskian_batch(problem, one(problem.lambda0))
-    return counts
+    """Cell counts of the integrations of one Wronskian row."""
+    return [span.k0.shape[1] for span in _shooting(problem).spans]
 
 
 def chunking_rows(rows: int) -> np.ndarray:
@@ -664,7 +661,7 @@ def test_wronskian_row_independent_of_chunking(well_problem, layout):
     p = well_problem.with_(eps=0.05)
     rows = _CHUNK_ELEMENTS + 1 if layout == "one_cell_per_chunk" else odd_tail_rows(p)
     lams = chunking_rows(rows)
-    ws, ls = _wronskian_batch(p, lams)
+    ws, ls = _wronskian_batch(_shooting(p), lams)
     for j in (0, rows // 3, rows - 1):
         single = z.wronskian(p, lams[j])
         in_batch = ws[j] * math.exp(ls[j] - single.log_scale)
@@ -679,13 +676,13 @@ def test_wronskian_row_independent_of_chunking(well_problem, layout):
 def test_single_row_full_span_finite_and_split_consistent(spec):
     p = z.Problem(spec, 1.5, 0.2, 0.0125, eps=0.05, x_cut_left=-8.0, x_cut_right=8.0)
     lams = one(1.53 + 0.01j)
-    seed = _seed_batch(p, lams, -8.0, 1)
-    full, ls_full = _integrate_batch(p, lams, seed, -8.0, 8.0)
+    seed = _seed_batch(_shooting(p), lams, 1)  # at the cut -8
+    full, ls_full = _integrate_batch(span(p, -8.0, 8.0), lams, seed)
     assert np.all(np.isfinite(full)) and math.isfinite(ls_full[0])
     x_m = z.problem.matching_point(p)
     for x_split in (x_m, x_m + 0.123456789):
-        vec, ls_a = _integrate_batch(p, lams, seed, -8.0, x_split)
-        vec, ls_b = _integrate_batch(p, lams, vec, x_split, 8.0)
+        vec, ls_a = _integrate_batch(span(p, -8.0, x_split), lams, seed)
+        vec, ls_b = _integrate_batch(span(p, x_split, 8.0), lams, vec)
         assert off_direction(full[0], vec[0]) < 1e-10
         assert ls_a[0] + ls_b[0] == pytest.approx(ls_full[0], rel=1e-10)
 
@@ -721,8 +718,9 @@ def two_sided_wronskian(p, lams) -> tuple:
     """W and its log scale shot from both cuts to the matching point, with no reflection."""
     x_l, x_r = z.domain_cuts(p)
     x_m = z.problem.matching_point(p)
-    y_l, ls_l = _integrate_batch(p, lams, _seed_batch(p, lams, x_l, 1), x_l, x_m)
-    y_r, ls_r = _integrate_batch(p, lams, _seed_batch(p, lams, x_r, -1), x_r, x_m)
+    shooting = _shooting(p)
+    y_l, ls_l = _integrate_batch(span(p, x_l, x_m), lams, _seed_batch(shooting, lams, 1))
+    y_r, ls_r = _integrate_batch(span(p, x_r, x_m), lams, _seed_batch(shooting, lams, -1))
     return y_l[:, 0] * y_r[:, 1] - y_l[:, 1] * y_r[:, 0], ls_l + ls_r
 
 
@@ -735,7 +733,7 @@ def window_rows(lambda0, delta) -> np.ndarray:
 
 def reflection_error(p, lams) -> tuple:
     """max |W*e^ls - reference| over max |reference|, and max |ls - reference ls|."""
-    w, ls = _wronskian_batch(p, lams)
+    w, ls = _wronskian_batch(_shooting(p), lams)
     w_ref, ls_ref = two_sided_wronskian(p, lams)
     full = w * np.exp(ls - ls_ref.max())
     full_ref = w_ref * np.exp(ls_ref - ls_ref.max())
@@ -773,9 +771,9 @@ def record_starts(monkeypatch) -> list:
     """(rows, start) of every batch the propagator integrates, in call order."""
     starts = []
 
-    def counted(problem, lams, ys, x0, x1):
-        starts.append((len(lams), x0))
-        return _integrate_batch(problem, lams, ys, x0, x1)
+    def counted(span, lams, ys):
+        starts.append((len(lams), span.x0))
+        return _integrate_batch(span, lams, ys)
 
     monkeypatch.setattr(z.direct, "_integrate_batch", counted)
     return starts
@@ -794,7 +792,7 @@ def test_parity_reflected_wronskian_matches_two_sided(name, h, eps, monkeypatch)
     assert x_l == -x_r and z.problem.matching_point(p) == 0.0
     lams = window_rows(lambda0, delta)
     starts = record_starts(monkeypatch)
-    _wronskian_batch(p, lams)
+    _wronskian_batch(_shooting(p), lams)
     assert starts == [(len(lams), x_l)]
     monkeypatch.undo()
     w_err, ls_err = reflection_error(p, lams)
@@ -831,9 +829,95 @@ def test_complex_newton_round_on_the_control_shoots_from_one_cut(monkeypatch):
     seeds = np.array([r.lam for r in z.direct_spectrum_complex(p, certify=False)])
     x_l = z.domain_cuts(p)[0]
     starts = record_starts(monkeypatch)
-    _newton_wronskian(p, seeds)
+    _newton_wronskian(_shooting(p), seeds)
     assert len(seeds) == 9 and starts[0] == (3 * len(seeds), x_l)
     assert {x0 for _, x0 in starts} == {x_l}
+
+
+# the four routes at eps = 0: paired (well, tanh), A_eps even (ctrl), and no
+# parity at all, shot from both cuts (asym)
+FOLD = {**WINDOWS, "asym": (z.custom([("const", 2.0), ("gauss", -1.0), ("xgauss", 0.3)],
+                                     [("gauss", 1.0)]), 1.5, 0.2)}
+
+
+@pytest.mark.parametrize("h", [0.1, 0.0125])
+@pytest.mark.parametrize("name", sorted(FOLD))
+def test_eps_zero_fold_matches_two_sided_at_the_conjugate(name, h):
+    # W(conj(lam)) = -c_l*c_r*conj(W(lam)) at the same log scale: the rows
+    # below the axis, never shot, agree with a reference shot at them
+    spec, lambda0, delta = FOLD[name]
+    p = z.Problem(spec, lambda0, delta, h)
+    upper = window_rows(lambda0, delta)
+    upper.imag = np.abs(upper.imag) + 0.01 * delta
+    lams = np.concatenate([upper, upper.conj()])
+    w, ls = _wronskian_batch(_shooting(p), lams)
+    w_ref, ls_ref = two_sided_wronskian(p, upper.conj())
+    below = slice(len(upper), None)
+    full = w[below] * np.exp(ls[below] - ls_ref)
+    assert np.max(np.abs(full - w_ref) / np.abs(w_ref)) < 1e-12
+    assert np.max(np.abs(ls[below] - ls_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("name, winding", [("well", 5), ("tanh", 3), ("ctrl", 5), ("asym", 4)])
+def test_eps_zero_count_shoots_one_row_per_conjugate_pair(name, winding, monkeypatch):
+    # 129 of the contour's 256 samples have Im lam >= 0, on every route
+    spec, lambda0, delta = FOLD[name]
+    p = z.Problem(spec, lambda0, delta, 0.1)
+    starts = record_starts(monkeypatch)
+    zc = z.count_zeros(p, z.window_rectangle(p))
+    assert (zc.winding, zc.samples_on_boundary) == (winding, 256)
+    assert [rows for rows, _ in starts] == [129] * len(_shooting(p).spans)
+    assert len(starts) == (2 if name == "asym" else 1)
+
+
+def shot_as_given(p, lams) -> tuple:
+    """W and its log scale with every row shot, by the set-up's route, as before the fold."""
+    shooting = _shooting(p)
+    if shooting.reflection is None:
+        return two_sided_wronskian(p, lams)
+    step, r, conjugate, _ = shooting.reflection
+    mirror = lams.conj() if conjugate else lams
+    rows, inverse = np.unique(np.concatenate([lams, mirror]), return_inverse=True)
+    own, bar = np.split(inverse, 2)
+    v_l = _seed_batch(shooting, rows, 1)
+    y, ls = _integrate_batch(shooting.spans[0], rows, v_l)
+
+    def reflected(v):
+        v = v[bar][:, ::step]
+        return np.conj(v) if conjugate else v
+
+    kappa = np.sum(r * np.conj(reflected(v_l)) * _seed_batch(shooting, lams, -1), axis=1)
+    y_r = kappa[:, None] * r * reflected(y)
+    return y[own, 0] * y_r[:, 1] - y[own, 1] * y_r[:, 0], ls[own] + ls[bar]
+
+
+@pytest.mark.parametrize("name", sorted(FOLD))
+def test_eps_above_zero_contour_is_shot_as_before_the_fold(name):
+    # the fold holds at eps = 0 only: at eps > 0 every row of a contour is shot
+    # and every W is bitwise the one the unfolded route gives
+    spec, lambda0, delta = FOLD[name]
+    p = z.Problem(spec, lambda0, delta, 0.1, eps=0.05)
+    re0, re1, im0, im1 = z.direct._rectangle_corners(z.window_rectangle(p))
+    lams = _perimeter(np.arange(0.0, 4.0, 1.0 / 64), re0, re1, im0, im1)
+    w, ls = _wronskian_batch(_shooting(p), lams)
+    w_ref, ls_ref = shot_as_given(p, lams)
+    assert np.array_equal(w, w_ref) and np.array_equal(ls, ls_ref)
+
+
+def test_direct_spectrum_real_samples_the_potential_once(well_problem, monkeypatch):
+    # one set-up per solve: the scan and every Newton round share its spans
+    # and its A_eps at the cuts
+    calls = []
+
+    def spy(spec, x, eps, **kwargs):
+        calls.append(np.size(x))
+        return z.eval_potential(spec, x, eps, **kwargs)
+
+    monkeypatch.setattr(z.direct, "eval_potential", spy)
+    sizes = record_batches(monkeypatch)
+    assert len(z.direct_spectrum_real(well_problem)) == 5
+    assert len(sizes) == 5  # the scan and four Newton rounds
+    assert len(calls) == 1 and calls[0] == 3 * sum(cells_per_span(well_problem)) + 2
 
 
 @pytest.mark.parametrize("name", ["well", "tanh"])
@@ -881,7 +965,7 @@ def test_decay_sized_cuts_leave_the_roots_in_place(name, eps, h):
                          ids=["reflected", "two_sided", "parity"])
 def test_empty_batch_returns_empty_arrays(potential):
     p = z.Problem(potential, 1.5, 0.2, 0.05, eps=0.05)
-    w, ls = _wronskian_batch(p, np.array([]))
+    w, ls = _wronskian_batch(_shooting(p), np.array([]))
     assert w.shape == ls.shape == (0,)
     assert w.dtype == complex and ls.dtype == float
 
@@ -905,9 +989,9 @@ def test_vertical_probe_is_mirror_exact(well_problem, monkeypatch):
     # the probe lifts the real seeds along vertical lines symmetric about the axis
     batches = []
 
-    def counted(problem, lams):
+    def counted(shooting, lams):
         batches.append(np.array(lams))
-        return _wronskian_batch(problem, lams)
+        return _wronskian_batch(shooting, lams)
 
     monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
     z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
@@ -919,6 +1003,6 @@ def test_vertical_probe_is_mirror_exact(well_problem, monkeypatch):
 def test_count_zeros_raises_phase_resolution_for_a_negative_winding(well_problem, monkeypatch):
     # a pole inside the window winds arg W once clockwise
     monkeypatch.setattr(z.direct, "_wronskian_batch",
-                        lambda problem, lams: (1.0 / (lams - 1.5), np.zeros(len(lams))))
+                        lambda shooting, lams: (1.0 / (lams - 1.5), np.zeros(len(lams))))
     with pytest.raises(PhaseResolution, match=r"winding -1\.0000 is not close"):
         z.count_zeros(well_problem, z.window_rectangle(well_problem))

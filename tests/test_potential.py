@@ -630,6 +630,33 @@ def test_a1_report_is_cached_on_the_inputs_it_reads(monkeypatch):
     assert len(calls) == 5
 
 
+def test_domain_cuts_are_cached_on_the_inputs_they_read(monkeypatch):
+    # the cuts read the potential, lambda0, delta, h, the cutoff, the explicit
+    # cuts and the slope tolerance; eps, the matching point and the other
+    # tolerances share them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return potential.eval_A(*args, **kwargs)
+
+    monkeypatch.setattr(z.problem, "eval_A", counted)
+    z.domain_cuts.cache_clear()
+    p = z.Problem(z.well_even(), 1.5, 0.2, 0.1)
+    cuts = {z.domain_cuts(p.with_(eps=eps, matching_point=x_m,
+                                  tolerances=z.Tolerances(ode_rtol=rtol)))
+            for eps in (0.0, 0.05) for x_m in (None, 0.2) for rtol in (1e-10, 1e-12)}
+    assert len(cuts) == 1 and len(calls) == 1
+    for changed in (p.with_(lambda0=1.4), p.with_(delta=0.3), p.with_(h=0.05),
+                    p.with_(cutoff=7.0), p.with_(x_cut_left=-3.0),
+                    p.with_(tolerances=z.Tolerances(slope_degeneracy=1e-7))):
+        z.domain_cuts(changed)
+    assert len(calls) == 7
+    z.domain_cuts.cache_clear()  # empties the cache that holds the cuts
+    z.domain_cuts(p)
+    assert len(calls) == 8
+
+
 def test_paired_potentials_get_a_mirror_exact_set_up():
     # the crossing grid, the secant seed and the cut search are mirror images,
     # so the set-up of every paired potential is exactly symmetric about 0
