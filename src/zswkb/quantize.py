@@ -56,26 +56,32 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
 
 
 def _window_action_range(problem: Problem) -> tuple:
-    """Action at the real window edges, at the problem's eps under a parity pairing.
+    """Action at the real window edges, and their turning points where they are the problem's.
 
     A pairing keeps I(lambda, eps) real for real lambda, so a level that eps
     moves across an edge moves its target across that edge's action too.
     Without one the edges are taken for the eps = 0 reference problem.
+    Returns the two edge actions and the (2, 2) edge pairs, or None for the
+    pairs where they were continued at eps = 0 for a problem at eps > 0.
     """
     paired = symmetry_class(problem) is not SymmetryClass.NONE
-    edges, _ = _action_rows(problem if paired else problem.with_(eps=0.0),
-                            [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
+    own = paired or problem.eps == 0.0
+    edges, pairs = _action_rows(problem if own else problem.with_(eps=0.0),
+                                [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
     for act in edges:
         if isinstance(act, Exception):
             raise act
     # I depends on lambda^2 and grows with |lambda|, and |lambda0 - delta| < lambda0 + delta
-    return edges[0].value.real, edges[1].value.real
+    return edges[0].value.real, edges[1].value.real, pairs if own else None
 
 
-def enumerate_indices(problem: Problem) -> list:
-    """Quantization indices whose targets fall in the window's action range."""
-    branch = select_branch(a1_report(problem))
-    i_lo, i_hi = _window_action_range(problem)
+def _window(problem: Problem) -> tuple:
+    """(branch, i_lo, i_hi, edge_pairs): what ``_solve_rows`` starts a call's indices from."""
+    return (select_branch(a1_report(problem)), *_window_action_range(problem))
+
+
+def _indices(problem: Problem, window: tuple) -> list:
+    branch, i_lo, i_hi, _ = window
     ks = indices_in_range(i_lo, i_hi, problem.h, branch)
     if not ks:
         raise EmptyWindow(
@@ -83,50 +89,64 @@ def enumerate_indices(problem: Problem) -> list:
     return ks
 
 
-def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
-    """Newton-solve I(lambda, eps) = c_k*pi*h from the eps = 0 secant seed.
+def enumerate_indices(problem: Problem) -> list:
+    """Quantization indices whose targets fall in the window's action range."""
+    return _indices(problem, _window(problem))
 
-    The seed is where the secant through the eps = 0 actions at the two
-    window edges meets the target.  A one-row call of the lockstep solver
-    that ``wkb_spectrum`` runs on all indices; its failure is raised.
+
+def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
+    """Newton-solve I(lambda, eps) = c_k*pi*h from the secant seed through the window's edges.
+
+    The seed is where the secant through the two window-edge actions meets
+    the target; the edges are those of the index range, at the problem's own
+    eps under a parity pairing and at eps = 0 without one.  A one-row call of
+    the lockstep solver that ``wkb_spectrum`` runs on all indices; its
+    failure is raised.
     """
-    (rec,) = _solve_rows(problem, [k], select_branch(a1_report(problem)),
-                         *_window_action_range(problem))
+    (rec,) = _solve_rows(problem, [k], *_window(problem))
     if isinstance(rec, Exception):
         raise rec
     return rec
 
 
-def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
-                i_hi: float) -> list:
+def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: float,
+                edge_pairs) -> list:
     """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
 
-    Each row starts from its secant seed and takes Newton steps in lockstep:
-    a round is one call of the array action over the rows still iterating.
-    The first round continues the turning points from the A1 report's real
-    pair, and every later round continues each row's pair from the round
-    before.  A row stops on its own at the residual test, on its action's
-    failure, on leaving the window, or after ``_NEWTON_CAP`` rounds.
+    Each row starts from its secant seed, a real lambda at a fraction of the
+    window set by where its target lies between the edge actions, and takes
+    Newton steps in lockstep: a round is one call of the array action over
+    the rows still iterating.  Given the (2, 2) ``edge_pairs`` (turning
+    points continued at the problem's own eps), the first round starts each
+    row's pair at the same fraction between the two edge pairs and takes one
+    Newton stage at its lambda; without them it continues the turning points
+    from the A1 report's real pair along the full homotopy.  Every later
+    round continues each row's pair from the round before.  A row stops on
+    its own at the residual test, on its action's failure, on leaving the
+    window, or after ``_NEWTON_CAP`` rounds.
     """
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
-    lams = []
+    fracs = []
     fuzz = 1e-9 * max(1.0, i_hi)
     for j, target in enumerate(targets):
         if not (i_lo - fuzz <= target <= i_hi + fuzz):
             results[j] = LeftWindow(
                 f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
-        frac = (target - i_lo) / (i_hi - i_lo)
-        lams.append(complex(problem.lambda0 + problem.delta * (2.0 * frac - 1.0)))
+        fracs.append((target - i_lo) / (i_hi - i_lo))
+    lams = [complex(problem.lambda0 + problem.delta * (2.0 * f - 1.0)) for f in fracs]
 
     tol = problem.tolerances.quantize_residual
     live = [j for j, res in enumerate(results) if res is None]
+    seeded = edge_pairs is not None
     pairs = np.zeros((len(ks), 2), dtype=complex)
+    if seeded:
+        pairs[:] = edge_pairs[0] + np.array(fracs)[:, None] * (edge_pairs[1] - edge_pairs[0])
     for n in range(_NEWTON_CAP):
         if not live:
             break
         acts, pairs[live] = _action_rows(problem, [lams[j] for j in live],
-                                         pairs[live] if n else None)
+                                         pairs[live] if n or seeded else None)
         still = []
         for j, act in zip(live, acts):
             if isinstance(act, Exception):
@@ -151,19 +171,23 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float,
 def wkb_spectrum(problem: Problem) -> list:
     """Roots of I(lambda, eps) = c_k*pi*h for every admissible index, sorted by Re lambda.
 
-    The branch and the window's action range are computed once, and all
-    indices are solved in lockstep: each Newton round continues the turning
-    points of every unsettled index from the round before and finds their
-    actions with one array call.
+    The branch, the window's edge actions and turning points and the index
+    list are computed once, and all indices are solved in lockstep.  Where
+    the edges are the problem's own (under a parity pairing, or at eps = 0)
+    each index's first turning points are interpolated between the two edge
+    pairs and polished by one Newton stage, so the turning points are
+    continued from the A1 report only at the two edges; without a pairing at
+    eps > 0 the first round follows the full homotopy.  Every later Newton
+    round continues the turning points of every unsettled index from the
+    round before and finds their actions with one array call.
     Each index gives the root ``solve_quantization`` gives for it alone.
     Per-index failures are reported as warnings, in index order; the other
     indices are unaffected.
     """
-    ks = enumerate_indices(problem)
-    branch = select_branch(a1_report(problem))
-    i_lo, i_hi = _window_action_range(problem)
+    window = _window(problem)
+    ks = _indices(problem, window)
     records = []
-    for k, rec in zip(ks, _solve_rows(problem, ks, branch, i_lo, i_hi)):
+    for k, rec in zip(ks, _solve_rows(problem, ks, *window)):
         if isinstance(rec, ZSWKBError):
             warnings.warn(f"quantization failed for k={k}: {rec}", stacklevel=2)
         else:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb import potential, quantize
+from zswkb import action, potential, quantize
 from zswkb.errors import EmptyWindow, LeftStrip, LeftWindow, NoConvergence, ZSWKBError
 from zswkb.quantize import Branch, Method, branch_offset, indices_in_range
 
@@ -253,8 +254,58 @@ def test_window_action_range_follows_eps_only_under_a_pairing(name):
     p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.05, eps=0.05)
     paired = z.symmetry_class(p) is not z.SymmetryClass.NONE
     assert paired is (name != "ctrl")
-    base = quantize._window_action_range(p.with_(eps=0.0))
-    assert (quantize._window_action_range(p) != base) is paired
+    base = quantize._window_action_range(p.with_(eps=0.0))[:2]
+    assert (quantize._window_action_range(p)[:2] != base) is paired
+
+
+# the window's two edges are the only rows continued from the A1 pair where
+# they are taken at the problem's own eps (under a pairing, or at eps = 0):
+# every index starts between the edge pairs; without a pairing at eps > 0 the
+# edges sit at eps = 0 and the first round keeps the full homotopy
+@pytest.mark.parametrize("name, eps, homotopies", [
+    ("well", 0.0, 1), ("well", 0.05, 1), ("tanh", 0.0, 1), ("tanh", 0.05, 1),
+    ("ctrl", 0.0, 1), ("ctrl", 0.05, 2)])
+def test_turning_points_are_continued_from_the_a1_pair_once_per_call(monkeypatch, name, eps,
+                                                                     homotopies):
+    rows = []
+    turning_rows = action._turning_rows
+
+    def counted(problem, lams, z_=None):
+        if z_ is None:
+            rows.append(len(lams))
+        return turning_rows(problem, lams, z_)
+
+    monkeypatch.setattr(action, "_turning_rows", counted)
+    p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.025, eps=eps)
+    z.a1_report.cache_clear()
+    recs = z.wkb_spectrum(p)
+    assert rows[0] == 2 and len(rows) == homotopies
+    rows.clear()
+    z.solve_quantization(p, recs[len(recs) // 2].k)
+    assert rows[0] == 2 and len(rows) == homotopies
+
+
+@pytest.mark.parametrize("spec, lambda0, delta, h, eps, count", [
+    *[pytest.param(*LOCKSTEP_PROBLEMS[name], 0.025, eps, None, id=f"{name}-{eps}")
+      for name in sorted(LOCKSTEP_PROBLEMS) for eps in (0.0, 0.05)],
+    # seeded from edges near the well floor, where the turning points close up
+    pytest.param(z.well_even(), 1.5, 0.45, 0.0125, 0.05, 95, id="well-deep"),
+    # no pairing at eps > 0: the first round follows the homotopy
+    pytest.param(LOCKSTEP_PROBLEMS["ctrl"][0], 1.5, 0.49, 0.025, 0.3, 55, id="ctrl-wide"),
+])
+def test_wkb_roots_meet_their_targets_by_the_one_row_action(spec, lambda0, delta, h, eps,
+                                                            count):
+    # action_integral continues each root's turning points from the A1 pair,
+    # independently of the window-edge pairs that started the Newton solve
+    p = z.Problem(spec, lambda0, delta, h, eps=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = z.wkb_spectrum(p)
+    assert count is None or len(recs) == count
+    offset = branch_offset(z.select_branch(z.a1_report(p)))
+    for rec in recs:
+        target = (rec.k + offset) * math.pi * p.h
+        assert abs(z.action_integral(p, rec.lam).value - target) < 1e-11
 
 
 def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
