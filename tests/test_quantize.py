@@ -319,7 +319,7 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     def failing(problem, lams, *args):
         acts, pairs = action_rows(problem, lams, *args)
         if len(lams) == len(ks) and first_round[0]:
-            # the 2-row calls of the window's edges come first; every index
+            # the 2-row call of the window's edges comes first; every index
             # is live in the first Newton round, in index order
             first_round[0] = False
             acts[ks.index(bad)] = NoConvergence("injected")
