@@ -1,17 +1,25 @@
 """Stokes lines: level curves Re integral sqrt(A_eps^2 - lambda^2) dz = 0 from turning points.
 
-Curves are traced in arc length with RK4 on the unit tangent field
-i*sigma*|s|/s, s = sqrt(A_eps^2 - lambda^2). The running phase integral is
-accumulated with per-step Gauss panels and a transverse Newton projection every
-few iterations pins the trace back onto the level set, so drift cannot build up.
+Curves are traced in arc length by predictor-corrector continuation on the
+level set (Allgower and Georg, Introduction to Numerical Continuation Methods,
+ch. 2), carrying at each vertex the running phase integral, s =
+sqrt(A_eps^2 - lambda^2) and s' = A_eps A_eps' / s.  A step of length h:
+
+- predicts a chord of length h along t + (h/2) dt/dsigma, where t =
+  i*sigma*|s|/s is the unit tangent and dt/dsigma = -i t Im(t s'/s);
+- evaluates the predicted vertex and the seven Gauss-Kronrod nodes of its
+  chord in one potential call; the K7 sum is the phase increment;
+- rotates the chord about its start onto Re phase = 0 of the quadratic model
+  phase + s*d + s'*d^2/2 at the predicted vertex, so every vertex lies on the
+  level set and |z_new - z| = h, and updates the phase and s from that model.
 
 Each curve controls its own step (Hairer, Norsett and Wanner, Solving ODEs I,
-section II.4) from values the step already has, with no extra potential call:
-the error estimate is the larger of |Re| of the GL3 phase increment, which is
-|s| times the step's departure from the level set, and the gap between that
-increment and Simpson's rule on the two vertex roots and the middle GL3 node.
-A step longer than _STEP that meets a termination event is retried shorter,
-so only a step of at most _STEP ends a curve, as the fixed step of _STEP did.
+section II.4) from values the step already has: the error estimate is the gap
+between the K7 and G3 increments (the G3 nodes are K7 nodes; Laurie, Math.
+Comp. 66, 1133, 1997) plus the model's cubic remainder, and the next step
+grows by 0.8 * (_TOL / error)^(1/7).  A step longer than _STEP that meets a
+termination event is retried shorter, so only a step of at most _STEP ends a
+curve, as the fixed step of _STEP did.
 
 A curve ends at the strip's edge, near a turning point, at its maximum length,
 or where the level condition stops being resolvable: once |s| * |z| times ten
@@ -22,15 +30,12 @@ ends are reported as ``strip-boundary``, the edge of the strip the tracer
 resolves.
 
 All curves of one call advance in lockstep iterations, one step attempt per
-curve: each RK4 stage after the first is one array potential call over every
-curve, and so are the new vertices together with their panel nodes. The first
-stage needs no call: the aligned root at each vertex is already held from the
-panel or projection call that made it. The events of an attempt clear their
-curves from one mask, and a curve that ended takes the first rule that holds
-for it. A curve whose attempt is rejected waits at its vertex and a curve that
-terminates is frozen while the others go on; every decision is elementwise, so
-a curve comes out the same whether it is traced alone or as one of the six of
-a graph.
+curve and one array potential call over every curve.  The events of an
+attempt clear their curves from one mask, and a curve that ended takes the
+first rule that holds for it.  A curve whose attempt is rejected waits at its
+vertex and a curve that terminates is frozen while the others go on; every
+decision is elementwise, so a curve comes out the same whether it is traced
+alone or as one of the six of a graph.
 """
 from __future__ import annotations
 
@@ -48,23 +53,29 @@ from .turning import find_turning_points
 _STEP = 1e-3                     # first step, and the longest step an event may end a curve on
 _MAX_STEP = 5e-2
 _TOL = 1e-10                     # per-step bound on the phase error estimate
-_SAFETY = 0.8                    # shrinks the fifth-root step update so few steps are rejected
+_SAFETY = 0.8                    # shrinks the seventh-root step update so few steps are rejected
 _FIRST_HOP = 1e-2
 _MAX_ARC = 20.0
 _NEAR_TP = 1e-3
-_PROJECT_EVERY = 10
 # a curve ends where |s| * |z| * _RESOLUTION exceeds _TOL: rounding a vertex to
 # a double moves its phase by up to |s| * |z| * eps_mach, and that shift enters
-# each step's increment and the drift the projection corrects; ten times it
+# each step's increment and the level the corrector solves for; ten times it
 # stays an order below _TOL, so steps are accepted on their truncation error,
 # not on rounding (on the well the wall falls at |s| ~ 1.4e4, |z| ~ 3.2)
 _RESOLUTION = 10 * np.finfo(float).eps
 _HISTORY_ROWS = 1024             # first size of the vertex buffer; it doubles when full
 
-# Gauss-Legendre panels for the running phase integral, as chord fractions
-# and weights on [0, 1]
-_GL3_T = 0.5 * (np.array([-np.sqrt(3 / 5), 0.0, np.sqrt(3 / 5)]) + 1.0)
-_GL3_W = 0.5 * np.array([5 / 9, 8 / 9, 5 / 9])
+# the 7-point Gauss-Kronrod extension of 3-point Gauss-Legendre: its nodes
+# x >= 0 on [-1, 1] and their weights, mirrored below; _GK_T holds the chord's
+# end and then the nodes as chord fractions, so the G3 nodes are its columns 2,
+# 4 and 6
+_K7_X = np.array([0.960491268708020283423507092629080, 0.774596669241483377035853079956480,
+                  0.434243749346802558002071502844628, 0.0])
+_K7_HALF_W = np.array([0.104656226026467265193823857192073, 0.268488089868333440728569280666710,
+                       0.401397414775962222905051818618432, 0.450916538658474142345110087045571])
+_GK_T = 0.5 * (1.0 + np.concatenate([[1.0], -_K7_X, _K7_X[2::-1]]))
+_K7_W = 0.5 * np.concatenate([_K7_HALF_W, _K7_HALF_W[2::-1]])
+_G3_W = 0.5 * np.array([5 / 9, 8 / 9, 5 / 9])
 _GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
 _HOP_U, _HOP_W = 0.5 * (_GL16_X + 1.0), 0.5 * _GL16_W
 
@@ -101,6 +112,12 @@ def _sqrt(problem: Problem, lam2: complex, z):
     """Principal sqrt(A_eps(z)^2 - lambda^2), elementwise."""
     a, _ = eval_potential(problem.potential, z, problem.eps, derivative=False)
     return np.sqrt(a * a - lam2)
+
+
+def _sqrt_slope(problem: Problem, lam2: complex, z) -> tuple:
+    """Principal sqrt(A_eps(z)^2 - lambda^2) and A_eps A_eps', elementwise."""
+    a, da = eval_potential(problem.potential, z, problem.eps)
+    return np.sqrt(a * a - lam2), a * da
 
 
 def _align(s, ref):
@@ -142,10 +159,10 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
 
     A curve starts at its turning point and stops near any other entry of
     ``tps``.  Each lockstep iteration makes one step attempt per running curve,
-    of that curve's own length: an accepted attempt adds a vertex, a rejected
-    one leaves the curve where it is for the next iteration, and a curve that
-    terminates keeps its last vertex and drops out of the checks.  Curves
-    project on the same iterations, those that advanced in it.  Returns one
+    of that curve's own length, and one potential call over all curves: an
+    accepted attempt adds a vertex on the level set, a rejected one leaves the
+    curve where it is for the next iteration, and a curve that terminates
+    keeps its last vertex and drops out of the checks.  Returns one
     (points, Termination) pair per start.
     """
     lam2 = complex(lam) ** 2
@@ -170,7 +187,9 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     dz = -phase.real / s
     z = z + dz
     phase = phase + s * dz
-    s = _align(_sqrt(problem, lam2, z), s)
+    root, slope = _sqrt_slope(problem, lam2, z)
+    s = _align(root, s)
+    ds = slope / s
 
     # orientation: unit tangent i*sigma*|s|/s must match the requested angle;
     # turn holds i*sigma
@@ -188,42 +207,55 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     dist = np.abs(z[:, None] - tps)
     arc = np.full(len(own), _FIRST_HOP)
     step = np.full(len(own), _STEP)
-    w0, w1, w2 = _GL3_W
-
-    def field(zz, live):
-        # a stage that leaves the strip is an event of its curve, and a curve
-        # not stepping is evaluated at its vertex, which lies in the strip
-        live &= ~(np.abs(zz.imag) >= strip)
-        ss = _align(_sqrt(problem, lam2, np.where(live, zz, z)), s)
-        return turn * np.abs(ss) / ss
 
     iteration = 0
     while n_running:
         iteration += 1
         # no step reaches halfway to a turning point, so none jumps its disk
         h = np.minimum(np.minimum(step, _MAX_STEP), 0.5 * dist.min(axis=1))
-        # each event of the attempt clears its curve from ``live``
-        live = running.copy()
-        # s is the aligned root at z, so the first stage needs no potential call
-        k1 = turn * np.abs(s) / s
-        k2 = field(z + 0.5 * h * k1, live)
-        k3 = field(z + 0.5 * h * k2, live)
-        k4 = field(z + h * k3, live)
+        # predictor: a chord of length h along the tangent turned by half the
+        # step's curvature, dt/dsigma = -i t Im(t s'/s)
+        tangent = turn * np.abs(s) / s
+        heading = tangent - 0.5j * h * tangent * (tangent * ds / s).imag
+        chord = h * heading / np.abs(heading)
+        z_try = z + chord
+        # each event of the attempt clears its curve from ``live``; a curve
+        # not stepping is evaluated at its vertex, which lies in the strip
+        live = running & np.isfinite(z_try) & ~(np.abs(z_try.imag) >= strip)
         staged = live.copy()
-        z_try = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        live &= np.isfinite(z_try) & ~(np.abs(z_try.imag) >= strip)
-        z_new = np.where(live, z_try, z)
-        chord = z_new - z
-        ss = _align(_sqrt(problem, lam2, np.concatenate(
-            [z_new[:, None], z[:, None] + _GL3_T * chord[:, None]], axis=1)), s[:, None])
-        s_new = ss[:, 0]
+        chord = np.where(live, chord, 0.0)
+        root, slope = _sqrt_slope(problem, lam2, z[:, None] + _GK_T * chord[:, None])
+        ss = _align(root, s[:, None])
         # elementwise sums round alike for every batch shape, so a curve takes
         # the same step decisions alone and inside a graph
-        increment = (w0 * ss[:, 1] + w1 * ss[:, 2] + w2 * ss[:, 3]) * chord
-        simpson = (s + 4.0 * ss[:, 2] + s_new) * (chord / 6.0)
-        # |s| times the step's departure from the level set, and the phase
-        # increment's quadrature error against the fourth-order rule
-        error = np.maximum(np.abs(increment.real), np.abs(increment - simpson))
+        kronrod = _K7_W[0] * ss[:, 1]
+        for k in range(2, 8):
+            kronrod = kronrod + _K7_W[k - 1] * ss[:, k]
+        gauss = _G3_W[0] * ss[:, 2] + _G3_W[1] * ss[:, 4] + _G3_W[2] * ss[:, 6]
+        s_try = ss[:, 0]
+        ds_try = slope[:, 0] / s_try
+        phase_try = phase + kronrod * chord
+        # corrector: rotate the chord about z onto the level set of the
+        # quadratic model phase + s*d + s'*d^2/2 of the phase at the predicted
+        # vertex, where d = chord*(e^{i*angle} - 1): two Newton steps on the
+        # angle from 0 leave the model's Re phase at rounding level
+        rotation = np.zeros(len(own))
+        shift = np.zeros_like(chord)
+        solved = np.ones(len(own), dtype=bool)
+        for _ in range(2):
+            phase_new = phase_try + (s_try + 0.5 * ds_try * shift) * shift
+            rate = ((chord + shift) * (s_try + ds_try * shift)).imag
+            solved &= rate != 0.0
+            rotation = rotation + phase_new.real / np.where(solved, rate, 1.0)
+            shift = chord * (-2.0 * np.sin(0.5 * rotation) ** 2 + 1j * np.sin(rotation))
+        z_new = z_try + shift
+        phase_new = phase_try + (s_try + 0.5 * ds_try * shift) * shift
+        s_new = s_try + ds_try * shift
+        # the G3 gap bounds the K7 increment's error, and the model's cubic
+        # remainder takes s'' from the change of s' over the chord
+        remainder = np.abs(ds_try - ds) * np.abs(shift) ** 3 / (6.0 * h)
+        error = np.where(solved, np.abs((kronrod - gauss) * chord) + remainder, np.inf)
+        live &= np.isfinite(z_new) & ~(np.abs(z_new.imag) >= strip)
         size = np.abs(s_new)
         blurred = size * np.abs(z_new) * _RESOLUTION > _TOL
         live &= (size >= 1e-12) & ~blurred & np.isfinite(error)
@@ -234,22 +266,14 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         accept = live & (error <= _TOL)
         # a zero estimate takes the largest growth; a rejected step's estimate
         # exceeds _TOL, so its factor is below _SAFETY and needs no upper clip
-        grow = _SAFETY * (_TOL / np.maximum(error, 1e-10 * _TOL)) ** 0.2
+        grow = _SAFETY * (_TOL / np.maximum(error, 1e-10 * _TOL)) ** (1.0 / 7.0)
         grow = np.maximum(np.minimum(grow, 2.0), np.where(accept, 1.0, 0.2))
         step = np.where(live, h * grow, np.where(event, np.maximum(_STEP, 0.25 * h), step))
         z = np.where(accept, z_new, z)
         s = np.where(accept, s_new, s)
-        phase = np.where(accept, phase + increment, phase)
+        ds = np.where(accept, ds_try, ds)
+        phase = np.where(accept, phase_new, phase)
         arc = np.where(accept, arc + h, arc)
-        far = np.zeros_like(accept)
-        if iteration % _PROJECT_EVERY == 0:
-            dz = -phase.real / s
-            far = accept & (np.abs(dz) > _STEP)
-            accept &= ~far
-            dz = np.where(accept, dz, 0.0)
-            z = z + dz
-            phase = phase + s * dz
-            s = _align(_sqrt(problem, lam2, z), s)
         # every curve writes its z one row past its last vertex, and only an
         # accepted step counts that row; that row is at most iteration + 1
         if iteration + 2 > len(history):
@@ -261,18 +285,18 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         near = (dist < _NEAR_TP) & (other | (arc > 5 * _FIRST_HOP)[:, None])
         close = accept & near.any(axis=1)
         too_long = accept & (arc >= _MAX_ARC)
-        ended = final | far | close | too_long
+        ended = final | close | too_long
         if ended.any():
             # a curve that ended takes the first rule that holds for it
-            checks = [(running & ~staged, Termination.STRIP_BOUNDARY),
-                      (~np.isfinite(z_try), Termination.STEP_FAILURE),
-                      (np.abs(z_try.imag) >= strip, Termination.STRIP_BOUNDARY),
+            checks = [(~np.isfinite(z_try), Termination.STEP_FAILURE),
+                      (running & ~staged, Termination.STRIP_BOUNDARY),
+                      (~np.isfinite(z_new), Termination.STEP_FAILURE),
+                      (np.abs(z_new.imag) >= strip, Termination.STRIP_BOUNDARY),
                       (size < 1e-12, Termination.STEP_FAILURE),
                       (blurred, Termination.STRIP_BOUNDARY),
                       (~np.isfinite(error), Termination.STEP_FAILURE)]
             checks = [(mask & final, end) for mask, end in checks] + [
-                (far, Termination.STEP_FAILURE), (close, Termination.NEAR_TURNING_POINT),
-                (too_long, Termination.MAX_LENGTH)]
+                (close, Termination.NEAR_TURNING_POINT), (too_long, Termination.MAX_LENGTH)]
             for j in np.flatnonzero(ended):
                 ends[j] = next(end for mask, end in checks if mask[j])
             running &= ~ended
