@@ -222,7 +222,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         # each event of the attempt clears its curve from ``live``; a curve
         # not stepping is evaluated at its vertex, which lies in the strip
         live = running & np.isfinite(z_try) & ~(np.abs(z_try.imag) >= strip)
-        staged = live.copy()
+        predicted = live.copy()
         chord = np.where(live, chord, 0.0)
         root, slope = _sqrt_slope(problem, lam2, z[:, None] + _GK_T * chord[:, None])
         ss = _align(root, s[:, None])
@@ -289,7 +289,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         if ended.any():
             # a curve that ended takes the first rule that holds for it
             checks = [(~np.isfinite(z_try), Termination.STEP_FAILURE),
-                      (running & ~staged, Termination.STRIP_BOUNDARY),
+                      (running & ~predicted, Termination.STRIP_BOUNDARY),
                       (~np.isfinite(z_new), Termination.STEP_FAILURE),
                       (np.abs(z_new.imag) >= strip, Termination.STRIP_BOUNDARY),
                       (size < 1e-12, Termination.STEP_FAILURE),
