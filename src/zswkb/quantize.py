@@ -1,6 +1,7 @@
 """Bohr-Sommerfeld-type quantization: I(lambda, eps) = (k + 1/2)*pi*h or k*pi*h."""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -10,8 +11,8 @@ import numpy as np
 
 from .action import _action_rows
 from .errors import EmptyWindow, LeftWindow, NoConvergence, ZSWKBError
-from .potential import A1Report, SymmetryClass, WellType
-from .problem import Problem, a1_report, symmetry_class
+from .potential import A1Report, PotentialSpec, SymmetryClass, WellType
+from .problem import Problem, Tolerances, a1_report, symmetry_class
 
 _NEWTON_CAP = 50
 
@@ -56,32 +57,59 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
 
 
 def _window_action_range(problem: Problem) -> tuple:
-    """Action at the real window edges, and their turning points where they are the problem's.
+    """Action and its slope at the real window edges, and their turning points.
 
     A pairing keeps I(lambda, eps) real for real lambda, so a level that eps
     moves across an edge moves its target across that edge's action too.
     Without one the edges are taken for the eps = 0 reference problem.
-    Returns the two edge actions and the (2, 2) edge pairs, or None for the
-    pairs where they were continued at eps = 0 for a problem at eps > 0.
+    Returns the two edge actions, their lambda-derivatives (the slopes of
+    ``_solve_rows``'s Hermite seed) and the (2, 2) edge pairs, or None for the
+    pairs where they were continued at eps = 0 for a problem at eps > 0.  The
+    edges read no h, cut or matching point, so they are continued once per
+    potential, window, cutoff, tolerances and edge eps and then cached.
     """
-    paired = symmetry_class(problem) is not SymmetryClass.NONE
-    own = paired or problem.eps == 0.0
-    edges, pairs = _action_rows(problem if own else problem.with_(eps=0.0),
-                                [problem.lambda0 - problem.delta, problem.lambda0 + problem.delta])
+    own = problem.eps == 0.0 or symmetry_class(problem) is not SymmetryClass.NONE
+    i_lo, i_hi, slopes, pairs = _edges(problem.potential, problem.lambda0, problem.delta,
+                                       problem.cutoff, problem.tolerances,
+                                       problem.eps if own else 0.0)
+    return i_lo, i_hi, slopes, pairs if own else None
+
+
+@functools.lru_cache(maxsize=None)
+def _edges(potential: PotentialSpec, lambda0: float, delta: float, cutoff: float,
+           tolerances: Tolerances, eps: float) -> tuple:
+    # h = 1 stands in for every h: the turning points and actions never read it
+    problem = Problem(potential, lambda0, delta, 1.0, eps=eps, cutoff=cutoff,
+                      tolerances=tolerances)
+    edges, pairs = _action_rows(problem, [lambda0 - delta, lambda0 + delta])
     for act in edges:
         if isinstance(act, Exception):
             raise act
+    pairs.flags.writeable = False  # shared by every cell that hits the cache
     # I depends on lambda^2 and grows with |lambda|, and |lambda0 - delta| < lambda0 + delta
-    return edges[0].value.real, edges[1].value.real, pairs if own else None
+    return (edges[0].value.real, edges[1].value.real,
+            (edges[0].dvalue_dlambda.real, edges[1].dvalue_dlambda.real), pairs)
+
+
+# the edges are continued from the A1 pair, so clearing a1_report clears them too
+_clear_a1_reports = a1_report.cache_clear
+
+
+def _clear_reports() -> None:
+    _clear_a1_reports()
+    _edges.cache_clear()
+
+
+a1_report.cache_clear = _clear_reports
 
 
 def _window(problem: Problem) -> tuple:
-    """(branch, i_lo, i_hi, edge_pairs): what ``_solve_rows`` starts a call's indices from."""
+    """(branch, i_lo, i_hi, slopes, edge_pairs): what ``_solve_rows`` starts the indices from."""
     return (select_branch(a1_report(problem)), *_window_action_range(problem))
 
 
 def _indices(problem: Problem, window: tuple) -> list:
-    branch, i_lo, i_hi, _ = window
+    branch, i_lo, i_hi, _, _ = window
     ks = indices_in_range(i_lo, i_hi, problem.h, branch)
     if not ks:
         raise EmptyWindow(
@@ -95,13 +123,14 @@ def enumerate_indices(problem: Problem) -> list:
 
 
 def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
-    """Newton-solve I(lambda, eps) = c_k*pi*h from the secant seed through the window's edges.
+    """Newton-solve I(lambda, eps) = c_k*pi*h from the Hermite seed through the window's edges.
 
-    The seed is where the secant through the two window-edge actions meets
-    the target; the edges are those of the index range, at the problem's own
-    eps under a parity pairing and at eps = 0 without one.  A one-row call of
-    the lockstep solver that ``wkb_spectrum`` runs on all indices; its
-    failure is raised.
+    The seed is where the cubic Hermite interpolant of lambda(I) through the
+    two window-edge actions and their slopes meets the target; the edges are
+    those of the index range, at the problem's own eps under a parity pairing
+    and at eps = 0 without one, and are shared with every call on the same
+    potential, window and edge eps.  A one-row call of the lockstep solver
+    that ``wkb_spectrum`` runs on all indices; its failure is raised.
     """
     (rec,) = _solve_rows(problem, [k], *_window(problem))
     if isinstance(rec, Exception):
@@ -110,30 +139,35 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
 
 
 def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: float,
-                edge_pairs) -> list:
+                slopes: tuple, edge_pairs) -> list:
     """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
 
-    Each row starts from its secant seed, a real lambda at a fraction of the
-    window set by where its target lies between the edge actions, and takes
-    Newton steps in lockstep: a round is one call of the array action over
-    the rows still iterating.  Given the (2, 2) ``edge_pairs`` (turning
-    points continued at the problem's own eps), the first round starts each
-    row's pair at the same fraction between the two edge pairs and takes one
-    Newton stage at its lambda; without them it continues the turning points
-    from the A1 report's real pair along the full homotopy.  Every later
-    round continues each row's pair from the round before.  A row stops on
-    its own at the residual test, on its action's failure, on leaving the
-    window, or after ``_NEWTON_CAP`` rounds.
+    Each row starts from its Hermite seed, a real lambda at a fraction of the
+    window: the cubic Hermite interpolant of lambda as a function of I through
+    the two edges, with slopes 1 / I'(edge) from the edges' ``slopes``, read
+    at the row's target.  The rows take Newton steps in lockstep: a round is
+    one call of the array action over the rows still iterating.  Given the
+    (2, 2) ``edge_pairs`` (turning points continued at the problem's own
+    eps), the first round starts each row's pair at the same fraction between
+    the two edge pairs and takes one Newton stage at its lambda; without them
+    it continues the turning points from the A1 report's real pair along the
+    full homotopy.  Every later round continues each row's pair from the
+    round before.  A row stops on its own at the residual test, on its
+    action's failure, on leaving the window, or after ``_NEWTON_CAP`` rounds.
     """
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
-    fracs = []
     fuzz = 1e-9 * max(1.0, i_hi)
     for j, target in enumerate(targets):
         if not (i_lo - fuzz <= target <= i_hi + fuzz):
             results[j] = LeftWindow(
                 f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
-        fracs.append((target - i_lo) / (i_hi - i_lo))
+    # t is each target's place between the edge actions; against t, lambda's
+    # fraction of the window has slope secant / I'(edge) at each edge
+    secant = (i_hi - i_lo) / (2.0 * problem.delta)
+    m0, m1 = (secant / s for s in slopes)
+    t = (np.array(targets) - i_lo) / (i_hi - i_lo)
+    fracs = t * t * (3.0 - 2.0 * t) + t * (1.0 - t) * (m0 * (1.0 - t) - m1 * t)
     lams = [complex(problem.lambda0 + problem.delta * (2.0 * f - 1.0)) for f in fracs]
 
     tol = problem.tolerances.quantize_residual
@@ -141,7 +175,7 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
     seeded = edge_pairs is not None
     pairs = np.zeros((len(ks), 2), dtype=complex)
     if seeded:
-        pairs[:] = edge_pairs[0] + np.array(fracs)[:, None] * (edge_pairs[1] - edge_pairs[0])
+        pairs[:] = edge_pairs[0] + fracs[:, None] * (edge_pairs[1] - edge_pairs[0])
     for n in range(_NEWTON_CAP):
         if not live:
             break
@@ -171,15 +205,18 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
 def wkb_spectrum(problem: Problem) -> list:
     """Roots of I(lambda, eps) = c_k*pi*h for every admissible index, sorted by Re lambda.
 
-    The branch, the window's edge actions and turning points and the index
-    list are computed once, and all indices are solved in lockstep.  Where
-    the edges are the problem's own (under a parity pairing, or at eps = 0)
-    each index's first turning points are interpolated between the two edge
-    pairs and polished by one Newton stage, so the turning points are
-    continued from the A1 report only at the two edges; without a pairing at
-    eps > 0 the first round follows the full homotopy.  Every later Newton
-    round continues the turning points of every unsettled index from the
-    round before and finds their actions with one array call.
+    The branch, the window's edge actions, slopes and turning points and the
+    index list are computed once, and all indices are solved in lockstep from
+    their Hermite seeds.  The edges read no h, so a sweep over h continues
+    them once per potential, window and edge eps, and clearing ``a1_report``
+    clears them.  Where the edges are the problem's own (under a parity
+    pairing, or at eps = 0) each index's first turning points are
+    interpolated between the two edge pairs and polished by one Newton stage,
+    so the turning points are continued from the A1 report only at the two
+    edges; without a pairing at eps > 0 the first round follows the full
+    homotopy.  Every later Newton round continues the turning points of every
+    unsettled index from the round before and finds their actions with one
+    array call.
     Each index gives the root ``solve_quantization`` gives for it alone.
     Per-index failures are reported as warnings, in index order; the other
     indices are unaffected.

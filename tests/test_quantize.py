@@ -258,31 +258,85 @@ def test_window_action_range_follows_eps_only_under_a_pairing(name):
     assert (quantize._window_action_range(p)[:2] != base) is paired
 
 
-# the window's two edges are the only rows continued from the A1 pair where
-# they are taken at the problem's own eps (under a pairing, or at eps = 0):
-# every index starts between the edge pairs; without a pairing at eps > 0 the
-# edges sit at eps = 0 and the first round keeps the full homotopy
+# the window's two edges read no h, cut or matching point: a sweep over h and
+# a one-index solve continue them from the A1 pair once, at the problem's own
+# eps under a pairing or at eps = 0, and every index starts between them.
+# ``homotopies`` counts a cold call's: without a pairing at eps > 0 the edges
+# sit at eps = 0 and every call's first round keeps the full homotopy too
 @pytest.mark.parametrize("name, eps, homotopies", [
     ("well", 0.0, 1), ("well", 0.05, 1), ("tanh", 0.0, 1), ("tanh", 0.05, 1),
     ("ctrl", 0.0, 1), ("ctrl", 0.05, 2)])
 def test_turning_points_are_continued_from_the_a1_pair_once_per_call(monkeypatch, name, eps,
                                                                      homotopies):
-    rows = []
+    p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.05, eps=eps)
+    edges = ("edges", eps if homotopies == 1 else 0.0)
+    calls = []
     turning_rows = action._turning_rows
 
     def counted(problem, lams, z_=None):
         if z_ is None:
-            rows.append(len(lams))
+            at_edges = np.array_equal(lams, [p.lambda0 - p.delta, p.lambda0 + p.delta])
+            calls.append(("edges", problem.eps) if at_edges else ("first round", problem.eps))
         return turning_rows(problem, lams, z_)
 
     monkeypatch.setattr(action, "_turning_rows", counted)
-    p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.025, eps=eps)
     z.a1_report.cache_clear()
-    recs = z.wkb_spectrum(p)
-    assert rows[0] == 2 and len(rows) == homotopies
-    rows.clear()
-    z.solve_quantization(p, recs[len(recs) // 2].k)
-    assert rows[0] == 2 and len(rows) == homotopies
+    for h in (0.05, 0.025, 0.0125):
+        recs = z.wkb_spectrum(p.with_(h=h))
+    z.solve_quantization(p.with_(h=0.0125), recs[len(recs) // 2].k)
+    assert calls == [edges] + [("first round", eps)] * 4 * (homotopies - 1)
+    # clearing the A1 reports clears the edges continued from them
+    calls.clear()
+    z.a1_report.cache_clear()
+    z.wkb_spectrum(p)
+    assert calls[0] == edges and len(calls) == homotopies
+
+
+@pytest.mark.parametrize("h", [0.05, 0.0125])
+@pytest.mark.parametrize("name, eps, rounds", [
+    ("well", 0.0, 3), ("well", 0.05, 3), ("ctrl", 0.0, 3), ("tanh", 0.0, 4), ("tanh", 0.05, 4)])
+def test_hermite_seed_settles_every_index_in_few_newton_rounds(monkeypatch, name, eps, rounds,
+                                                               h):
+    # the cubic Hermite interpolant of lambda(I) through the edges, with the
+    # edges' own slopes, starts each index closer than the secant did (4
+    # rounds on well and ctrl, 5 on tanh)
+    p = z.Problem(*LOCKSTEP_PROBLEMS[name], h, eps=eps)
+    z.wkb_spectrum(p)  # with the edges cached, every array action call is a Newton round
+    calls = []
+    action_rows = quantize._action_rows
+
+    def counted(problem, lams, *args):
+        calls.append(len(lams))
+        return action_rows(problem, lams, *args)
+
+    monkeypatch.setattr(quantize, "_action_rows", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = z.wkb_spectrum(p)
+    assert calls[0] == len(recs) == len(z.enumerate_indices(p))
+    assert len(calls) <= rounds
+
+
+def test_window_edges_are_cached_on_what_they_read():
+    # h, the cuts and the matching point leave the edges alone; a paired
+    # problem's eps moves them, and an unpaired one's takes them at eps = 0
+    well = z.Problem(*LOCKSTEP_PROBLEMS["well"], 0.05, eps=0.05)
+    ctrl = z.Problem(*LOCKSTEP_PROBLEMS["ctrl"], 0.05)
+    for cells, edges in [
+            ([well, well.with_(h=0.0125), well.with_(x_cut_left=-3.0, x_cut_right=3.0),
+              well.with_(matching_point=0.1)], 1),
+            ([well, well.with_(eps=0.1)], 2),
+            ([ctrl, ctrl.with_(eps=0.05), ctrl.with_(eps=0.2, h=0.025)], 1)]:
+        z.a1_report.cache_clear()
+        for cell in cells:
+            z.wkb_spectrum(cell)
+        assert quantize._edges.cache_info().misses == edges
+    # a cell's roots do not depend on which h continued its edges
+    z.a1_report.cache_clear()
+    cold = z.wkb_spectrum(well.with_(h=0.0125))
+    z.a1_report.cache_clear()
+    z.wkb_spectrum(well)
+    assert z.wkb_spectrum(well.with_(h=0.0125)) == cold
 
 
 @pytest.mark.parametrize("spec, lambda0, delta, h, eps, count", [
@@ -319,8 +373,8 @@ def test_wkb_spectrum_failed_index_leaves_the_others(monkeypatch):
     def failing(problem, lams, *args):
         acts, pairs = action_rows(problem, lams, *args)
         if len(lams) == len(ks) and first_round[0]:
-            # the 2-row call of the window's edges comes first; every index
-            # is live in the first Newton round, in index order
+            # the clean run cached the window's edges; every index is live
+            # in the first Newton round, in index order
             first_round[0] = False
             acts[ks.index(bad)] = NoConvergence("injected")
         return acts, pairs
@@ -360,7 +414,7 @@ def test_wkb_spectrum_warns_for_an_iterate_that_leaves_the_window(monkeypatch):
 
 
 def test_wkb_spectrum_warns_once_per_index_at_the_round_cap(monkeypatch):
-    # no secant seed meets the residual test, so one round leaves every index
+    # no Hermite seed meets the residual test, so one round leaves every index
     # unsettled
     p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, eps=0.05)
     ks = z.enumerate_indices(p)

@@ -197,13 +197,13 @@ def test_graph_terminations_and_reach(name, eps):
     assert [c.termination.value for c in graph.curves] == FIXED_STEP_ENDS[name, eps]
     # the fixed step took up to 5,724 vertices on a curve of these graphs
     # (4,022 on each strip-boundary curve of well at eps = 0.05), and a wall
-    # at |s| = 1e6 up to 1,440; the roundoff wall leaves at most 710
-    assert max(len(c.points) for c in graph.curves) <= 800
+    # at |s| = 1e6 up to 1,440; the continuation tracer takes at most 142
+    assert max(len(c.points) for c in graph.curves) <= 200
     strip = problem.potential.strip_half_width
     tps = np.asarray(graph.turning_points)
     for curve in graph.curves:
         # no step is longer than 0.05 or half the way to the nearest turning
-        # point, up to the projection's nudge
+        # point
         a, b = curve.points[1:-1], curve.points[2:]
         reach = np.minimum(0.5 * np.abs(a[:, None] - tps).min(axis=1), 0.05)
         assert np.all(np.abs(b - a) <= reach + 1e-9)
