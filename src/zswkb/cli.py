@@ -36,7 +36,7 @@ _PT_HEADER = ["eps", "h", "max_im_lambda", "symmetry_class", "winding_ok", "n_ro
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep; ValueError on an empty or ascending h/eps list or an invalid cell Problem."""
+    """One sweep; ValueError on an empty, ascending or repeating h/eps list or an invalid cell."""
 
     potential: PotentialSpec
     lambda0: float
@@ -50,8 +50,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, values in (("h_list", self.h_list), ("eps_list", self.eps_list)):
-            if not values or list(values) != sorted(values, reverse=True):
-                raise ValueError(f"{name} must be sorted descending and nonempty")
+            # a repeated value would run its cells twice
+            if not values or list(values) != sorted(set(values), reverse=True):
+                raise ValueError(f"{name} must be sorted descending and nonempty, "
+                                 f"with no repeated value")
         for h in self.h_list:
             for eps in self.eps_list:
                 make_problem(self, h, eps)

@@ -117,6 +117,9 @@ def custom(a_terms, b_terms, strip_half_width: float | None = None) -> Potential
     max_tanh_scale = 0.0
     for target, terms in ((TARGET_A, a_terms), (TARGET_B, b_terms)):
         for term in terms:
+            if len(term) < 2 or term[0] not in _TERM_NAMES:
+                raise ValueError(f"bad custom term {term!r}: want (kind, coeff[, scale]) with "
+                                 f"kind 'const', 'tanh', 'gauss' or 'xgauss'")
             kind = _TERM_NAMES[term[0]]
             coeff = float(term[1])
             scale = float(term[2]) if len(term) > 2 else 1.0

@@ -56,25 +56,6 @@ def indices_in_range(i_lo: float, i_hi: float, h: float, branch: Branch) -> list
     return list(range(k_min, k_max + 1))
 
 
-def _window_action_range(problem: Problem) -> tuple:
-    """Action and its slope at the real window edges, and their turning points.
-
-    A pairing keeps I(lambda, eps) real for real lambda, so a level that eps
-    moves across an edge moves its target across that edge's action too.
-    Without one the edges are taken for the eps = 0 reference problem.
-    Returns the two edge actions, their lambda-derivatives (the slopes of
-    ``_solve_rows``'s Hermite seed) and the (2, 2) edge pairs, or None for the
-    pairs where they were continued at eps = 0 for a problem at eps > 0.  The
-    edges read no h, cut or matching point, so they are continued once per
-    potential, window, cutoff, tolerances and edge eps and then cached.
-    """
-    own = problem.eps == 0.0 or symmetry_class(problem) is not SymmetryClass.NONE
-    i_lo, i_hi, slopes, pairs = _edges(problem.potential, problem.lambda0, problem.delta,
-                                       problem.cutoff, problem.tolerances,
-                                       problem.eps if own else 0.0)
-    return i_lo, i_hi, slopes, pairs if own else None
-
-
 @functools.lru_cache(maxsize=None)
 def _edges(potential: PotentialSpec, lambda0: float, delta: float, cutoff: float,
            tolerances: Tolerances, eps: float) -> tuple:
@@ -104,8 +85,20 @@ a1_report.cache_clear = _clear_reports
 
 
 def _window(problem: Problem) -> tuple:
-    """(branch, i_lo, i_hi, slopes, edge_pairs): what ``_solve_rows`` starts the indices from."""
-    return (select_branch(a1_report(problem)), *_window_action_range(problem))
+    """(branch, i_lo, i_hi, slopes, edge_pairs): what ``_solve_rows`` starts the indices from.
+
+    The edges' actions and their lambda-derivatives (``slopes``) are taken at
+    the problem's own eps under a pairing, which keeps I(lambda, eps) real on
+    the real axis so that eps moves each target and edge action together, and
+    at eps = 0 without one; the (2, 2) edge turning-point pairs always at the
+    problem's own eps.  Both come from the cached ``_edges``.
+    """
+    branch = select_branch(a1_report(problem))
+    key = (problem.potential, problem.lambda0, problem.delta, problem.cutoff,
+           problem.tolerances)
+    own = problem.eps == 0.0 or symmetry_class(problem) is not SymmetryClass.NONE
+    i_lo, i_hi, slopes, _ = _edges(*key, problem.eps if own else 0.0)
+    return branch, i_lo, i_hi, slopes, _edges(*key, problem.eps)[3]
 
 
 def _indices(problem: Problem, window: tuple) -> list:
@@ -126,11 +119,11 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
     """Newton-solve I(lambda, eps) = c_k*pi*h from the Hermite seed through the window's edges.
 
     The seed is where the cubic Hermite interpolant of lambda(I) through the
-    two window-edge actions and their slopes meets the target; the edges are
-    those of the index range, at the problem's own eps under a parity pairing
-    and at eps = 0 without one, and are shared with every call on the same
-    potential, window and edge eps.  A one-row call of the lockstep solver
-    that ``wkb_spectrum`` runs on all indices; its failure is raised.
+    two window-edge actions and their slopes meets the target, and its first
+    turning points lie between the edges' pairs at the problem's own eps; the
+    edges are shared with every call on the same potential and window (see
+    ``_window``).  A one-row call of the lockstep solver that ``wkb_spectrum``
+    runs on all indices; its failure is raised.
     """
     (rec,) = _solve_rows(problem, [k], *_window(problem))
     if isinstance(rec, Exception):
@@ -146,14 +139,13 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
     window: the cubic Hermite interpolant of lambda as a function of I through
     the two edges, with slopes 1 / I'(edge) from the edges' ``slopes``, read
     at the row's target.  The rows take Newton steps in lockstep: a round is
-    one call of the array action over the rows still iterating.  Given the
-    (2, 2) ``edge_pairs`` (turning points continued at the problem's own
-    eps), the first round starts each row's pair at the same fraction between
-    the two edge pairs and takes one Newton stage at its lambda; without them
-    it continues the turning points from the A1 report's real pair along the
-    full homotopy.  Every later round continues each row's pair from the
-    round before.  A row stops on its own at the residual test, on its
-    action's failure, on leaving the window, or after ``_NEWTON_CAP`` rounds.
+    one call of the array action over the rows still iterating.  The first
+    round starts each row's pair at the same fraction between the (2, 2)
+    ``edge_pairs`` (the edges' turning points at the problem's own eps), and
+    every later round from the row's pair of the round before; each takes one
+    Newton stage at the row's lambda.  A row stops on its own at the residual
+    test, on its action's failure, on leaving the window, or after
+    ``_NEWTON_CAP`` rounds.
     """
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
@@ -172,15 +164,11 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
 
     tol = problem.tolerances.quantize_residual
     live = [j for j, res in enumerate(results) if res is None]
-    seeded = edge_pairs is not None
-    pairs = np.zeros((len(ks), 2), dtype=complex)
-    if seeded:
-        pairs[:] = edge_pairs[0] + fracs[:, None] * (edge_pairs[1] - edge_pairs[0])
-    for n in range(_NEWTON_CAP):
+    pairs = edge_pairs[0] + fracs[:, None] * (edge_pairs[1] - edge_pairs[0])
+    for _ in range(_NEWTON_CAP):
         if not live:
             break
-        acts, pairs[live] = _action_rows(problem, [lams[j] for j in live],
-                                         pairs[live] if n or seeded else None)
+        acts, pairs[live] = _action_rows(problem, [lams[j] for j in live], pairs[live])
         still = []
         for j, act in zip(live, acts):
             if isinstance(act, Exception):
@@ -208,13 +196,11 @@ def wkb_spectrum(problem: Problem) -> list:
     The branch, the window's edge actions, slopes and turning points and the
     index list are computed once, and all indices are solved in lockstep from
     their Hermite seeds.  The edges read no h, so a sweep over h continues
-    them once per potential, window and edge eps, and clearing ``a1_report``
-    clears them.  Where the edges are the problem's own (under a parity
-    pairing, or at eps = 0) each index's first turning points are
-    interpolated between the two edge pairs and polished by one Newton stage,
-    so the turning points are continued from the A1 report only at the two
-    edges; without a pairing at eps > 0 the first round follows the full
-    homotopy.  Every later Newton round continues the turning points of every
+    them once per potential, window and eps, and clearing ``a1_report``
+    clears them.  Each index's first turning points are interpolated between
+    the two edge pairs at the problem's own eps and polished by one Newton
+    stage, so the turning points are continued from the A1 report only at the
+    edges.  Every later Newton round continues the turning points of every
     unsettled index from the round before and finds their actions with one
     array call.
     Each index gives the root ``solve_quantization`` gives for it alone.

@@ -1,11 +1,12 @@
 """Complex turning points: the roots of A_eps(z)^2 - lambda^2 continued from a known pair.
 
 ``_turning_rows`` solves a whole array of lambda at once.  A row starts from
-the real pair alpha0 < beta0 of the A1 report, or from a pair near its own
-(at a nearby lambda, or between the window's edge pairs), and each Newton
-iteration is one array potential call over both roots of every row still
-iterating.  A row's result does not depend on the other rows, and a failure
-removes only its own row.
+the real pair alpha0 < beta0 of the A1 report (at the WKB window's two edges,
+and in the one-row probes, which so check the WKB roots independently), or
+from a pair near its own (at a nearby lambda, or between the window's edge
+pairs), and each Newton iteration is one array potential call over both roots
+of every row still iterating.  A row's result does not depend on the other
+rows, and a failure removes only its own row.
 """
 from __future__ import annotations
 
@@ -98,12 +99,12 @@ def _turning_rows(problem: Problem, lams, z=None) -> tuple:
     (lambda0, eps=0) and follows fixed homotopy stages along
     (lambda0 + t*(mu - lambda0), t*eps) for t = 1/8, ..., 1, where mu is
     lambda or, when Re lambda < 0, -lambda: the roots depend on lambda^2 only.
-    A (K, 2) ``z`` holds each row's pair near its own, and the row takes one
-    Newton stage from it at its own lambda: in a WKB Newton round after the
-    first, the row's pair of the round before; in the first round, where the
-    window's edges were taken at the problem's eps, the two edge pairs
-    interpolated at the row's place in the window.  Pairs are ordered by
-    real part.
+    The WKB window's edges and the one-row probes start this way.  A (K, 2)
+    ``z`` holds each row's pair near its own, and the row takes one Newton
+    stage from it at its own lambda: in a WKB Newton round after the first,
+    the row's pair of the round before; in the first round, the window's two
+    edge pairs at the problem's eps interpolated at the row's place in the
+    window.  Pairs are ordered by real part.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     errors = [None] * len(lams)

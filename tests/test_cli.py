@@ -74,12 +74,16 @@ def test_config_validation_errors(tmp_path):
     ({"h_list": ()}, "h_list must be sorted descending and nonempty"),
     ({"eps_list": ()}, "eps_list must be sorted descending and nonempty"),
     ({"h_list": (0.05, 0.1)}, "h_list must be sorted descending"),
+    ({"h_list": (0.1, 0.1)}, "h_list must be sorted descending.*no repeated value"),
+    ({"eps_list": (0.05, 0.0, 0.0)}, "eps_list must be sorted descending.*no repeated value"),
     ({"lambda0": -1.5}, "lambda0, delta and h must be positive"),
-], ids=["empty_h", "empty_eps", "ascending_h", "negative_lambda0"])
+], ids=["empty_h", "empty_eps", "ascending_h", "repeated_h", "repeated_eps",
+        "negative_lambda0"])
 def test_experiment_config_checks_its_lists_and_cells_when_built(fields, message):
     # a library caller that builds the config without config_from_json gets
     # the same checks: no empty sweep, no IndexError from run_stokes, no
-    # ValueError from the middle of a sweep
+    # ValueError from the middle of a sweep, and no cell run twice (a repeated
+    # h once wrote every pt-sweep row twice)
     given = {"potential": z.well_even(), "lambda0": 1.5, "delta": 0.2, "h_list": (0.1,),
              "eps_list": (0.05,), **fields}
     with pytest.raises(ValueError, match=message):

@@ -110,6 +110,14 @@ def test_tolerances_accept_integer_node_counts():
     assert (tol.quad_min_nodes, tol.quad_max_nodes) == (64, 128)
 
 
+@pytest.mark.parametrize("terms", [[("sech", 1.0)], [("gauss",)], [()]])
+def test_custom_refuses_a_bad_term_with_a_value_error(terms):
+    # an unknown kind once raised KeyError and a term without a coefficient
+    # IndexError, where a bad code in the spec raises ValueError
+    with pytest.raises(ValueError, match="'const', 'tanh', 'gauss' or 'xgauss'"):
+        z.custom([("const", 2.0)], terms)
+
+
 @pytest.mark.parametrize("make", [
     lambda: z.monotone_odd(strip_half_width=2.0),
     lambda: z.spec_from_json({"family": "monotone-odd", "params": [2.0],

@@ -250,26 +250,27 @@ def test_wkb_spectrum_equals_one_index_solves(name, eps):
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_PROBLEMS))
 def test_window_action_range_follows_eps_only_under_a_pairing(name):
     # without a pairing I(lambda, eps) is complex on the real axis, and the
-    # edges stay at eps = 0
+    # index range stays at eps = 0
     p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.05, eps=0.05)
     paired = z.symmetry_class(p) is not z.SymmetryClass.NONE
     assert paired is (name != "ctrl")
-    base = quantize._window_action_range(p.with_(eps=0.0))[:2]
-    assert (quantize._window_action_range(p)[:2] != base) is paired
+    base = quantize._window(p.with_(eps=0.0))[1:3]
+    assert (quantize._window(p)[1:3] != base) is paired
 
 
 # the window's two edges read no h, cut or matching point: a sweep over h and
-# a one-index solve continue them from the A1 pair once, at the problem's own
-# eps under a pairing or at eps = 0, and every index starts between them.
-# ``homotopies`` counts a cold call's: without a pairing at eps > 0 the edges
-# sit at eps = 0 and every call's first round keeps the full homotopy too
+# a one-index solve continue them from the A1 pair once per eps they need, and
+# every index starts between the edge pairs at the problem's own eps, with no
+# homotopy of its own.  ``homotopies`` counts the edge sets: without a pairing
+# at eps > 0 the index range comes from the edges at eps = 0 and the pairs
+# from those at the problem's eps
 @pytest.mark.parametrize("name, eps, homotopies", [
     ("well", 0.0, 1), ("well", 0.05, 1), ("tanh", 0.0, 1), ("tanh", 0.05, 1),
     ("ctrl", 0.0, 1), ("ctrl", 0.05, 2)])
 def test_turning_points_are_continued_from_the_a1_pair_once_per_call(monkeypatch, name, eps,
                                                                      homotopies):
     p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.05, eps=eps)
-    edges = ("edges", eps if homotopies == 1 else 0.0)
+    edges = [("edges", 0.0), ("edges", eps)][2 - homotopies:]
     calls = []
     turning_rows = action._turning_rows
 
@@ -284,17 +285,18 @@ def test_turning_points_are_continued_from_the_a1_pair_once_per_call(monkeypatch
     for h in (0.05, 0.025, 0.0125):
         recs = z.wkb_spectrum(p.with_(h=h))
     z.solve_quantization(p.with_(h=0.0125), recs[len(recs) // 2].k)
-    assert calls == [edges] + [("first round", eps)] * 4 * (homotopies - 1)
+    assert calls == edges
     # clearing the A1 reports clears the edges continued from them
     calls.clear()
     z.a1_report.cache_clear()
     z.wkb_spectrum(p)
-    assert calls[0] == edges and len(calls) == homotopies
+    assert calls == edges
 
 
 @pytest.mark.parametrize("h", [0.05, 0.0125])
 @pytest.mark.parametrize("name, eps, rounds", [
-    ("well", 0.0, 3), ("well", 0.05, 3), ("ctrl", 0.0, 3), ("tanh", 0.0, 4), ("tanh", 0.05, 4)])
+    ("well", 0.0, 3), ("well", 0.05, 3), ("ctrl", 0.0, 3), ("ctrl", 0.05, 4), ("tanh", 0.0, 4),
+    ("tanh", 0.05, 4)])
 def test_hermite_seed_settles_every_index_in_few_newton_rounds(monkeypatch, name, eps, rounds,
                                                                h):
     # the cubic Hermite interpolant of lambda(I) through the edges, with the
@@ -318,25 +320,28 @@ def test_hermite_seed_settles_every_index_in_few_newton_rounds(monkeypatch, name
 
 
 def test_window_edges_are_cached_on_what_they_read():
-    # h, the cuts and the matching point leave the edges alone; a paired
-    # problem's eps moves them, and an unpaired one's takes them at eps = 0
+    # h, the cuts and the matching point leave the edges alone and every eps
+    # moves them; an unpaired problem at eps > 0 reads the shared eps = 0 set
+    # for its index range and its own eps's set for its pairs
     well = z.Problem(*LOCKSTEP_PROBLEMS["well"], 0.05, eps=0.05)
     ctrl = z.Problem(*LOCKSTEP_PROBLEMS["ctrl"], 0.05)
     for cells, edges in [
             ([well, well.with_(h=0.0125), well.with_(x_cut_left=-3.0, x_cut_right=3.0),
               well.with_(matching_point=0.1)], 1),
             ([well, well.with_(eps=0.1)], 2),
-            ([ctrl, ctrl.with_(eps=0.05), ctrl.with_(eps=0.2, h=0.025)], 1)]:
+            ([ctrl, ctrl.with_(eps=0.05), ctrl.with_(eps=0.2, h=0.025)], 3),
+            ([ctrl.with_(eps=0.05), ctrl.with_(eps=0.05, h=0.0125)], 2)]:
         z.a1_report.cache_clear()
         for cell in cells:
             z.wkb_spectrum(cell)
         assert quantize._edges.cache_info().misses == edges
     # a cell's roots do not depend on which h continued its edges
-    z.a1_report.cache_clear()
-    cold = z.wkb_spectrum(well.with_(h=0.0125))
-    z.a1_report.cache_clear()
-    z.wkb_spectrum(well)
-    assert z.wkb_spectrum(well.with_(h=0.0125)) == cold
+    for cell in (well, ctrl.with_(eps=0.05)):
+        z.a1_report.cache_clear()
+        cold = z.wkb_spectrum(cell.with_(h=0.0125))
+        z.a1_report.cache_clear()
+        z.wkb_spectrum(cell)
+        assert z.wkb_spectrum(cell.with_(h=0.0125)) == cold
 
 
 @pytest.mark.parametrize("spec, lambda0, delta, h, eps, count", [
@@ -344,8 +349,12 @@ def test_window_edges_are_cached_on_what_they_read():
       for name in sorted(LOCKSTEP_PROBLEMS) for eps in (0.0, 0.05)],
     # seeded from edges near the well floor, where the turning points close up
     pytest.param(z.well_even(), 1.5, 0.45, 0.0125, 0.05, 95, id="well-deep"),
-    # no pairing at eps > 0: the first round follows the homotopy
+    # no pairing at eps > 0: the index range comes from the eps = 0 edges,
+    # and the first round starts between the edge pairs at eps = 0.3
     pytest.param(LOCKSTEP_PROBLEMS["ctrl"][0], 1.5, 0.49, 0.025, 0.3, 55, id="ctrl-wide"),
+    # A and B both odd: no pairing, on a strip of half-width 0.5
+    pytest.param(z.custom([("tanh", 2.0)], [("xgauss", 1.0)], strip_half_width=0.5),
+                 1.0, 0.3, 0.025, 0.3, 14, id="odd-odd"),
 ])
 def test_wkb_roots_meet_their_targets_by_the_one_row_action(spec, lambda0, delta, h, eps,
                                                             count):
