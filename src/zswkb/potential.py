@@ -117,7 +117,7 @@ def custom(a_terms, b_terms, strip_half_width: float | None = None) -> Potential
     max_tanh_scale = 0.0
     for target, terms in ((TARGET_A, a_terms), (TARGET_B, b_terms)):
         for term in terms:
-            if len(term) < 2 or term[0] not in _TERM_NAMES:
+            if not 2 <= len(term) <= 3 or term[0] not in _TERM_NAMES:
                 raise ValueError(f"bad custom term {term!r}: want (kind, coeff[, scale]) with "
                                  f"kind 'const', 'tanh', 'gauss' or 'xgauss'")
             kind = _TERM_NAMES[term[0]]

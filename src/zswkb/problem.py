@@ -80,6 +80,8 @@ class Problem:
             raise ValueError("cutoff, cuts and matching_point must be finite")
         if not self.cutoff > 0:
             raise ValueError("cutoff must be positive")
+        if cuts.count(None) == 1:
+            raise ValueError("x_cut_left and x_cut_right must be given together")
         if None not in cuts and not cuts[0] < cuts[1]:
             raise ValueError("x_cut_left must lie below x_cut_right")
 
@@ -114,31 +116,31 @@ _DECAY_ACTIONS = 12.0
 
 
 def domain_cuts(problem: Problem) -> tuple:
-    """Boundary cut positions for the shooting solver, cached on the inputs they read, not on eps.
+    """Boundary cut positions for the shooting solver: the explicit pair, or the default cuts.
 
-    Default rule, per side: x_t is the nearest x beyond the turning interval
-    where |A| = lambda0 + delta, the window's top edge, and the cut is the
-    first crossing-grid sample where a trapezoid of sqrt(A^2 - (lambda0 +
-    delta)^2) from x_t reaches _DECAY_ACTIONS*h. It is floored one grid
-    sample beyond the crossing of lambda0 + 2*delta, the farthest real part
-    Newton shoots, and capped at the older rule: the crossing of the level
-    half way to the asymptotic margin, pushed out by 2.0 and capped at the
-    sampling cutoff. A side where lambda0 + 2*delta has no such crossing
-    keeps the capped cut. The crossings are ``real_crossings`` on Re A
-    sampled on the crossing grid, and each side reads the grid outward from
-    0, so a paired potential gets exactly mirrored cuts. An explicit cut is kept;
-    ValueError if a lone one does not lie on its side of the other's default.
+    An explicit pair is returned as given.  The default cuts are cached on
+    the inputs they read, not on eps.  Default rule, per side: x_t is the
+    nearest x beyond the turning interval where |A| = lambda0 + delta, the
+    window's top edge, and the cut is the first crossing-grid sample where a
+    trapezoid of sqrt(A^2 - (lambda0 + delta)^2) from x_t reaches
+    _DECAY_ACTIONS*h. It is floored one grid sample beyond the crossing of
+    lambda0 + 2*delta, the farthest real part Newton shoots, and capped at
+    the older rule: the crossing of the level half way to the asymptotic
+    margin, pushed out by 2.0 and capped at the sampling cutoff. A side where
+    lambda0 + 2*delta has no such crossing keeps the capped cut. The
+    crossings are ``real_crossings`` on Re A sampled on the crossing grid,
+    and each side reads the grid outward from 0, so a paired potential gets
+    exactly mirrored cuts.
     """
+    if problem.x_cut_left is not None:
+        return problem.x_cut_left, problem.x_cut_right
     return _domain_cuts(problem.potential, problem.lambda0, problem.delta, problem.h,
-                        problem.cutoff, problem.x_cut_left, problem.x_cut_right,
-                        problem.tolerances.slope_degeneracy)
+                        problem.cutoff, problem.tolerances.slope_degeneracy)
 
 
 @functools.lru_cache(maxsize=None)
 def _domain_cuts(potential: PotentialSpec, lambda0: float, delta: float, h: float, cutoff: float,
-                 x_cut_left: float | None, x_cut_right: float | None, slope_tol: float) -> tuple:
-    if x_cut_left is not None and x_cut_right is not None:
-        return x_cut_left, x_cut_right
+                 slope_tol: float) -> tuple:
     rep = _a1_report(potential, lambda0, cutoff, slope_tol)
     top = lambda0 + delta
     levels = (lambda0 + 0.5 * rep.margin_at_infinity, top, top + delta)
@@ -149,11 +151,7 @@ def _domain_cuts(potential: PotentialSpec, lambda0: float, delta: float, h: floa
     # settled or not, a crossing lies in its grid bracket, 0.004 wide at cutoff 8
     crossings = [real_crossings(potential, level, cutoff, samples)[0] for level in levels]
     cuts = []
-    for sign, turning, given in ((-1.0, rep.alpha0, x_cut_left),
-                                 (1.0, rep.beta0, x_cut_right)):
-        if given is not None:
-            cuts.append(given)
-            continue
+    for sign, turning in ((-1.0, rep.alpha0), (1.0, rep.beta0)):
         half, s_t, s_f = (np.min(sign * x[sign * x > sign * turning], initial=np.inf)
                           for x in crossings)
         cut = min(half + 2.0, cutoff)
@@ -167,9 +165,6 @@ def _domain_cuts(potential: PotentialSpec, lambda0: float, delta: float, h: floa
                 floor = s[np.searchsorted(s, s_f, side="right")]
                 cut = min(max(s_out[i], floor), cut)
         cuts.append(float(sign * cut))
-    if not cuts[0] < cuts[1]:
-        # only a lone explicit cut gets here: the Problem checks a given pair
-        raise ValueError(f"x_cut_left={cuts[0]} must lie below x_cut_right={cuts[1]}")
     return tuple(cuts)
 
 
@@ -186,7 +181,7 @@ def matching_point(problem: Problem) -> float:
     except A1Violated:
         # no turning interval (e.g. window below the well floor): match midway
         # between explicit cuts; default cuts need the report that just failed
-        if problem.x_cut_left is None or problem.x_cut_right is None:
+        if problem.x_cut_left is None:
             raise
         return 0.5 * (problem.x_cut_left + problem.x_cut_right)
 

@@ -101,18 +101,14 @@ def _window(problem: Problem) -> tuple:
     return branch, i_lo, i_hi, slopes, _edges(*key, problem.eps)[3]
 
 
-def _indices(problem: Problem, window: tuple) -> list:
-    branch, i_lo, i_hi, _, _ = window
+def enumerate_indices(problem: Problem) -> list:
+    """Quantization indices whose targets fall in the window's action range."""
+    branch, i_lo, i_hi, _, _ = _window(problem)
     ks = indices_in_range(i_lo, i_hi, problem.h, branch)
     if not ks:
         raise EmptyWindow(
             f"no quantization target in action range [{i_lo:.6g}, {i_hi:.6g}] at h={problem.h}")
     return ks
-
-
-def enumerate_indices(problem: Problem) -> list:
-    """Quantization indices whose targets fall in the window's action range."""
-    return _indices(problem, _window(problem))
 
 
 def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
@@ -193,24 +189,23 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
 def wkb_spectrum(problem: Problem) -> list:
     """Roots of I(lambda, eps) = c_k*pi*h for every admissible index, sorted by Re lambda.
 
-    The branch, the window's edge actions, slopes and turning points and the
-    index list are computed once, and all indices are solved in lockstep from
-    their Hermite seeds.  The edges read no h, so a sweep over h continues
-    them once per potential, window and eps, and clearing ``a1_report``
-    clears them.  Each index's first turning points are interpolated between
-    the two edge pairs at the problem's own eps and polished by one Newton
-    stage, so the turning points are continued from the A1 report only at the
-    edges.  Every later Newton round continues the turning points of every
-    unsettled index from the round before and finds their actions with one
-    array call.
+    The index list is ``enumerate_indices``'s, the window's edge actions,
+    slopes and turning points are computed once, and all indices are solved
+    in lockstep from their Hermite seeds.  The edges read no h, so a sweep
+    over h continues them once per potential, window and eps, and clearing
+    ``a1_report`` clears them.  Each index's first turning points are
+    interpolated between the two edge pairs at the problem's own eps and
+    polished by one Newton stage, so the turning points are continued from
+    the A1 report only at the edges.  Every later Newton round continues the
+    turning points of every unsettled index from the round before and finds
+    their actions with one array call.
     Each index gives the root ``solve_quantization`` gives for it alone.
     Per-index failures are reported as warnings, in index order; the other
     indices are unaffected.
     """
-    window = _window(problem)
-    ks = _indices(problem, window)
+    ks = enumerate_indices(problem)
     records = []
-    for k, rec in zip(ks, _solve_rows(problem, ks, *window)):
+    for k, rec in zip(ks, _solve_rows(problem, ks, *_window(problem))):
         if isinstance(rec, ZSWKBError):
             warnings.warn(f"quantization failed for k={k}: {rec}", stacklevel=2)
         else:

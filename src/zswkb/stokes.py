@@ -63,7 +63,6 @@ _NEAR_TP = 1e-3
 # stays an order below _TOL, so steps are accepted on their truncation error,
 # not on rounding (on the well the wall falls at |s| ~ 1.4e4, |z| ~ 3.2)
 _RESOLUTION = 10 * np.finfo(float).eps
-_HISTORY_ROWS = 1024             # first size of the vertex buffer; it doubles when full
 
 # the 7-point Gauss-Kronrod extension of 3-point Gauss-Legendre: its nodes
 # x >= 0 on [-1, 1] and their weights, mirrored below; _GK_T holds the chord's
@@ -108,12 +107,6 @@ def _slope(problem: Problem, z):
     return 2.0 * a * da
 
 
-def _sqrt(problem: Problem, lam2: complex, z):
-    """Principal sqrt(A_eps(z)^2 - lambda^2), elementwise."""
-    a, _ = eval_potential(problem.potential, z, problem.eps, derivative=False)
-    return np.sqrt(a * a - lam2)
-
-
 def _sqrt_slope(problem: Problem, lam2: complex, z) -> tuple:
     """Principal sqrt(A_eps(z)^2 - lambda^2) and A_eps A_eps', elementwise."""
     a, da = eval_potential(problem.potential, z, problem.eps)
@@ -149,7 +142,7 @@ def _hop_phase(problem: Problem, lam2: complex, tp, z1, fp) -> tuple:
     each hop's last node.
     """
     dz = z1 - tp
-    s = _align(_sqrt(problem, lam2, tp[:, None] + dz[:, None] * _HOP_U ** 2),
+    s = _align(_sqrt_slope(problem, lam2, tp[:, None] + dz[:, None] * _HOP_U ** 2)[0],
                np.sqrt(fp * dz)[:, None])
     return 2.0 * dz * (s @ (_HOP_W * _HOP_U)), s[:, -1]
 
@@ -160,10 +153,11 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     A curve starts at its turning point and stops near any other entry of
     ``tps``.  Each lockstep iteration makes one step attempt per running curve,
     of that curve's own length, and one potential call over all curves: an
-    accepted attempt adds a vertex on the level set, a rejected one leaves the
-    curve where it is for the next iteration, and a curve that terminates
-    keeps its last vertex and drops out of the checks.  Returns one
-    (points, Termination) pair per start.
+    accepted attempt appends a vertex on the level set to the curve's list, a
+    rejected one leaves the curve where it is for the next iteration, and a
+    curve that terminates keeps its last vertex and drops out of the checks.
+    Returns one (points, Termination) pair per start, the points an array of
+    the curve's vertices from its turning point on.
     """
     lam2 = complex(lam) ** 2
     strip = problem.potential.strip_half_width
@@ -180,7 +174,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     if (np.abs(z.imag) >= strip).any():
         raise StepFailure("first hop already leaves the strip")
     phase, s = _hop_phase(problem, lam2, tp, z, fp)
-    s = _align(_sqrt(problem, lam2, z), s)
+    s = _align(_sqrt_slope(problem, lam2, z)[0], s)
 
     # the straight hop leaves the (curved) level set by O(hop^{5/2}); project
     # transversally right away so the drift never enters the march
@@ -197,20 +191,15 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     turn = np.where((tangent * np.exp(-1j * angle)).real > 0.0, 1j, -1j)
 
     other = own[:, None] != np.arange(len(tps))
-    columns = np.arange(len(own))
     running = np.ones(len(own), dtype=bool)
     n_running = len(own)
     ends = [Termination.MAX_LENGTH] * len(own)
-    n_points = np.full(len(own), 2)
-    history = np.empty((_HISTORY_ROWS, len(own)), dtype=complex)
-    history[0], history[1] = tp, z
+    points = [[a, b] for a, b in zip(tp, z)]
     dist = np.abs(z[:, None] - tps)
     arc = np.full(len(own), _FIRST_HOP)
     step = np.full(len(own), _STEP)
 
-    iteration = 0
     while n_running:
-        iteration += 1
         # no step reaches halfway to a turning point, so none jumps its disk
         h = np.minimum(np.minimum(step, _MAX_STEP), 0.5 * dist.min(axis=1))
         # predictor: a chord of length h along the tangent turned by half the
@@ -274,12 +263,8 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
         ds = np.where(accept, ds_try, ds)
         phase = np.where(accept, phase_new, phase)
         arc = np.where(accept, arc + h, arc)
-        # every curve writes its z one row past its last vertex, and only an
-        # accepted step counts that row; that row is at most iteration + 1
-        if iteration + 2 > len(history):
-            history = np.concatenate([history, np.empty_like(history)])
-        history[n_points, columns] = z
-        n_points += accept
+        for j in np.flatnonzero(accept):
+            points[j].append(z[j])
         dist = np.abs(z[:, None] - tps)
         # near its own turning point a curve stops only once it has left it
         near = (dist < _NEAR_TP) & (other | (arc > 5 * _FIRST_HOP)[:, None])
@@ -301,7 +286,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
                 ends[j] = next(end for mask, end in checks if mask[j])
             running &= ~ended
             n_running = np.count_nonzero(running)
-    return [(history[:n, j].copy(), end) for j, (n, end) in enumerate(zip(n_points, ends))]
+    return [(np.array(p), end) for p, end in zip(points, ends)]
 
 
 def trace_stokes_line(problem: Problem, lam: complex, tp: complex, angle: float,

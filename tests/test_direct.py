@@ -522,36 +522,6 @@ def test_matching_point_outside_the_cuts_is_rejected(x_m):
             solve()
 
 
-@pytest.mark.parametrize("side", ["x_cut_left", "x_cut_right"])
-def test_one_sided_explicit_cut_keeps_the_default_other_side(side):
-    # an explicit cut on one side is kept as given; the other side keeps its
-    # default cut, and the wider domain leaves the roots in place
-    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05)
-    given = -3.0 if side == "x_cut_left" else 3.0
-    one_sided = p.with_(**{side: given})
-    default = z.domain_cuts(p)
-    assert default == pytest.approx((-1.892, 1.892), abs=1e-12)
-    want = (given, default[1]) if side == "x_cut_left" else (default[0], given)
-    assert z.domain_cuts(one_sided) == want
-    roots = [r.lam for r in z.direct_spectrum_real(p)]
-    moved = [r.lam for r in z.direct_spectrum_real(one_sided)]
-    assert len(roots) == len(moved) == 9
-    assert max(abs(a - b) for a, b in zip(roots, moved)) < 1e-12
-
-
-@pytest.mark.parametrize("side, given", [("x_cut_left", 3.0), ("x_cut_right", -3.0)])
-def test_lone_cut_beyond_the_default_other_cut_is_rejected(side, given):
-    # a lone cut past the other side's default cut (+/-1.892) leaves no domain;
-    # the error names the cuts, not the matching point that falls between them
-    p = z.Problem(z.well_even(), 1.5, 0.2, 0.05, **{side: given})
-    message = (r"x_cut_left=3\.0 must lie below x_cut_right=1\.89" if given > 0
-               else r"x_cut_left=-1\.89\d* must lie below x_cut_right=-3\.0")
-    with pytest.raises(ValueError, match=message):
-        z.domain_cuts(p)
-    with pytest.raises(ValueError, match=message):
-        z.direct_spectrum_real(p)
-
-
 @pytest.mark.parametrize("h, count", [(0.1, 5), (0.05, 10)])
 def test_real_scan_steps_a_wide_well_by_its_action_derivative(h, count):
     # a narrow dip in a wide plateau: |I'(lambda0)| ~ 25.9, so the scan step

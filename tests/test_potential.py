@@ -83,13 +83,25 @@ def test_problem_rejects_non_finite_or_out_of_range(well_spec, field, value):
 
 @pytest.mark.parametrize("set_up", [
     {"cutoff": math.inf}, {"cutoff": math.nan}, {"cutoff": 0.0}, {"cutoff": -8.0},
-    {"matching_point": math.nan}, {"x_cut_left": math.nan}, {"x_cut_right": -math.inf},
+    {"matching_point": math.nan}, {"x_cut_left": math.nan, "x_cut_right": 3.0},
+    {"x_cut_left": -3.0, "x_cut_right": -math.inf},
     {"x_cut_left": 3.0, "x_cut_right": -3.0}, {"x_cut_left": 3.0, "x_cut_right": 3.0}])
 def test_problem_rejects_bad_set_up_fields(well_spec, set_up):
     # caught at construction, not as an untyped error or warning of the first
     # shooting call or A1 check
     with pytest.raises(ValueError):
         z.Problem(well_spec, 1.5, 0.2, 0.1, **set_up)
+
+
+@pytest.mark.parametrize("side, given", [("x_cut_left", -3.0), ("x_cut_right", 3.0)])
+def test_problem_rejects_a_lone_cut(well_spec, side, given):
+    # explicit cuts come as a pair; the default other side is one domain_cuts
+    # call away, and a pair built from it is kept as given
+    with pytest.raises(ValueError, match="given together"):
+        z.Problem(well_spec, 1.5, 0.2, 0.05, **{side: given})
+    p = z.Problem(well_spec, 1.5, 0.2, 0.05)
+    cuts = dict(zip(("x_cut_left", "x_cut_right"), z.domain_cuts(p)), **{side: given})
+    assert z.domain_cuts(p.with_(**cuts)) == tuple(cuts.values())
 
 
 @pytest.mark.parametrize("bad", [
@@ -110,10 +122,12 @@ def test_tolerances_accept_integer_node_counts():
     assert (tol.quad_min_nodes, tol.quad_max_nodes) == (64, 128)
 
 
-@pytest.mark.parametrize("terms", [[("sech", 1.0)], [("gauss",)], [()]])
+@pytest.mark.parametrize("terms", [[("sech", 1.0)], [("gauss",)], [()],
+                                   [("gauss", 1.0, 1.0, 99.0)]])
 def test_custom_refuses_a_bad_term_with_a_value_error(terms):
-    # an unknown kind once raised KeyError and a term without a coefficient
-    # IndexError, where a bad code in the spec raises ValueError
+    # an unknown kind once raised KeyError, a term without a coefficient
+    # IndexError, and a term past its scale was cut to three elements, where
+    # a bad code in the spec raises ValueError
     with pytest.raises(ValueError, match="'const', 'tanh', 'gauss' or 'xgauss'"):
         z.custom([("const", 2.0)], terms)
 
@@ -476,6 +490,19 @@ def test_custom_family_validation():
         z.custom([("tanh", 1.0, 4.0)], [], strip_half_width=0.5)  # pole inside strip
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: z.well_even(strip_half_width=0.0), "strip_half_width must be positive"),
+    (lambda: z.custom([("const", 2.0)], [], strip_half_width=-1.0),
+     "strip_half_width must be positive"),
+    (lambda: z.custom([("const", 2.0), ("gauss", -1.0, 0.0)], []), "term scale must be positive"),
+    (lambda: z.PotentialSpec("custom-sum-of-terms", (0, 1, 1.0, -2.0), 0.5),
+     "term scale must be positive")],
+    ids=["preset-strip", "custom-strip", "gauss-scale", "tanh-scale"])
+def test_spec_rejects_a_non_positive_strip_or_scale(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spec_rejects_non_finite_params(bad):
     for make in (lambda: z.well_even(bad, 1.0), lambda: z.well_even(2.0, bad),
@@ -592,8 +619,7 @@ def paired_draw(r):
     return z.custom(a_terms, b_terms), r.uniform(0.05, 1.0)
 
 
-@pytest.mark.parametrize("cuts", [{}, {"x_cut_left": -3.0}])
-def test_matching_point_without_a1_reraises_the_report_error(monkeypatch, cuts):
+def test_matching_point_without_a1_reraises_the_report_error(monkeypatch):
     # below the well floor there is no turning interval, and default cuts need
     # the same report: its one error propagates, not a second one raised
     # while handling it
@@ -604,7 +630,7 @@ def test_matching_point_without_a1_reraises_the_report_error(monkeypatch, cuts):
         return potential.validate_A1(*args, **kwargs)
 
     monkeypatch.setattr(z.problem, "validate_A1", counted)
-    problem = z.Problem(z.well_even(), 0.5, 0.2, 0.1, **cuts)
+    problem = z.Problem(z.well_even(), 0.5, 0.2, 0.1)
     with pytest.raises(A1Violated) as exc:
         matching_point(problem)
     assert len(calls) == 1
@@ -639,9 +665,9 @@ def test_a1_report_is_cached_on_the_inputs_it_reads(monkeypatch):
 
 
 def test_domain_cuts_are_cached_on_the_inputs_they_read(monkeypatch):
-    # the cuts read the potential, lambda0, delta, h, the cutoff, the explicit
-    # cuts and the slope tolerance; eps, the matching point and the other
-    # tolerances share them
+    # the default cuts read the potential, lambda0, delta, h, the cutoff and
+    # the slope tolerance; eps, the matching point and the other tolerances
+    # share them, and an explicit pair is returned without sampling A
     calls = []
 
     def counted(*args, **kwargs):
@@ -656,13 +682,15 @@ def test_domain_cuts_are_cached_on_the_inputs_they_read(monkeypatch):
             for eps in (0.0, 0.05) for x_m in (None, 0.2) for rtol in (1e-10, 1e-12)}
     assert len(cuts) == 1 and len(calls) == 1
     for changed in (p.with_(lambda0=1.4), p.with_(delta=0.3), p.with_(h=0.05),
-                    p.with_(cutoff=7.0), p.with_(x_cut_left=-3.0),
+                    p.with_(cutoff=7.0),
                     p.with_(tolerances=z.Tolerances(slope_degeneracy=1e-7))):
         z.domain_cuts(changed)
-    assert len(calls) == 7
+    assert len(calls) == 6
+    assert z.domain_cuts(p.with_(x_cut_left=-3.0, x_cut_right=3.0)) == (-3.0, 3.0)
+    assert len(calls) == 6
     z.domain_cuts.cache_clear()  # empties the cache that holds the cuts
     z.domain_cuts(p)
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_paired_potentials_get_a_mirror_exact_set_up():
