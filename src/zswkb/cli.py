@@ -173,7 +173,7 @@ def _match_records(wkb_records, direct_records) -> tuple:
 
 def _compare_rows(problem: Problem) -> list:
     wkb_records = quantize.wkb_spectrum(problem)
-    direct_records = direct.direct_spectrum_complex(problem, certify=False)
+    direct_records = direct.direct_spectrum_complex(problem)
     pairs, free_w, free_d = _match_records(wkb_records, direct_records)
 
     def row(wr, dr, error=""):
@@ -192,7 +192,7 @@ def _compare_rows(problem: Problem) -> list:
 def _pt_rows(problem: Problem) -> list:
     # classified first, so the row of a failed cell reads the cached class
     sym = symmetry_class(problem).value
-    records = direct.direct_spectrum_complex(problem, certify=False)
+    records = direct.direct_spectrum_complex(problem)
     zc = direct.count_zeros(problem, window_rectangle(problem))
     max_im = max((abs(r.lam.imag) for r in records), default=0.0)
     return [[problem.eps, problem.h, max_im, sym, zc.winding == len(records), len(records), ""]]
@@ -218,7 +218,7 @@ _COMMANDS = {
                     lambda p: _record_rows(quantize.wkb_spectrum(p)), lambda p, err: [],
                     False, lambda r: (-r[6], r[7], r[0])),
     "direct": _Command(_RECORD_HEADER, "direct.csv", "records",
-                       lambda p: _record_rows(direct.direct_spectrum_complex(p, certify=False)),
+                       lambda p: _record_rows(direct.direct_spectrum_complex(p)),
                        lambda p, err: [], False, lambda r: (-r[6], r[7], r[0])),
     "compare": _Command(_COMPARE_HEADER, "compare.csv", "rows", _compare_rows,
                         lambda p, err: [[p.h, p.eps, *[None] * 6, "", err]], True,

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
-                     PhaseResolution, SymmetryRequired, ZSWKBError)
+from .errors import (BoundaryZero, InsideWell, NoConvergence, PhaseResolution,
+                     SymmetryRequired, ZSWKBError)
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
 from .potential import (SymmetryClass, _crossing_grid, _parities,  # noqa: F401
                         axis_blend_callable, eval_A, eval_potential)
@@ -632,38 +632,29 @@ def _collect_roots(problem: Problem, lams, resid, failed) -> list:
     return roots
 
 
-def direct_spectrum_complex(problem: Problem, certify: bool = True) -> list:
+def direct_spectrum_complex(problem: Problem) -> list:
     """Wronskian zeros in the window rectangle, real or complex.
 
     At eps = 0 the operator is self-adjoint and these are the records of
     ``direct_spectrum_real(problem)``. At eps > 0 complex Newton starts from
     the eps = 0 real scan's secant points; seeds whose Newton iteration diverges
-    are dropped with a warning. With ``certify`` the root count, zero included,
-    is checked against the argument-principle winding over the window
-    rectangle; a mismatch emits MissedZerosWarning.
+    are dropped with a warning. Completeness is not checked here: compare the
+    record count with ``count_zeros(problem, window_rectangle(problem)).winding``.
     """
     if problem.eps == 0.0:
-        records = direct_spectrum_real(problem)
-    else:
-        records = []
-        seeds = _scan(_shooting(problem.with_(eps=0.0)))[2].astype(complex)
-        if len(seeds):
-            shooting = _shooting(problem)
-            # zeros lift off the real axis under the perturbation; probe each
-            # seed along a vertical line and start Newton from the minimum of
-            # |W|, log scale included, so it begins in the right basin
-            t = 0.5 * problem.delta * np.linspace(-1.0, 1.0, 17)  # mirror-exact
-            probe = (seeds[:, None] + 1j * t[None, :]).ravel()
-            w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(shooting, probe))
-            picks = np.argmin(np.abs(w) * np.exp(ls - ls.max(axis=1, keepdims=True)), axis=1)
-            lams, resid, failed = _newton_wronskian(shooting, seeds + 1j * t[picks])
-            if np.any(failed):
-                warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
-            records = _records(problem, _collect_roots(problem, lams, resid, failed))
-    if certify:
-        zc = count_zeros(problem, window_rectangle(problem))
-        if zc.winding != len(records):
-            warnings.warn(
-                f"winding {zc.winding} over the window differs from {len(records)} located roots",
-                MissedZerosWarning, stacklevel=2)
-    return records
+        return direct_spectrum_real(problem)
+    seeds = _scan(_shooting(problem.with_(eps=0.0)))[2].astype(complex)
+    if not len(seeds):
+        return []
+    shooting = _shooting(problem)
+    # zeros lift off the real axis under the perturbation; probe each seed
+    # along a vertical line and start Newton from the minimum of |W|, log
+    # scale included, so it begins in the right basin
+    t = 0.5 * problem.delta * np.linspace(-1.0, 1.0, 17)  # mirror-exact
+    probe = (seeds[:, None] + 1j * t[None, :]).ravel()
+    w, ls = (v.reshape(len(seeds), len(t)) for v in _wronskian_batch(shooting, probe))
+    picks = np.argmin(np.abs(w) * np.exp(ls - ls.max(axis=1, keepdims=True)), axis=1)
+    lams, resid, failed = _newton_wronskian(shooting, seeds + 1j * t[picks])
+    if np.any(failed):
+        warnings.warn(f"{int(np.sum(failed))} Newton seed(s) diverged", stacklevel=2)
+    return _records(problem, _collect_roots(problem, lams, resid, failed))

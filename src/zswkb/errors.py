@@ -79,10 +79,6 @@ class PhaseResolution(ZSWKBError):
     """Contour phase increments could not be resolved below pi/2."""
 
 
-class MissedZerosWarning(UserWarning):
-    """Winding number differs from the number of roots located by Newton seeding."""
-
-
 # -- Stokes geometry -------------------------------------------------------
 
 class DegenerateTurningPoint(ZSWKBError):

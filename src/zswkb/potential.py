@@ -329,10 +329,7 @@ def validate_A1(spec: PotentialSpec, lambda0: float, cutoff: float,
         raise ValueError("lambda0 must be positive")
     if not cutoff > 0:
         raise ValueError("cutoff must be positive")
-    a, _ = eval_A(spec, _crossing_grid(cutoff))
-    if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.max(np.abs(a.real))):
-        raise ValueError("A(x) is not real-valued on the real axis")
-    a = a.real
+    a = eval_A(spec, _crossing_grid(cutoff))[0].real
     roots, done = real_crossings(spec, lambda0, cutoff, a)
     if not done.all():
         raise NoConvergence(f"real crossings of |A| = {lambda0} did not settle near "

@@ -101,14 +101,8 @@ class StokesGraph:
     curves: list
 
 
-def _slope(problem: Problem, z):
-    """d/dz (A_eps^2 - lambda^2) = 2 A_eps A_eps', elementwise."""
-    a, da = eval_potential(problem.potential, z, problem.eps)
-    return 2.0 * a * da
-
-
 def _sqrt_slope(problem: Problem, lam2: complex, z) -> tuple:
-    """Principal sqrt(A_eps(z)^2 - lambda^2) and A_eps A_eps', elementwise."""
+    """Principal sqrt(f), f = A_eps(z)^2 - lambda^2, and A_eps A_eps' = f'/2, elementwise."""
     a, da = eval_potential(problem.potential, z, problem.eps)
     return np.sqrt(a * a - lam2), a * da
 
@@ -125,7 +119,7 @@ def stokes_directions(problem: Problem, lam: complex, tp: complex) -> tuple:
     sqrt(f'(tp)) (z - tp)^{3/2} purely imaginary, which fixes three directions
     2*pi/3 apart.
     """
-    fp = complex(_slope(problem, tp))
+    fp = complex(2.0 * _sqrt_slope(problem, complex(lam) ** 2, tp)[1])
     if abs(fp) <= 1e-8:
         raise DegenerateTurningPoint(f"|d/dz (A_eps^2 - lam^2)| = {abs(fp):.2e} at {tp}")
     base = (np.pi - cmath.phase(fp)) / 3.0
@@ -165,7 +159,7 @@ def _trace(problem: Problem, lam: complex, tps, starts) -> list:
     own = np.array([i for i, _ in starts])
     angle = np.array([a for _, a in starts], dtype=float)
     tp = tps[own]
-    fp = _slope(problem, tp)
+    fp = 2.0 * _sqrt_slope(problem, lam2, tp)[1]
     degenerate = np.abs(fp) <= 1e-8
     if degenerate.any():
         raise DegenerateTurningPoint(f"turning point at {tp[degenerate][0]} is not simple")

@@ -101,7 +101,7 @@ def test_a3_spectral_reality_under_symmetry(spectra_cache, capsys):
                 problem = make_problem(name, h, eps)
                 records = spectra_cache(
                     (name, h, eps, "complex"),
-                    lambda p=problem: z.direct_spectrum_complex(p, certify=False))
+                    lambda p=problem: z.direct_spectrum_complex(p))
                 assert records, (name, h, eps)
                 # the real scan reads W off its symmetry line: the same roots
                 real = z.direct_spectrum_real(problem)
@@ -162,13 +162,15 @@ def test_a5_stokes_directions_and_fidelity(capsys):
 
 
 def test_a6_self_adjoint_baseline(spectra_cache, capsys):
-    """eps = 0 complex search finds only real zeros, as many as the action predicts."""
+    """eps = 0 complex search finds only real zeros, every one the winding counts."""
     h = 0.05
     for name in FAMILIES:
         problem = make_problem(name, h)
         records = spectra_cache((name, h, 0.0, "complex"),
                                 lambda p=problem: z.direct_spectrum_complex(p))
         assert max(abs(r.lam.imag) for r in records) < 1e-10
+        # complete: as many roots as the argument principle counts in the window
+        assert z.count_zeros(problem, z.window_rectangle(problem)).winding == len(records)
         base = problem.with_(eps=0.0)
         d_i = (z.action_integral(base, problem.lambda0 + problem.delta).value.real
                - z.action_integral(base, problem.lambda0 - problem.delta).value.real)
@@ -176,7 +178,7 @@ def test_a6_self_adjoint_baseline(spectra_cache, capsys):
         assert abs(len(records) - predicted) <= 1, (name, len(records), predicted)
     with capsys.disabled():
         print("ACCEPTANCE 6 self-adjoint-baseline: PASS "
-              "(real zeros only, counts match round(delta I / pi h) +/- 1)")
+              "(real zeros only, counts match the winding and round(delta I / pi h) +/- 1)")
 
 
 def test_a7_oracle_robustness(direct_real, wkb, capsys):
@@ -211,7 +213,7 @@ def test_a8_symmetry_broken_control(capsys):
     problem = z.Problem(spec, 1.5, 0.2, 0.05, eps=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        records = z.direct_spectrum_complex(problem, certify=False)
+        records = z.direct_spectrum_complex(problem)
     assert records
     biggest = max(abs(r.lam.imag) for r in records)
     assert biggest > 1e-6

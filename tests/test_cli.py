@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.cli import (_COMPARE_HEADER, _match_records, config_from_json, config_hash,
+from zswkb.cli import (_COMPARE_HEADER, _fmt, _match_records, config_from_json, config_hash,
                        fit_convergence_slope, load_config, main, make_problem, run_compare,
-                       run_pt_sweep, run_stokes, run_validate)
+                       run_pt_sweep, run_spectra, run_stokes, run_validate)
 from zswkb.errors import BoundaryZero, ConfigError, NoConvergence, ZSWKBError
 
 from oracles import assert_graph_document
@@ -235,8 +235,8 @@ def test_compare_writes_unmatched_records(tmp_path, monkeypatch, fault, error):
     # is written as a row of its own, with the other side's columns empty
     spectrum = z.direct.direct_spectrum_complex
 
-    def faulty(problem, certify=True):
-        recs = spectrum(problem, certify=certify)
+    def faulty(problem):
+        recs = spectrum(problem)
         if fault == "drop":
             return recs[1:]
         return recs + [dataclasses.replace(recs[-1], lam=recs[-1].lam + 0.05, k=len(recs))]
@@ -365,6 +365,16 @@ def test_stokes_rejects_bad_lam_and_eps(tmp_path, capsys):
     assert len(json.loads(out.read_text())["curves"]) == 6
 
 
+def test_run_spectra_returns_the_rows_the_wkb_command_writes(tmp_path):
+    path = write_config(tmp_path, eps_list=[0.05, 0.0])
+    rows, errors = run_spectra(load_config(path), "wkb")
+    assert errors == [] and len(rows) > 2
+    out = tmp_path / "wkb.csv"
+    assert main(["wkb", "--config", str(path), "--out", str(out)]) == 0
+    written = list(csv.reader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+    assert written[1:] == [[_fmt(v) for v in row] for row in rows]
+
+
 def test_cli_wkb_csv_schema(tmp_path):
     config_path = write_config(tmp_path)
     out = tmp_path / "wkb.csv"
@@ -404,6 +414,18 @@ def test_pt_sweep_failed_cell_is_reported_with_its_cell(tmp_path, monkeypatch, c
     assert rows[0]["symmetry_class"] == "A-odd-B-even"
     assert capsys.readouterr().err.splitlines() == [
         "cell failed: h=0.1 eps=0.01: BoundaryZero: zero on the contour"]
+
+
+def test_pt_sweep_reports_roots_the_winding_counts_but_no_scan_locates(tmp_path, monkeypatch):
+    # winding_ok is the sweep's one completeness report: a real scan that
+    # finds no bracket seeds no root at either eps, while the argument
+    # principle still counts the window's zeros
+    monkeypatch.setattr(z.direct, "_scan", lambda shooting: (np.empty(0),) * 3)
+    out = tmp_path / "pt.csv"
+    assert main(["pt-sweep", "--config", str(write_config(tmp_path, eps_list=[0.01])),
+                 "--out", str(out)]) == 0
+    assert [(r["n_roots"], r["max_im_lambda"], r["winding_ok"], r["error"])
+            for r in csv_dicts(out)] == [("0", "0", "false", "")] * 2
 
 
 # lambda0 - delta = 0.9 lies below the floor of the even well, so the window
@@ -449,7 +471,7 @@ def test_failed_wkb_cells_are_reported(tmp_path, capsys, command, cells):
 
 
 def test_failed_direct_cell_is_reported(tmp_path, monkeypatch, capsys):
-    def failing(problem, certify=True):
+    def failing(problem):
         raise NoConvergence("no root")
 
     monkeypatch.setattr(z.direct, "direct_spectrum_complex", failing)

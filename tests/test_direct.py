@@ -10,7 +10,7 @@ import scipy.linalg
 import zswkb as z
 from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newton_wronskian,
                           _perimeter, _seed_batch, _shooting, _spans, _wronskian_batch)
-from zswkb.errors import (BoundaryZero, InsideWell, MissedZerosWarning, NoConvergence,
+from zswkb.errors import (A1Violated, BoundaryZero, InsideWell, NoConvergence,
                           PhaseResolution, SymmetryRequired)
 from zswkb.potential import _crossing_grid, eval_A, real_crossings
 
@@ -228,6 +228,22 @@ def test_direct_spectrum_empty_below_well_bottom():
     assert z.direct_spectrum_real(p) == []
 
 
+def test_direct_spectrum_below_the_well_floor_with_explicit_cuts():
+    # lambda0 = 0.95 lies below min|A| = 1, so A1 fails, yet the window
+    # [0.75, 1.15] reaches two levels above the floor: W is matched midway
+    # between the given cuts and the records carry no quantization branch
+    p = z.Problem(z.well_even(), 0.95, 0.2, 0.05, x_cut_left=-3, x_cut_right=3)
+    with pytest.raises(A1Violated, match="no-crossings"):
+        z.a1_report(p)
+    assert z.problem.matching_point(p) == 0.0
+    recs = z.direct_spectrum_real(p)
+    oracle = matrix_window_eigenvalues(p.potential, p.h, 0.0, 0.75, 1.15, im_cap=1e-8)
+    assert len(recs) == len(oracle) == 2
+    assert max(abs(r.lam - ev) for r, ev in zip(recs, oracle)) < 1e-8
+    assert [r.branch for r in recs] == [None, None]
+    assert z.count_zeros(p, z.window_rectangle(p)).winding == 2
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.05])
 def test_real_scan_requires_a_parity_pairing_at_eps_above_zero(eps):
     # without a pairing W has no line on the real axis to read signs off
@@ -317,7 +333,7 @@ def test_complex_spectrum_seeds_from_the_eps_zero_scan_alone(well_problem, monke
         return _wronskian_batch(shooting, lams)
 
     monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
-    recs = z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
+    recs = z.direct_spectrum_complex(well_problem.with_(eps=0.05))
     assert recs
     assert [n for eps, n in batches if eps == 0.0] == [41]
 
@@ -414,18 +430,10 @@ def test_count_zeros_raises_phase_resolution_past_the_sample_cap(well_problem, m
 def test_complex_spectrum_at_eps_zero_reproduces_real(well_problem, spectra_cache):
     real_recs = spectra_cache(("well", 0.1, 0.0, "direct"),
                               lambda: z.direct_spectrum_real(well_problem))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MissedZerosWarning)
-        cplx = z.direct_spectrum_complex(well_problem)
+    cplx = z.direct_spectrum_complex(well_problem)
     # at eps = 0 the operator is self-adjoint: the real records, as they are
     assert cplx == real_recs
-
-
-def test_complex_spectrum_certifies_an_empty_seed_set(well_problem, monkeypatch):
-    # with no eps = 0 root the winding still counts the window's zeros
-    monkeypatch.setattr(z.direct, "direct_spectrum_real", lambda problem: [])
-    with pytest.warns(MissedZerosWarning, match="differs from 0 located roots"):
-        assert z.direct_spectrum_complex(well_problem) == []
+    assert z.count_zeros(well_problem, z.window_rectangle(well_problem)).winding == len(cplx)
 
 
 @pytest.mark.parametrize("fault", ["outside", "duplicate"])
@@ -434,7 +442,7 @@ def test_complex_spectrum_drops_roots_outside_the_window_and_duplicates(well_pro
     # a converged Newton row off the window rectangle, or within
     # distinct_roots of another root, is not a record
     p = well_problem.with_(eps=0.05)
-    clean = z.direct_spectrum_complex(p, certify=False)
+    clean = z.direct_spectrum_complex(p)
 
     def faulty(shooting, seeds):
         lams, resid, failed = _newton_wronskian(shooting, seeds)
@@ -444,12 +452,12 @@ def test_complex_spectrum_drops_roots_outside_the_window_and_duplicates(well_pro
     monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert z.direct_spectrum_complex(p, certify=False) == clean
+        assert z.direct_spectrum_complex(p) == clean
 
 
 def test_complex_spectrum_warns_for_diverged_seeds(well_problem, monkeypatch):
     p = well_problem.with_(eps=0.05)
-    clean = z.direct_spectrum_complex(p, certify=False)
+    clean = z.direct_spectrum_complex(p)
 
     def faulty(shooting, seeds):
         lams, resid, failed = _newton_wronskian(shooting, seeds)
@@ -458,7 +466,7 @@ def test_complex_spectrum_warns_for_diverged_seeds(well_problem, monkeypatch):
 
     monkeypatch.setattr(z.direct, "_newton_wronskian", faulty)
     with pytest.warns(UserWarning, match=r"^1 Newton seed\(s\) diverged$"):
-        recs = z.direct_spectrum_complex(p, certify=False)
+        recs = z.direct_spectrum_complex(p)
     assert [r.lam for r in recs] == [r.lam for r in clean[1:]]
 
 
@@ -469,19 +477,17 @@ def test_complex_spectrum_locates_every_root_of_the_control(h, count, eps):
     # decay-sized cuts the eps = 0 seeds and the vertical probe reach all of
     # them at these h, so the winding certifies the located count
     p = z.Problem(CTRL, 1.5, 0.2, h, eps=eps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MissedZerosWarning)
-        recs = z.direct_spectrum_complex(p, certify=True)
+    recs = z.direct_spectrum_complex(p)
     assert len(recs) == count
+    assert z.count_zeros(p, z.window_rectangle(p)).winding == count
     assert max(abs(r.lam.imag) for r in recs) > 1e-3
 
 
 def test_complex_spectrum_symmetric_perturbation_real(well_problem):
     p = well_problem.with_(eps=0.05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MissedZerosWarning)
-        recs = z.direct_spectrum_complex(p)
+    recs = z.direct_spectrum_complex(p)
     assert recs
+    assert z.count_zeros(p, z.window_rectangle(p)).winding == len(recs)
     assert max(abs(r.lam.imag) for r in recs) < 1e-8
 
 
@@ -491,10 +497,9 @@ def test_complex_spectrum_broken_symmetry_control():
     ctrl = z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)])
     for h, eps in ((0.1, 0.05), (0.05, 0.01)):
         p = z.Problem(ctrl, 1.5, 0.2, h, eps=eps)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MissedZerosWarning)
-            recs = z.direct_spectrum_complex(p, certify=True)
+        recs = z.direct_spectrum_complex(p)
         assert recs
+        assert z.count_zeros(p, z.window_rectangle(p)).winding == len(recs)
         assert max(abs(r.lam.imag) for r in recs) > 1e-6
 
 
@@ -515,7 +520,7 @@ def test_matching_point_outside_the_cuts_is_rejected(x_m):
     p = z.Problem(z.well_even(), 1.5, 0.2, 0.1, eps=0.05, matching_point=x_m)
     assert z.domain_cuts(p) == (-2.472, 2.472)
     message = re.escape(f"matching point {x_m} lies outside the cuts [-2.472, 2.472]")
-    for solve in (lambda: z.direct_spectrum_complex(p, certify=False),
+    for solve in (lambda: z.direct_spectrum_complex(p),
                   lambda: z.count_zeros(p, z.window_rectangle(p)),
                   lambda: z.direct_spectrum_real(p.with_(eps=0.0))):
         with pytest.raises(ValueError, match=message):
@@ -796,7 +801,7 @@ def test_complex_newton_round_on_the_control_shoots_from_one_cut(monkeypatch):
     # the stack (lambda, lambda + s, lambda - s) of m roots is 3m rows, each
     # shot once from the left cut: the parity needs no conjugate partners
     p = z.Problem(CTRL, 1.5, 0.2, 0.05, eps=0.05)
-    seeds = np.array([r.lam for r in z.direct_spectrum_complex(p, certify=False)])
+    seeds = np.array([r.lam for r in z.direct_spectrum_complex(p)])
     x_l = z.domain_cuts(p)[0]
     starts = record_starts(monkeypatch)
     _newton_wronskian(_shooting(p), seeds)
@@ -925,8 +930,8 @@ def test_decay_sized_cuts_leave_the_roots_in_place(name, eps, h):
     p = z.Problem(spec, lambda0, delta, h, eps)
     wide = p.with_(**older_cuts(p))
     assert z.domain_cuts(p)[1] < z.domain_cuts(wide)[1]
-    roots = [r.lam for r in z.direct_spectrum_complex(p, certify=False)]
-    wide_roots = [r.lam for r in z.direct_spectrum_complex(wide, certify=False)]
+    roots = [r.lam for r in z.direct_spectrum_complex(p)]
+    wide_roots = [r.lam for r in z.direct_spectrum_complex(wide)]
     assert len(roots) == len(wide_roots) > 0
     assert max(abs(a - b) for a, b in zip(roots, wide_roots)) < 1e-12
 
@@ -964,7 +969,7 @@ def test_vertical_probe_is_mirror_exact(well_problem, monkeypatch):
         return _wronskian_batch(shooting, lams)
 
     monkeypatch.setattr(z.direct, "_wronskian_batch", counted)
-    z.direct_spectrum_complex(well_problem.with_(eps=0.05), certify=False)
+    z.direct_spectrum_complex(well_problem.with_(eps=0.05))
     probe = batches[1]  # after the eps = 0 scan
     assert len(probe) % 17 == 0
     assert conjugate_closed(probe)

@@ -472,6 +472,28 @@ def test_validate_a1_zero_slope():
     assert exc.value.reason == "zero-slope"
 
 
+@pytest.mark.parametrize("lambda0, cutoff, message", [
+    (0.0, 8.0, "lambda0 must be positive"), (-1.5, 8.0, "lambda0 must be positive"),
+    (math.nan, 8.0, "lambda0 must be positive"), (1.5, 0.0, "cutoff must be positive"),
+    (1.5, -8.0, "cutoff must be positive"), (1.5, math.nan, "cutoff must be positive")])
+def test_validate_a1_rejects_a_non_positive_level_or_cutoff(well_spec, lambda0, cutoff,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        z.validate_A1(well_spec, lambda0, cutoff)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z.well_even(2.0 + 0.1j, 1.0),
+    lambda: z.monotone_odd(2.0j),
+    lambda: z.custom([("const", 2.0), ("gauss", -1.0 + 0.5j)], []),
+    lambda: z.PotentialSpec(potential.CUSTOM, (0, 0, 2.0 + 0j, 1.0), 10.0)])
+def test_spec_refuses_complex_params(make):
+    # every term kind is real on the real axis for real parameters, so A is
+    # real there, as validate_A1 reads it, for every spec that can be built
+    with pytest.raises(TypeError, match="not 'complex'"):
+        make()
+
+
 def test_spec_json_roundtrip(well_spec):
     doc = z.spec_to_json(well_spec)
     assert doc == {"family": "well-even", "params": [2.0, 1.0], "strip_half_width": 10.0}
