@@ -273,22 +273,17 @@ def fit_convergence_slope(rows) -> float | None:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def run_compare(config: ExperimentConfig, jobs: int = 1):
-    """Both spectra per (h, eps) cell, matched by nearest lambda; eps = 0 always included."""
-    rows, errors = _sweep("compare", config, jobs)
-    return rows, fit_convergence_slope(rows), errors
-
-
 def run_pt_sweep(config: ExperimentConfig, jobs: int = 1):
     """Direct complex spectra per (eps, h) with reality and completeness summaries."""
     return _sweep("pt-sweep", config, jobs)
 
 
 def run_stokes(config: ExperimentConfig, lam: float | None = None,
-               eps: float | None = None, out=None) -> dict:
-    """Trace the Stokes graph at one (lambda, eps) and write it as JSON.
+               eps: float | None = None, *, out) -> dict:
+    """Trace the Stokes graph at one (lambda, eps), write it as JSON to ``out`` and return it.
 
-    Raises ConfigError for a non-finite ``lam`` or a negative or non-finite ``eps``.
+    ``lam`` defaults to lambda0 and ``eps`` to the first of eps_list.  Raises
+    ConfigError for a non-finite ``lam`` or a negative or non-finite ``eps``.
     """
     if lam is None:
         lam = config.lambda0
@@ -303,8 +298,6 @@ def run_stokes(config: ExperimentConfig, lam: float | None = None,
     graph = stokes.build_graph(problem, complex(lam))
     doc = {"meta": {**_meta(config), "lambda": lam, "eps": eps}}
     doc.update(stokes.graph_to_json(graph))
-    if out is None:
-        out = Path(config.output_dir) / "stokes.json"
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, sort_keys=True))
@@ -359,12 +352,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = Path(config.output_dir)
-    try:
+        out_dir = Path(config.output_dir)
         if args.command == "validate":
             try:
                 doc = run_validate(config)
@@ -380,11 +368,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "stokes":
             out = args.out if args.out else out_dir / "stokes.json"
-            try:
-                doc = run_stokes(config, lam=args.lam, eps=args.eps, out=out)
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 1
+            doc = run_stokes(config, lam=args.lam, eps=args.eps, out=out)
             print(f"wrote {out} ({len(doc['curves'])} curves)")
             return 0
         rows, errors = _sweep(args.command, config, args.jobs)
@@ -400,6 +384,9 @@ def main(argv=None) -> int:
         for e in errors:
             print(f"cell failed: {e}", file=sys.stderr)
         return 2 if errors else 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except ZSWKBError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

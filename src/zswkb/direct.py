@@ -45,8 +45,8 @@ from .errors import (BoundaryZero, InsideWell, NoConvergence, PhaseResolution,
 # axis_blend_callable is unused here; the benchmark's tracer patches this name
 from .potential import (SymmetryClass, _crossing_grid, _parities,  # noqa: F401
                         axis_blend_callable, eval_A, eval_potential)
-from .problem import (Problem, a1_report, domain_cuts, matching_point, symmetry_class,
-                      window_rectangle)
+from .problem import (_NEWTON_REACH, Problem, a1_report, domain_cuts, matching_point,
+                      symmetry_class, window_rectangle)
 from .quantize import EigenvalueRecord, Method, select_branch
 
 _NEWTON_FD_STEP = 1e-7
@@ -582,9 +582,9 @@ def _newton_wronskian(shooting: _Shooting, seeds: np.ndarray) -> tuple:
     Returns (lams, resid, failed). A row stops when its step falls below
     1e-12; ``resid`` is the determinant of the unit-norm states at its last
     evaluated iterate, W without its log scale. A row is failed
-    when it leaves the window (real part beyond 2*delta of lambda0, or |Im|
-    above delta), when its step is not finite, or when it is still stepping
-    after 40 rounds.
+    when it leaves the window (real part beyond _NEWTON_REACH*delta of
+    lambda0, or |Im| above delta), when its step is not finite, or when it is
+    still stepping after 40 rounds.
     """
     problem = shooting.problem
     lams = np.array(seeds, dtype=complex)
@@ -610,8 +610,8 @@ def _newton_wronskian(shooting: _Shooting, seeds: np.ndarray) -> tuple:
         stuck = ~np.isfinite(delta)  # W flat or not finite: no Newton step exists
         lams[idx] = lams[idx] - np.where(stuck, 0.0, delta)
         resid[idx] = np.abs(w[:m])
-        out = stuck | (np.abs(lams[idx].real - problem.lambda0) > 2 * problem.delta) | \
-            (np.abs(lams[idx].imag) > problem.delta)
+        out = (stuck | (np.abs(lams[idx].real - problem.lambda0) > _NEWTON_REACH * problem.delta)
+               | (np.abs(lams[idx].imag) > problem.delta))
         failed[idx[out]] = True
         done = (np.abs(delta) < 1e-12) | out
         active[idx[done]] = False

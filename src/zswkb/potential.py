@@ -37,6 +37,13 @@ _CROSSING_NEWTON_CAP = 64
 _CROSSING_SAMPLES = 4001         # odd: the crossing grid holds 0 and mirrors about it
 
 
+def _refuse_complex(*values) -> None:
+    """TypeError for a complex number, Python or NumPy, which float() would refuse or truncate."""
+    for v in values:
+        if isinstance(v, (complex, np.complexfloating)):
+            raise TypeError(f"expected a real number, not 'complex': {v!r}")
+
+
 class SymmetryClass(Enum):
     A_EVEN_B_ODD = "A-even-B-odd"
     A_ODD_B_EVEN = "A-odd-B-even"
@@ -57,6 +64,7 @@ class PotentialSpec:
     strip_half_width: float
 
     def __post_init__(self):
+        _refuse_complex(*self.params, self.strip_half_width)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.family not in (WELL_EVEN, MONOTONE_ODD, CUSTOM):
             raise ValueError(f"unknown potential family {self.family!r}")
@@ -121,6 +129,7 @@ def custom(a_terms, b_terms, strip_half_width: float | None = None) -> Potential
                 raise ValueError(f"bad custom term {term!r}: want (kind, coeff[, scale]) with "
                                  f"kind 'const', 'tanh', 'gauss' or 'xgauss'")
             kind = _TERM_NAMES[term[0]]
+            _refuse_complex(*term[1:])
             coeff = float(term[1])
             scale = float(term[2]) if len(term) > 2 else 1.0
             if kind == TERM_TANH:
@@ -140,27 +149,25 @@ def spec_to_json(spec: PotentialSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> PotentialSpec:
+    _refuse_complex(obj["strip_half_width"])
     return PotentialSpec(obj["family"], tuple(obj["params"]), float(obj["strip_half_width"]))
 
 
 def _sum_terms(spec: PotentialSpec, z, targets: tuple, derivative: bool = True) -> list:
     """(value, z-derivative) of the terms of ``spec``, one pair per entry of ``targets``.
 
-    One pass over the terms serves every target, and a gauss and an xgauss of
-    the same scale share exp(-s*z^2).  Without ``derivative`` each pair is
+    Every input, a scalar too, is evaluated as a flat batch and reshaped back
+    (0-d for a scalar), so a point rounds alike alone and in any batch.  One
+    pass over the terms serves every target, and a gauss and an xgauss of the
+    same scale share exp(-s*z^2).  Without ``derivative`` each pair is
     (value, None) and no derivative is formed; the values are the same either
-    way.  On arrays the sums accumulate in place: fresh temporaries for every
-    term of a large grid make the allocator map and unmap pages on each call.
+    way.  The sums accumulate in place: fresh temporaries for every term of a
+    large grid make the allocator map and unmap pages on each call.
     """
     z = np.asarray(z, dtype=complex)
-    if not z.ndim:  # numpy scalar arithmetic costs a fraction of that on 0-d arrays
-        z = z[()]
-
-    def zero():
-        return np.zeros(z.shape, dtype=complex) if z.ndim else np.complex128(0.0)
-
-    val = {t: zero() for t in targets}
-    dval = {t: zero() for t in targets} if derivative else {}
+    shape, z = z.shape, z.ravel()
+    val = {t: np.zeros(z.shape, dtype=complex) for t in targets}
+    dval = {t: np.zeros(z.shape, dtype=complex) for t in targets} if derivative else {}
     gauss = {}
     for t, k, c, s in spec.terms:
         if t not in val:
@@ -184,21 +191,21 @@ def _sum_terms(spec: PotentialSpec, z, targets: tuple, derivative: bool = True) 
                 val[t] += c * z * e
                 if derivative:
                     dval[t] += c * (1.0 - 2.0 * s * z * z) * e
-    return [(val[t], dval.get(t)) for t in targets]
+    return [(val[t].reshape(shape), dval[t].reshape(shape) if derivative else None) for t in targets]
 
 
 def eval_A(spec: PotentialSpec, z):
-    """Return (A(z), A'(z)); z may be a scalar or ndarray, real or complex."""
+    """(A(z), A'(z)) as arrays of z's shape; z may be a scalar or ndarray, real or complex."""
     return _sum_terms(spec, z, (TARGET_A,))[0]
 
 
 def eval_B(spec: PotentialSpec, z):
-    """Return (B(z), B'(z)); no package code calls it, but bench/spans.py wraps it."""
+    """(B(z), B'(z)) like ``eval_A``; no package code calls it, but bench/spans.py wraps it."""
     return _sum_terms(spec, z, (TARGET_B,))[0]
 
 
 def eval_potential(spec: PotentialSpec, z, eps: float, *, derivative: bool = True):
-    """Evaluate A_eps(z) = A(z) + i*eps*B(z) and its z-derivative from closed forms.
+    """A_eps(z) = A(z) + i*eps*B(z) and its z-derivative from closed forms, as arrays of z's shape.
 
     With ``derivative=False`` the call returns (A_eps(z), None): the same
     value, bit for bit, without forming any derivative, for callers that need
@@ -213,9 +220,10 @@ def eval_potential(spec: PotentialSpec, z, eps: float, *, derivative: bool = Tru
     if eps == 0.0:
         return _sum_terms(spec, zz, (TARGET_A,), derivative)[0]
     (a, da), (b, db) = _sum_terms(spec, zz, (TARGET_A, TARGET_B), derivative)
-    if not derivative:
-        return a + 1j * eps * b, None
-    return a + 1j * eps * b, da + 1j * eps * db
+    a += 1j * eps * b  # in place, so a 0-d result stays an array
+    if derivative:
+        da += 1j * eps * db
+    return a, da
 
 
 def axis_blend_callable(spec: PotentialSpec, eps: float):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import A1Violated
-from .potential import (A1Report, PotentialSpec, SymmetryClass, _crossing_grid,
+from .potential import (A1Report, PotentialSpec, SymmetryClass, _crossing_grid, _refuse_complex,
                         classify_symmetry, eval_A, real_crossings, validate_A1)
 
 
@@ -38,6 +38,7 @@ class Tolerances:
     slope_degeneracy: float = 1e-8
 
     def __post_init__(self):
+        _refuse_complex(*self.as_dict().values())
         for name, value in self.as_dict().items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name}={value!r} must be finite and positive")
@@ -68,6 +69,7 @@ class Problem:
     tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
+        _refuse_complex(*vars(self).values())
         if not all(map(math.isfinite, (self.lambda0, self.delta, self.h, self.eps))):
             raise ValueError("lambda0, delta, h and eps must be finite")
         if not (self.lambda0 > 0 and self.delta > 0 and self.h > 0):
@@ -110,6 +112,9 @@ def symmetry_class(problem: Problem) -> SymmetryClass:
     return classify_symmetry(problem.potential)
 
 
+# complex Newton on W fails an iterate whose real part lies this many deltas off lambda0
+_NEWTON_REACH = 2.0
+
 # a seed's error at a cut decays inward like exp(-2/h * int Re mu dx), so the
 # default cut sits where that integral reaches this many multiples of h
 _DECAY_ACTIONS = 12.0
@@ -124,10 +129,10 @@ def domain_cuts(problem: Problem) -> tuple:
     window's top edge, and the cut is the first crossing-grid sample where a
     trapezoid of sqrt(A^2 - (lambda0 + delta)^2) from x_t reaches
     _DECAY_ACTIONS*h. It is floored one grid sample beyond the crossing of
-    lambda0 + 2*delta, the farthest real part Newton shoots, and capped at
-    the older rule: the crossing of the level half way to the asymptotic
-    margin, pushed out by 2.0 and capped at the sampling cutoff. A side where
-    lambda0 + 2*delta has no such crossing keeps the capped cut. The
+    lambda0 + _NEWTON_REACH*delta, the farthest real part Newton shoots, and
+    capped at the older rule: the crossing of the level half way to the
+    asymptotic margin, pushed out by 2.0 and capped at the sampling cutoff. A
+    side where that level has no such crossing keeps the capped cut. The
     crossings are ``real_crossings`` on Re A sampled on the crossing grid,
     and each side reads the grid outward from 0, so a paired potential gets
     exactly mirrored cuts.
@@ -143,7 +148,7 @@ def _domain_cuts(potential: PotentialSpec, lambda0: float, delta: float, h: floa
                  slope_tol: float) -> tuple:
     rep = _a1_report(potential, lambda0, cutoff, slope_tol)
     top = lambda0 + delta
-    levels = (lambda0 + 0.5 * rep.margin_at_infinity, top, top + delta)
+    levels = (lambda0 + 0.5 * rep.margin_at_infinity, top, lambda0 + _NEWTON_REACH * delta)
     # the grid is its own mirror, so the left side is the right one read on
     # -x: the same s values, |A| reversed
     s = _crossing_grid(cutoff)

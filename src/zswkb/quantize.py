@@ -119,17 +119,20 @@ def solve_quantization(problem: Problem, k: int) -> EigenvalueRecord:
     turning points lie between the edges' pairs at the problem's own eps; the
     edges are shared with every call on the same potential and window (see
     ``_window``).  A one-row call of the lockstep solver that ``wkb_spectrum``
-    runs on all indices; its failure is raised.
+    runs on all indices; its failure is raised, and LeftWindow for a k that
+    ``indices_in_range`` leaves out of the window's action range.
     """
-    (rec,) = _solve_rows(problem, [k], *_window(problem))
+    branch, i_lo, i_hi, _, _ = _window(problem)
+    if k not in indices_in_range(i_lo, i_hi, problem.h, branch):
+        raise LeftWindow(f"target of k={k} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
+    (rec,) = _solve_rows(problem, [k])
     if isinstance(rec, Exception):
         raise rec
     return rec
 
 
-def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: float,
-                slopes: tuple, edge_pairs) -> list:
-    """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k.
+def _solve_rows(problem: Problem, ks: list) -> list:
+    """EigenvalueRecord, or the ZSWKBError that stopped it, for each index k of the window.
 
     Each row starts from its Hermite seed, a real lambda at a fraction of the
     window: the cubic Hermite interpolant of lambda as a function of I through
@@ -143,13 +146,9 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
     test, on its action's failure, on leaving the window, or after
     ``_NEWTON_CAP`` rounds.
     """
+    branch, i_lo, i_hi, slopes, edge_pairs = _window(problem)
     results = [None] * len(ks)
     targets = [(k + branch_offset(branch)) * math.pi * problem.h for k in ks]
-    fuzz = 1e-9 * max(1.0, i_hi)
-    for j, target in enumerate(targets):
-        if not (i_lo - fuzz <= target <= i_hi + fuzz):
-            results[j] = LeftWindow(
-                f"target {target:.6g} outside action range [{i_lo:.6g}, {i_hi:.6g}]")
     # t is each target's place between the edge actions; against t, lambda's
     # fraction of the window has slope secant / I'(edge) at each edge
     secant = (i_hi - i_lo) / (2.0 * problem.delta)
@@ -159,7 +158,7 @@ def _solve_rows(problem: Problem, ks: list, branch: Branch, i_lo: float, i_hi: f
     lams = [complex(problem.lambda0 + problem.delta * (2.0 * f - 1.0)) for f in fracs]
 
     tol = problem.tolerances.quantize_residual
-    live = [j for j, res in enumerate(results) if res is None]
+    live = list(range(len(ks)))
     pairs = edge_pairs[0] + fracs[:, None] * (edge_pairs[1] - edge_pairs[0])
     for _ in range(_NEWTON_CAP):
         if not live:
@@ -205,7 +204,7 @@ def wkb_spectrum(problem: Problem) -> list:
     """
     ks = enumerate_indices(problem)
     records = []
-    for k, rec in zip(ks, _solve_rows(problem, ks, *_window(problem))):
+    for k, rec in zip(ks, _solve_rows(problem, ks)):
         if isinstance(rec, ZSWKBError):
             warnings.warn(f"quantization failed for k={k}: {rec}", stacklevel=2)
         else:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import zswkb as z
-from zswkb.cli import (_COMPARE_HEADER, _fmt, _match_records, config_from_json, config_hash,
-                       fit_convergence_slope, load_config, main, make_problem, run_compare,
+from zswkb.cli import (_COMPARE_HEADER, _fmt, _match_records, _sweep, config_from_json,
+                       config_hash, fit_convergence_slope, load_config, main, make_problem,
                        run_pt_sweep, run_spectra, run_stokes, run_validate)
 from zswkb.errors import BoundaryZero, ConfigError, NoConvergence, ZSWKBError
 
@@ -218,7 +218,8 @@ def compare_row(row: list) -> dict:
 
 def test_compare_matching_is_bijection(tmp_path):
     cfg = config_from_json(base_config_dict(tmp_path))
-    rows, slope, errors = run_compare(cfg)
+    rows, errors = _sweep("compare", cfg, 1)
+    slope = fit_convergence_slope(rows)
     assert not errors
     matched = [r for r in map(compare_row, rows) if r["error"] == ""]
     assert all(r[f"{part}_lambda_{side}"] is not None

@@ -13,6 +13,7 @@ from zswkb.direct import (_CHUNK_ELEMENTS, _integrate_batch, _line_factor, _newt
 from zswkb.errors import (A1Violated, BoundaryZero, InsideWell, NoConvergence,
                           PhaseResolution, SymmetryRequired)
 from zswkb.potential import _crossing_grid, eval_A, real_crossings
+from zswkb.problem import _NEWTON_REACH
 
 from oracles import matrix_window_eigenvalues
 
@@ -897,10 +898,10 @@ def test_direct_spectrum_real_samples_the_potential_once(well_problem, monkeypat
 
 @pytest.mark.parametrize("name", ["well", "tanh"])
 def test_default_cuts_clear_the_newton_bound(name):
-    # Newton shoots real parts up to lambda0 + 2*delta, so wherever that level
-    # crosses inside the older cuts, |A| at the default cuts stays above it
+    # Newton shoots real parts up to lambda0 + _NEWTON_REACH*delta, so wherever
+    # that level crosses inside the older cuts, |A| at the default cuts stays above it
     spec, lambda0, delta = WINDOWS[name]
-    bound = lambda0 + 2 * delta
+    bound = lambda0 + _NEWTON_REACH * delta
     for h in (0.1, 0.05, 0.025, 0.0125, 0.00625):
         cuts = z.domain_cuts(z.Problem(spec, lambda0, delta, h))
         assert np.all(np.abs(z.eval_potential(spec, np.array(cuts), 0.0)[0].real) > bound), h

@@ -277,6 +277,32 @@ def test_crossing_on_a_grid_sample_is_found(spec, index):
     assert done.all() and (roots[0], roots[1]) == (rep.alpha0, rep.beta0)
 
 
+SCALAR_FAMILIES = {
+    "well": z.well_even(),
+    "tanh": z.monotone_odd(),
+    "ctrl": z.custom([("const", 2.0), ("gauss", -1.0)], [("gauss", 1.0)]),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.8])
+@pytest.mark.parametrize("name", sorted(SCALAR_FAMILIES))
+def test_a_scalar_evaluates_as_inside_a_batch(name, eps):
+    # a scalar goes through the batch code, so it rounds, value and
+    # derivative, as it does at any place of a batch of any size
+    spec = SCALAR_FAMILIES[name]
+    evaluators = (lambda x: potential.eval_A(spec, x), lambda x: potential.eval_B(spec, x),
+                  lambda x: z.eval_potential(spec, x, eps))
+    for point in (0.3, -1.1, 2.5, 0.7 + 0.2j, -0.4 - 0.3j):
+        for n in (1, 3, 8):
+            batch = np.linspace(-2.0, 2.0, n).astype(complex)
+            batch[n // 2] = point
+            for evaluate in evaluators:
+                val, dval = evaluate(point)
+                bval, bdval = evaluate(batch)
+                assert val.shape == dval.shape == ()
+                assert (val, dval) == (bval[n // 2], bdval[n // 2]), (point, n)
+
+
 def test_axis_blend_matches_eval_potential():
     for spec in (z.well_even(), z.monotone_odd(),
                  z.custom([("tanh", 1.5, 0.8)], [("gauss", 0.5, 2.0)])):
@@ -490,6 +516,21 @@ def test_validate_a1_rejects_a_non_positive_level_or_cutoff(well_spec, lambda0, 
 def test_spec_refuses_complex_params(make):
     # every term kind is real on the real axis for real parameters, so A is
     # real there, as validate_A1 reads it, for every spec that can be built
+    with pytest.raises(TypeError, match="not 'complex'"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: z.well_even(np.complex128(2 + 1j), 1.0),
+    lambda: z.custom([("const", np.complex128(2 + 1j))], []),
+    lambda: z.spec_from_json({"family": "well-even", "params": [2.0, 1.0],
+                              "strip_half_width": np.complex128(10 + 1j)}),
+    lambda: z.Problem(z.well_even(), np.complex128(1.5 + 0.3j), 0.2, 0.1),
+    lambda: z.Tolerances(quad_rel=np.complex128(1e-12 + 1j))],
+    ids=["well_even", "custom", "spec_from_json", "Problem", "Tolerances"])
+def test_numpy_complex_numbers_are_refused(make):
+    # float() and math.isfinite would keep only the real part of a NumPy
+    # complex, with just a ComplexWarning; a Python complex is refused already
     with pytest.raises(TypeError, match="not 'complex'"):
         make()
 

@@ -240,11 +240,18 @@ LOCKSTEP_PROBLEMS = {
 def test_wkb_spectrum_equals_one_index_solves(name, eps):
     p = z.Problem(*LOCKSTEP_PROBLEMS[name], 0.025, eps=eps)
     recs = z.wkb_spectrum(p)
-    assert sorted(r.k for r in recs) == z.enumerate_indices(p)
+    ks = z.enumerate_indices(p)
+    assert sorted(r.k for r in recs) == ks
     for rec in recs:
         alone = z.solve_quantization(p, rec.k)
         assert abs(rec.lam - alone.lam) < 1e-12
         assert rec.residual < p.tolerances.quantize_residual
+        if rec.k in (ks[0], ks[-1]):
+            assert alone.lam == rec.lam
+    # the indices just outside the window's range are refused
+    for k in (ks[0] - 1, ks[-1] + 1):
+        with pytest.raises(LeftWindow, match=f"k={k} "):
+            z.solve_quantization(p, k)
 
 
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_PROBLEMS))
